@@ -101,10 +101,13 @@ def _build_parser() -> _Parser:
 
 
 def _emit(args, text_render, payload) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, allow_nan=False, sort_keys=True, indent=2))
-    else:
-        print(text_render())
+    # serialise in both formats, so a non-finite figure is a numerical
+    # failure whichever format was asked for
+    try:
+        doc = json.dumps(payload, allow_nan=False, sort_keys=True, indent=2)
+    except ValueError as exc:
+        raise FloatingPointError(f"result is not finite ({exc})") from None
+    print(doc if args.format == "json" else text_render())
 
 
 def _cmd_signature(args, seed) -> int:
@@ -267,7 +270,7 @@ def main(argv=None, environ=None) -> int:
     try:
         seed = _resolve_seed(args, environ)
         return handler(args, seed)
-    except IntegratorError as exc:
+    except (IntegratorError, FloatingPointError) as exc:
         print(f"sigpath: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (PathFormatError, OSError, ValueError) as exc:

@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .ito_solver import LinearVectorField, oracle_solve
 from .path_core import PiecewiseLinearPath, path_from_dict, path_to_dict
-from .signature_engine import signature
+from .signature_engine import _signature_levels, signature
 from .tensor_algebra import TruncatedTensor
 
 __all__ = [
@@ -185,8 +185,9 @@ def generate_dataset(
     Segment directions are uniform on the sphere, segment lengths a random
     partition of a total drawn from [r/4, r), so every path lies strictly
     inside the ball.  Responses come from oracle_solve, with centred
-    Gaussian noise added when noise_scale > 0.  Everything is a pure
-    function of the seed.
+    Gaussian noise added when noise_scale > 0.  Features for all paths come
+    from one batched signature call, row for row bit-identical to
+    featurize.  Everything is a pure function of the seed.
     """
     if n_paths < 1 or segment_count < 1:
         raise ValueError("need at least one path and one segment")
@@ -203,10 +204,12 @@ def generate_dataset(
         lengths = rng.random(segment_count)
         lengths *= r * rng.uniform(0.25, 1.0) / lengths.sum()
         paths.append(PiecewiseLinearPath(d, dirs * lengths[:, None]))
+    # features first: the kernel's size check fails before any oracle work
+    segments = np.stack([p.segments for p in paths])
+    features = np.concatenate(_signature_levels(segments, depth), axis=1)
     responses = np.array([oracle_solve(field, p, y0) for p in paths])
     if noise_scale > 0:
         responses = responses + noise_scale * rng.standard_normal(responses.shape)
-    features = np.array([featurize(p, depth) for p in paths])
     return RegressionDataset(
         paths=tuple(paths),
         features=features,

@@ -6,6 +6,12 @@ signature of a concatenation is the tensor product of the signatures, so a
 piecewise-linear path is handled by multiplying its segment exponentials in
 order.  Both facts are exact in the truncated algebra, no quadrature is
 involved.
+
+One kernel does the float work for signature, exp_segment and the
+regression features: it runs on plain per-level arrays with a batch axis,
+forms every segment exponential in one pass and folds them in a balanced
+tree, one vectorised product per round.  Its output is bit-identical to
+folding the same pairs one product at a time.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from .path_core import PiecewiseLinearPath
 from .tensor_algebra import (
     GroupTensor,
     TruncatedTensor,
+    _mul_levels,
     log,
-    mul,
     shuffle_pairing,
     unit,
 )
@@ -36,36 +42,80 @@ __all__ = [
 ]
 
 
+# Coefficients the batched kernel may hold at once (2**25 float64 values,
+# 256 MiB), checked before anything is allocated.
+_MAX_COEFFICIENTS = 2**25
+
+
+def _signature_levels(segments, depth: int) -> list:
+    """Signatures of a batch of paths as plain level arrays.
+
+    segments has shape (N, m, d): N paths of m segments each.  Returns one
+    array of shape (N, d**k) per level k = 0..depth.  All N*m segment
+    exponentials are formed in one pass, then multiplied in a balanced
+    tree: at each round the pairs (0, 1), (2, 3), ... go through one
+    batched product and an odd last factor carries over.  Every product
+    runs the same arithmetic in the same order as a pairwise fold of single
+    paths, so the result does not depend on the batch.  Finiteness is
+    checked once, on the result.
+    """
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
+    n, m, d = segments.shape
+    coefficients = n * max(m, 1) * sum(d**k for k in range(depth + 1))
+    if coefficients > _MAX_COEFFICIENTS:
+        raise ValueError(
+            f"depth {depth} over {n} x {m} segments of dimension {d} needs "
+            f"{coefficients} coefficients, above the limit of {_MAX_COEFFICIENTS}"
+        )
+    if m == 0:
+        # the exponential of a zero segment is exactly the unit
+        segments = np.zeros((n, 1, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = [np.ones(segments.shape[:2] + (1,))]
+        for k in range(1, depth + 1):
+            outer = levels[-1][..., :, None] * segments[..., None, :]
+            levels.append(outer.reshape(segments.shape[:2] + (d**k,)) / k)
+        while levels[0].shape[1] > 1:
+            count = levels[0].shape[1]
+            paired = _mul_levels(
+                [lvl[:, 0 : count - 1 : 2] for lvl in levels],
+                [lvl[:, 1:count:2] for lvl in levels],
+            )
+            if count % 2:
+                paired = [
+                    np.concatenate([p, lvl[:, -1:]], axis=1)
+                    for p, lvl in zip(paired, levels)
+                ]
+            levels = paired
+    levels = [lvl[:, 0] for lvl in levels]
+    for k, lvl in enumerate(levels):
+        if not np.all(np.isfinite(lvl)):
+            raise FloatingPointError(f"signature level {k} overflowed to non-finite values")
+    return levels
+
+
 def exp_segment(v, depth: int) -> GroupTensor:
     """Signature of the straight segment v truncated at `depth`."""
     v = np.asarray(v, dtype=float).reshape(-1)
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
-    levels = [np.ones(1)]
-    for n in range(1, depth + 1):
-        levels.append(np.multiply.outer(levels[-1], v).reshape(-1) / n)
-    return GroupTensor(v.size, depth, levels)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("segment contains non-finite entries")
+    levels = _signature_levels(v.reshape(1, 1, -1), depth)
+    return GroupTensor(v.size, depth, [lvl[0] for lvl in levels])
 
 
 def signature(path: PiecewiseLinearPath, depth: int) -> GroupTensor:
     """Truncated signature: ordered product of segment exponentials.
 
     The product is folded pairwise (balanced tree) rather than left to
-    right; roundoff then grows with the logarithm of the segment count,
-    which keeps long integer-step paths accurate to ~1e-13 at depth 6.
+    right, so roundoff grows with the logarithm of the segment count.  The
+    fold runs vectorised over each round of the tree and gives the same
+    bits as multiplying the pairs one at a time.  On a 128-segment path
+    with steps in multiples of 1/16, every level at depth 6 stays within
+    1e-13 of exact_signature, relative to the level's largest coefficient.
     """
-    factors = [exp_segment(v, depth) for v in path.segments]
-    if not factors:
-        return unit(path.dim, depth)
-    while len(factors) > 1:
-        paired = [
-            mul(factors[i], factors[i + 1]) for i in range(0, len(factors) - 1, 2)
-        ]
-        if len(factors) % 2:
-            paired.append(factors[-1])
-        factors = paired
-    acc = factors[0]
-    return GroupTensor(acc.dim, acc.depth, acc.levels)
+    levels = _signature_levels(path.segments[None], depth)
+    return GroupTensor(path.dim, depth, [lvl[0] for lvl in levels])
 
 
 def log_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedTensor:

@@ -169,17 +169,28 @@ def scale(x: TruncatedTensor, c: float) -> TruncatedTensor:
     return TruncatedTensor(x.dim, x.depth, [c * a for a in x.levels])
 
 
+def _mul_levels(x, y):
+    """Truncated product on plain level arrays of shape (..., d**k).
+
+    Leading axes are a batch: every entry is multiplied with its partner in
+    one call.  Level k accumulates x_i tensor y_(k-i) for i = 0..k in that
+    order, starting from zero, so a product gives the same bits whatever
+    the batch it is computed in.
+    """
+    out = []
+    for k in range(len(x)):
+        acc = np.zeros(x[k].shape)
+        for i in range(k + 1):
+            acc += (x[i][..., :, None] * y[k - i][..., None, :]).reshape(acc.shape)
+        out.append(acc)
+    return out
+
+
 def mul(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
     """Truncated tensor product: level k of the result is sum over i+j=k of
     x_i tensor y_j; levels above the common depth are discarded."""
     _check_match(x, y)
-    d, depth = x.dim, x.depth
-    out = [np.zeros(d**k) for k in range(depth + 1)]
-    for i in range(depth + 1):
-        xi = x.levels[i]
-        for j in range(depth + 1 - i):
-            out[i + j] = out[i + j] + np.multiply.outer(xi, y.levels[j]).reshape(-1)
-    return TruncatedTensor(d, depth, out)
+    return TruncatedTensor(x.dim, x.depth, _mul_levels(x.levels, y.levels))
 
 
 def exp(x: TruncatedTensor) -> TruncatedTensor:

@@ -77,3 +77,43 @@ def max_coeff_gap(x, y):
     return max(
         float(np.max(np.abs(a - b))) for a, b in zip(x.levels, y.levels)
     )
+
+
+def reference_mul(x, y):
+    """Truncated product of two level lists, one outer product at a time."""
+    depth = len(x) - 1
+    out = [np.zeros(a.size) for a in x]
+    for i in range(depth + 1):
+        for j in range(depth + 1 - i):
+            out[i + j] = out[i + j] + np.multiply.outer(x[i], y[j]).reshape(-1)
+    return out
+
+
+def reference_signature(segments, depth):
+    """Loop reference for the batched kernel: per-segment exponentials
+    multiplied pairwise (balanced tree), one product at a time."""
+    d = segments.shape[1]
+    factors = []
+    for v in segments:
+        levels = [np.ones(1)]
+        for n in range(1, depth + 1):
+            levels.append(np.multiply.outer(levels[-1], v).reshape(-1) / n)
+        factors.append(levels)
+    if not factors:
+        return [np.ones(1)] + [np.zeros(d**k) for k in range(1, depth + 1)]
+    while len(factors) > 1:
+        paired = [
+            reference_mul(factors[i], factors[i + 1])
+            for i in range(0, len(factors) - 1, 2)
+        ]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0]
+
+
+def same_bits(xs, ys):
+    """Level lists hold the same doubles, signed zeros included."""
+    return len(xs) == len(ys) and all(
+        a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(xs, ys)
+    )

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -194,10 +195,40 @@ def test_regress_config_validation(capsys, tmp_path):
 
 
 def test_console_entry_point(staircase_csv):
+    # the child imports the same sigpath as this process, installed or not
+    src = os.path.dirname(os.path.dirname(sp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "sigpath.cli", "signature", staircase_csv,
          "--depth", "2", "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     tensor_from_json(proc.stdout)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_signature_size_budget_and_overflow(capsys, tmp_path, staircase_csv, fmt):
+    code, out, err = run_main(capsys, ["signature", staircase_csv, "--depth", "64", "--format", fmt])
+    assert code == 2 and out == "" and "limit" in err
+
+    big = tmp_path / "big.csv"
+    big.write_text("# dim=2\n1e100,1e100\n-1e100,2e100\n")
+    code, out, err = run_main(capsys, ["signature", str(big), "--depth", "4", "--format", fmt])
+    assert code == 4 and out == "" and "numerical failure" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("offset", [0.0, 1.0])
+def test_solve_overflow_is_numerical_failure(capsys, tmp_path, fmt, offset):
+    # exp(800) overflows the oracle; the affine variant overflows the discrepancy
+    field = sp.LinearVectorField(matrices=[[[800.0]]], offsets=[[offset]])
+    fjson = tmp_path / "field.json"
+    fjson.write_text(field_to_json(field))
+    path_csv = tmp_path / "one.csv"
+    write_csv(sp.linear_path([1.0]), path_csv)
+    with np.errstate(over="ignore"):
+        code, out, err = run_main(
+            capsys, ["solve", str(fjson), str(path_csv), "--y0", "1", "--N", "4", "--format", fmt]
+        )
+    assert code == 4 and out == "" and "numerical failure" in err

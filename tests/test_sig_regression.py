@@ -10,7 +10,7 @@ from sigpath.sig_regression import (
     functional_to_json,
 )
 
-from helpers import random_path
+from helpers import random_path, reference_signature, same_bits
 
 
 def test_feature_count():
@@ -72,6 +72,23 @@ def test_generate_dataset_reproducible():
     c = sp.generate_dataset(field, y0, n_paths=8, segment_count=3, r=1.0,
                             noise_scale=0.0, seed=6)
     assert not np.array_equal(a.features, c.features)
+
+
+def test_generate_dataset_features_are_bitwise_the_pairwise_fold():
+    field, y0 = sp.demo_field()
+    ds = sp.generate_dataset(field, y0, n_paths=9, segment_count=5, r=1.5,
+                             noise_scale=0.0, seed=4, depth=5)
+    for row, p in zip(ds.features, ds.paths):
+        want = np.concatenate(reference_signature(p.segments, 5))
+        assert same_bits([row], [want])
+        assert same_bits([row], [sp.featurize(p, 5)])
+
+
+def test_generate_dataset_size_budget():
+    field, y0 = sp.demo_field()
+    with pytest.raises(ValueError, match="limit"):
+        sp.generate_dataset(field, y0, n_paths=1, segment_count=2, r=1.0,
+                            noise_scale=0.0, seed=0, depth=64)
 
 
 def test_generate_dataset_respects_radius():

@@ -3,7 +3,15 @@ import pytest
 
 import sigpath as sp
 
-from helpers import max_coeff_gap, quadrature_signature, random_path, resplit
+from helpers import (
+    max_coeff_gap,
+    quadrature_signature,
+    random_path,
+    reference_mul,
+    reference_signature,
+    resplit,
+    same_bits,
+)
 
 
 def test_exp_segment_levels():
@@ -132,3 +140,44 @@ def test_mirror_pair_coincidence_small():
             assert np.max(np.abs(sr.levels[k] - ss.levels[k])) == 0.0
         diff = sp.sub(sr, ss)
         assert sp.level_norm(diff, n + 1) > 1e-6
+
+
+def test_signature_is_bitwise_the_pairwise_fold():
+    rng = np.random.default_rng(9)
+    for d in range(1, 5):
+        for depth in range(7):
+            for m in (0, 1, 2, 3, 7, 40):
+                p = sp.PiecewiseLinearPath(d, rng.normal(size=(m, d)))
+                want = reference_signature(p.segments, depth)
+                assert same_bits(sp.signature(p, depth).levels, want), (d, depth, m)
+            x = sp.signature(random_path(rng, dim=d), depth)
+            y = sp.exp_segment(rng.normal(size=d), depth)
+            assert same_bits(sp.mul(x, y).levels, reference_mul(x.levels, y.levels))
+
+
+def test_signature_accuracy_on_dyadic_path():
+    # 128 steps in multiples of 1/16: exact_signature is the exact value
+    rng = np.random.default_rng(10)
+    p = sp.PiecewiseLinearPath(2, rng.integers(-16, 17, size=(128, 2)) / 16)
+    got = sp.signature(p, 6)
+    exact = sp.exact_signature(p, 6)
+    for a, b in zip(got.levels, exact.levels):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_size_budget_is_checked_before_allocating():
+    p = sp.PiecewiseLinearPath(2, [[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="limit"):
+        sp.signature(p, 64)
+    with pytest.raises(ValueError, match="limit"):
+        sp.exp_segment([1.0, 0.0], 64)
+
+
+def test_overflow_is_a_floating_point_error():
+    p = sp.PiecewiseLinearPath(2, [[1e100, 1e100], [-1e100, 2e100]])
+    with pytest.raises(FloatingPointError):
+        sp.signature(p, 4)
+    with pytest.raises(FloatingPointError):
+        sp.exp_segment([1e200], 2)
+    with pytest.raises(ValueError):
+        sp.exp_segment([np.inf], 2)
