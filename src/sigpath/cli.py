@@ -5,9 +5,9 @@ separation experiments), solve (signature-series ODE solution with its
 certificate and oracle check), regress (seeded regression demo).
 
 Exit codes are a contract so the whole suite can run under CI:
-0 success / verdict pass, 1 experiment verdict failure, 2 malformed input,
-3 usage error (bad flags, unknown names), 4 numerical failure.  The same
-flags and seed always produce byte-identical JSON output.
+0 success / verdict pass, 1 experiment verdict failure, 2 malformed or
+oversized input, 3 usage error (bad flags, unknown names), 4 numerical
+failure.  The same flags and seed always produce byte-identical JSON output.
 """
 
 from __future__ import annotations
@@ -273,8 +273,8 @@ def main(argv=None, environ=None) -> int:
     except (IntegratorError, FloatingPointError) as exc:
         print(f"sigpath: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (PathFormatError, OSError, ValueError) as exc:
-        print(f"sigpath: error: {exc}", file=sys.stderr)
+    except (PathFormatError, OSError, ValueError, MemoryError) as exc:
+        print(f"sigpath: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .path_core import PiecewiseLinearPath
-from .signature_engine import signature
+from .signature_engine import _check_budget, signature
 
 __all__ = [
     "LinearVectorField",
@@ -172,8 +172,7 @@ def word_coefficients(field: LinearVectorField, y0, depth: int) -> list[np.ndarr
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     d, w = field.input_dim, field.state_dim
-    if d**depth > 5_000_000:
-        raise ValueError(f"depth {depth} is infeasible for dimension {d}")
+    _check_budget(w, d, depth, f"a field of input dimension {d} and state dimension {w}")
     coeffs = [y0.reshape(1, w)]
     if depth == 0:
         return coeffs

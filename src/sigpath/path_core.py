@@ -151,7 +151,9 @@ def reduce(a: PiecewiseLinearPath, tol: float = COLLINEAR_TOL) -> PiecewiseLinea
     inputs it is a best-effort normal form.
 
     Collinearity test: the component of w orthogonal to v must be at most
-    tol * |w|.
+    tol * |w|.  Cancellation test: the merged v + w is dropped when
+    |v + w| <= tol * (|v| + |w|), so rounding residue such as 0.1 + 0.2 - 0.3
+    does not survive.  tol defaults to COLLINEAR_TOL = 1e-12.
     """
     if a.reduced:
         return a
@@ -176,14 +178,15 @@ def reduce(a: PiecewiseLinearPath, tol: float = COLLINEAR_TOL) -> PiecewiseLinea
                 out.pop()
                 out.pop()
                 continue
-            lam = float(np.dot(u, w) / np.dot(u, u))
-            rejection = w - lam * u
-            if np.linalg.norm(rejection) > tol * np.linalg.norm(w):
+            uu = np.dot(u, u)
+            lam = float(np.dot(u, w) / uu)
+            norm_w = np.linalg.norm(w)
+            if np.linalg.norm(w - lam * u) > tol * norm_w:
                 break
             merged = u + w
             out.pop()
             out.pop()
-            if np.linalg.norm(merged) > 0.0:
+            if np.linalg.norm(merged) > tol * (math.sqrt(uu) + norm_w):
                 out.append(merged)
     segs = np.array(out) if out else np.zeros((0, a.dim))
     return PiecewiseLinearPath(a.dim, segs, reduced=True)

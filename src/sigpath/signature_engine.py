@@ -11,13 +11,14 @@ One kernel does the float work for signature, exp_segment and the
 regression features: it runs on plain per-level arrays with a batch axis,
 forms every segment exponential in one pass and folds them in a balanced
 tree, one vectorised product per round.  Its output is bit-identical to
-folding the same pairs one product at a time.
+folding the same pairs one product at a time.  exact_signature runs the
+same fold with an exact multiply on scaled Python integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as _words
 
 import numpy as np
@@ -29,7 +30,6 @@ from .tensor_algebra import (
     _mul_levels,
     log,
     shuffle_pairing,
-    unit,
 )
 
 __all__ = [
@@ -42,9 +42,37 @@ __all__ = [
 ]
 
 
-# Coefficients the batched kernel may hold at once (2**25 float64 values,
-# 256 MiB), checked before anything is allocated.
+# Coefficients the batched kernel or word_coefficients may hold at once
+# (2**25 float64 values, 256 MiB), checked before anything is allocated.
 _MAX_COEFFICIENTS = 2**25
+
+
+def _check_budget(copies: int, d: int, depth: int, what: str) -> None:
+    # for d >= 2, d**26 alone is over budget: the sum stops there, so any depth is quick
+    per_copy = depth + 1 if d == 1 else sum(d**k for k in range(min(depth, 26) + 1))
+    if copies * per_copy > _MAX_COEFFICIENTS:
+        raise ValueError(
+            f"depth {depth} over {what} exceeds the limit of {_MAX_COEFFICIENTS} coefficients"
+        )
+
+
+def _fold(levels, mul) -> list:
+    """Balanced-tree product of the m factors in levels[k], shape (N, m, d**k):
+    each round multiplies the pairs (0, 1), (2, 3), ... in one call of mul,
+    an odd last factor carries over.  Returns levels of shape (N, d**k)."""
+    while levels[0].shape[1] > 1:
+        count = levels[0].shape[1]
+        paired = mul(
+            [lvl[:, 0 : count - 1 : 2] for lvl in levels],
+            [lvl[:, 1:count:2] for lvl in levels],
+        )
+        if count % 2:
+            paired = [
+                np.concatenate([p, lvl[:, -1:]], axis=1)
+                for p, lvl in zip(paired, levels)
+            ]
+        levels = paired
+    return [lvl[:, 0] for lvl in levels]
 
 
 def _signature_levels(segments, depth: int) -> list:
@@ -52,22 +80,15 @@ def _signature_levels(segments, depth: int) -> list:
 
     segments has shape (N, m, d): N paths of m segments each.  Returns one
     array of shape (N, d**k) per level k = 0..depth.  All N*m segment
-    exponentials are formed in one pass, then multiplied in a balanced
-    tree: at each round the pairs (0, 1), (2, 3), ... go through one
-    batched product and an odd last factor carries over.  Every product
-    runs the same arithmetic in the same order as a pairwise fold of single
-    paths, so the result does not depend on the batch.  Finiteness is
-    checked once, on the result.
+    exponentials are formed in one pass, then multiplied by _fold.  Every
+    product runs the same arithmetic in the same order as a pairwise fold of
+    single paths, so the result does not depend on the batch.  Finiteness
+    is checked once, on the result.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     n, m, d = segments.shape
-    coefficients = n * max(m, 1) * sum(d**k for k in range(depth + 1))
-    if coefficients > _MAX_COEFFICIENTS:
-        raise ValueError(
-            f"depth {depth} over {n} x {m} segments of dimension {d} needs "
-            f"{coefficients} coefficients, above the limit of {_MAX_COEFFICIENTS}"
-        )
+    _check_budget(n * max(m, 1), d, depth, f"{n} x {m} segments of dimension {d}")
     if m == 0:
         # the exponential of a zero segment is exactly the unit
         segments = np.zeros((n, 1, d))
@@ -76,19 +97,7 @@ def _signature_levels(segments, depth: int) -> list:
         for k in range(1, depth + 1):
             outer = levels[-1][..., :, None] * segments[..., None, :]
             levels.append(outer.reshape(segments.shape[:2] + (d**k,)) / k)
-        while levels[0].shape[1] > 1:
-            count = levels[0].shape[1]
-            paired = _mul_levels(
-                [lvl[:, 0 : count - 1 : 2] for lvl in levels],
-                [lvl[:, 1:count:2] for lvl in levels],
-            )
-            if count % 2:
-                paired = [
-                    np.concatenate([p, lvl[:, -1:]], axis=1)
-                    for p, lvl in zip(paired, levels)
-                ]
-            levels = paired
-    levels = [lvl[:, 0] for lvl in levels]
+        levels = _fold(levels, _mul_levels)
     for k, lvl in enumerate(levels):
         if not np.all(np.isfinite(lvl)):
             raise FloatingPointError(f"signature level {k} overflowed to non-finite values")
@@ -123,57 +132,45 @@ def log_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedTensor:
     return log(signature(path, depth))
 
 
-def _exact_exp_segment(v, depth: int):
-    v = [Fraction(float(c)) for c in v]
-    levels = [[Fraction(1)]]
-    for n in range(1, depth + 1):
-        inv = Fraction(1, n)
-        levels.append([a * c * inv for a in levels[-1] for c in v])
-    return levels
-
-
-def _exact_mul(x, y, dim: int, depth: int):
+def _mul_scaled(x, y):
+    # Chen product on T_k = k! 2**(s k) S_k: T_k = sum_i C(k, i) X_i (x) Y_(k-i)
     out = []
-    for k in range(depth + 1):
-        size = dim**k
-        level = [Fraction(0)] * size
-        for j in range(k + 1):
-            block = dim ** (k - j)
-            yj = y[k - j]
-            for u, xu in enumerate(x[j]):
-                if not xu:
-                    continue
-                base = u * block
-                for w, yw in enumerate(yj):
-                    level[base + w] += xu * yw
-        out.append(level)
+    for k in range(len(x)):
+        acc = 0
+        for i in range(k + 1):
+            outer = (x[i][..., :, None] * y[k - i][..., None, :]).reshape(x[k].shape)
+            acc = acc + math.comb(k, i) * outer
+        out.append(acc)
     return out
 
 
 def exact_signature(path: PiecewiseLinearPath, depth: int) -> GroupTensor:
-    """Signature via exact rational arithmetic, rounded once at the end.
+    """Signature in exact integer arithmetic, rounded once at the end.
 
-    Segment coordinates are taken at their exact binary values, so for
-    integer-step paths the cancellations that define the witness loop
-    families come out as literal zeros instead of 1e-12-scale float noise.
-    Cost grows quickly with dim and depth; meant for small witness paths.
+    Float coordinates are dyadic, so v * 2**s is an integer vector for one
+    common s.  Level k is held as T_k = k! 2**(s k) S_k in Python integers:
+    a segment gives T_k = (v 2**s)^(x)k, the Chen product T_k = sum_i
+    C(k, i) X_i (x) Y_(k-i), folded like signature.  One correctly rounded
+    integer division per coefficient gives the same bits as exact rational
+    arithmetic, so the witness loops' cancellations are literal zeros; a
+    coefficient beyond float range raises OverflowError.  Meant for small
+    witness paths.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     if path.dim**depth > 5000:
         raise ValueError("exact arithmetic is limited to small dim**depth")
-    factors = [_exact_exp_segment(v, depth) for v in path.segments]
-    if not factors:
-        return unit(path.dim, depth)
-    while len(factors) > 1:
-        paired = [
-            _exact_mul(factors[i], factors[i + 1], path.dim, depth)
-            for i in range(0, len(factors) - 1, 2)
-        ]
-        if len(factors) % 2:
-            paired.append(factors[-1])
-        factors = paired
-    levels = [np.array([float(c) for c in lvl]) for lvl in factors[0]]
+    segments = path.segments if len(path.segments) else np.zeros((1, path.dim))
+    ratios = [float(c).as_integer_ratio() for c in segments.flat]
+    scale = max(q for _, q in ratios)  # 2**s: every denominator divides it
+    v = np.array([p * (scale // q) for p, q in ratios], dtype=object).reshape(1, *segments.shape)
+    levels = [np.ones(v.shape[:2] + (1,), dtype=object)]
+    for k in range(1, depth + 1):
+        outer = levels[-1][..., :, None] * v[..., None, :]
+        levels.append(outer.reshape(v.shape[:2] + (path.dim**k,)))
+    levels = _fold(levels, _mul_scaled)
+    for k, lvl in enumerate(levels):
+        levels[k] = (lvl[0] / (math.factorial(k) * scale**k)).astype(float)
     return GroupTensor(path.dim, depth, levels)
 
 

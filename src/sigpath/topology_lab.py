@@ -237,7 +237,7 @@ def experiment_product_vs_metric(k_max: int = 5, depth: int | None = None) -> Ex
     a nonzero level.
 
     The loops take integer steps, so their signatures are computed in exact
-    rational arithmetic: the vanishing of the low levels is then literal
+    integer arithmetic: the vanishing of the low levels is then literal
     rather than obscured by float cancellation noise.
     """
     if not 1 <= k_max <= 6:

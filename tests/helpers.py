@@ -1,5 +1,7 @@
 """Shared corpus builders and independent oracles for the test suite."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from sigpath import LinearVectorField, PiecewiseLinearPath, GroupTensor
@@ -117,3 +119,45 @@ def same_bits(xs, ys):
     return len(xs) == len(ys) and all(
         a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(xs, ys)
     )
+
+
+def _fraction_exp_segment(v, depth):
+    v = [Fraction(float(c)) for c in v]
+    levels = [[Fraction(1)]]
+    for n in range(1, depth + 1):
+        inv = Fraction(1, n)
+        levels.append([a * c * inv for a in levels[-1] for c in v])
+    return levels
+
+
+def _fraction_mul(x, y, dim, depth):
+    out = []
+    for k in range(depth + 1):
+        level = [Fraction(0)] * dim**k
+        for j in range(k + 1):
+            block = dim ** (k - j)
+            for u, xu in enumerate(x[j]):
+                if not xu:
+                    continue
+                base = u * block
+                for w, yw in enumerate(y[k - j]):
+                    level[base + w] += xu * yw
+        out.append(level)
+    return out
+
+
+def reference_exact_signature(path, depth):
+    """Rational reference for exact_signature: Fraction segment exponentials
+    multiplied pairwise (balanced tree), each coefficient rounded once."""
+    factors = [_fraction_exp_segment(v, depth) for v in path.segments]
+    if not factors:
+        return [np.ones(1)] + [np.zeros(path.dim**k) for k in range(1, depth + 1)]
+    while len(factors) > 1:
+        paired = [
+            _fraction_mul(factors[i], factors[i + 1], path.dim, depth)
+            for i in range(0, len(factors) - 1, 2)
+        ]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return [np.array([float(c) for c in lvl]) for lvl in factors[0]]

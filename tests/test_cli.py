@@ -232,3 +232,27 @@ def test_solve_overflow_is_numerical_failure(capsys, tmp_path, fmt, offset):
             capsys, ["solve", str(fjson), str(path_csv), "--y0", "1", "--N", "4", "--format", fmt]
         )
     assert code == 4 and out == "" and "numerical failure" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_solve_size_budget_is_input_error(capsys, tmp_path, fmt):
+    field = sp.LinearVectorField(matrices=np.zeros((2, 64, 64)), offsets=np.zeros((2, 64)))
+    fjson = tmp_path / "field.json"
+    fjson.write_text(field_to_json(field))
+    path_csv = tmp_path / "one.csv"
+    write_csv(sp.linear_path([1.0, 0.0]), path_csv)
+    y0 = ",".join(["0"] * 64)
+    code, out, err = run_main(
+        capsys, ["solve", str(fjson), str(path_csv), "--y0", y0, "--N", "20", "--format", fmt]
+    )
+    assert code == 2 and out == "" and "limit" in err
+
+
+def test_memory_error_is_input_error(capsys, monkeypatch, staircase_csv):
+    def exhausted(args, seed):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_signature", exhausted)
+    code, out, err = run_main(capsys, ["signature", staircase_csv])
+    assert code == 2 and out == ""
+    assert err.startswith("sigpath: error:") and "MemoryError" in err

@@ -85,6 +85,17 @@ def test_word_coefficients_against_direct_operators():
             )
 
 
+def test_word_coefficients_size_budget_counts_state_dim():
+    # 2**20 words fit the old per-word cap, but with w = 64 the coefficients
+    # exceed the shared budget
+    f = sp.LinearVectorField(matrices=np.zeros((2, 64, 64)), offsets=np.zeros((2, 64)))
+    with pytest.raises(ValueError, match="limit"):
+        word_coefficients(f, np.zeros(64), 20)
+    with pytest.raises(ValueError, match="limit"):
+        word_coefficients(f, np.zeros(64), 10**9)
+    assert len(word_coefficients(f, np.zeros(64), 4)) == 5
+
+
 def test_linear_oracle_is_expm_product():
     f = two_by_two_field()
     y0 = np.array([1.0, 2.0])

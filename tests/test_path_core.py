@@ -73,6 +73,16 @@ def test_reduce_examples():
     assert np.array_equal(red.segments[0], np.array([2.0, 0.0]))
 
 
+def test_reduce_drops_cancellation_residue():
+    # 0.1 + 0.2 - 0.3 rounds to 5.55e-17, which must not survive as a segment
+    for p in (
+        sp.PiecewiseLinearPath(1, [[0.1], [0.2], [-0.3]]),
+        sp.PiecewiseLinearPath(2, [[0.1, 0], [0.2, 0], [0, 1], [0, -1], [-0.3, 0]]),
+    ):
+        assert sp.reduce(p).segment_count == 0
+        assert sp.metric_d(p, sp.constant_path(p.dim)) == 0.0
+
+
 def test_reduce_cancels_reversal():
     rng = np.random.default_rng(1)
     for _ in range(20):

@@ -7,6 +7,7 @@ from helpers import (
     max_coeff_gap,
     quadrature_signature,
     random_path,
+    reference_exact_signature,
     reference_mul,
     reference_signature,
     resplit,
@@ -171,6 +172,43 @@ def test_size_budget_is_checked_before_allocating():
         sp.signature(p, 64)
     with pytest.raises(ValueError, match="limit"):
         sp.exp_segment([1.0, 0.0], 64)
+    # the count stops at the budget, so a huge depth is rejected at once
+    for d in (1, 2):
+        with pytest.raises(ValueError, match="limit"):
+            sp.signature(sp.PiecewiseLinearPath(d, np.ones((1, d))), 10**9)
+
+
+def _exact_outcome(fn, path, depth):
+    try:
+        return fn(path, depth)
+    except OverflowError:
+        return "overflow"
+
+
+def test_exact_signature_is_bitwise_the_rational_fold():
+    cases = [(sp.gamma_loop(k), 6) for k in range(1, 6)]
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        d, depth = int(rng.integers(1, 4)), int(rng.integers(0, 6))
+        cases.append((random_path(rng, dim=d, max_segments=11), depth))
+    for d in (1, 2, 3):
+        x = rng.normal(size=(7, d)) * 10.0 ** rng.choice([-300, 0, 300], size=(7, d))
+        x[rng.random(size=x.shape) < 0.3] = -0.0
+        cases.append((sp.PiecewiseLinearPath(d, x), 3))
+        cases.append((sp.PiecewiseLinearPath(d, rng.integers(-3, 4, size=(5, d)) * 5e-324), 4))
+        cases.append((sp.PiecewiseLinearPath(d, np.zeros((0, d))), 4))
+    overflowed = 0
+    for path, depth in cases:
+        want = _exact_outcome(reference_exact_signature, path, depth)
+        got = _exact_outcome(sp.exact_signature, path, depth)
+        if want == "overflow":
+            overflowed += 1
+            assert got == "overflow"
+        else:
+            assert got != "overflow" and same_bits(got.levels, want), (path.segments, depth)
+    assert overflowed > 0
+    with pytest.raises(OverflowError):
+        sp.exact_signature(sp.PiecewiseLinearPath(2, [[1e300, 1e300], [-1e300, 0.5]]), 2)
 
 
 def test_overflow_is_a_floating_point_error():
