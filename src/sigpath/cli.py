@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import topology_lab
-from .ito_solver import IntegratorError, field_from_json, solve_and_certify
+from .ito_solver import field_from_json, solve_and_certify
 from .path_core import PathFormatError, concat, linear_path, read_csv
 from .signature_engine import signature
 from .sig_regression import demo_field, evaluate, fit, generate_dataset
@@ -38,7 +38,6 @@ EXIT_NUMERIC = 4
 @dataclass
 class Config:
     depth: int = 4
-    tolerance: float = 1e-10
     seed: int = 0
     format: str = "text"
 
@@ -66,7 +65,6 @@ def _resolve_seed(args, environ) -> int:
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None, help="random seed (default: SIGPATH_SEED or 0)")
     parser.add_argument("--format", choices=("text", "json"), default=Config.format)
-    parser.add_argument("--tolerance", type=float, default=Config.tolerance)
 
 
 def _build_parser() -> _Parser:
@@ -158,7 +156,7 @@ def _cmd_solve(args, seed) -> int:
         y0 = [float(tok) for tok in args.y0.split(",")]
     except ValueError:
         raise ValueError(f"--y0 must be comma-separated numbers, got {args.y0!r}") from None
-    sol = solve_and_certify(field, path, y0, args.N, refine_tol=args.tolerance)
+    sol = solve_and_certify(field, path, y0, args.N)
     payload = sol.to_dict()
 
     def text():
@@ -270,7 +268,7 @@ def main(argv=None, environ=None) -> int:
     try:
         seed = _resolve_seed(args, environ)
         return handler(args, seed)
-    except (IntegratorError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"sigpath: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (PathFormatError, OSError, ValueError, MemoryError) as exc:

@@ -11,27 +11,28 @@ each word coefficient S_k[i_1..i_k] with the vector
 
 (first letter innermost).  ito_series evaluates the truncated series and
 certifies it with the factorial remainder bound; oracle_solve integrates
-the same equation by classical means (matrix exponentials when b = 0, a
-refined fixed-step Runge-Kutta scheme otherwise) so the two can be checked
-against each other.
+the same equation exactly, by the flow of the augmented linear field
+[[A(v), b(v)], [0, 0]] on (y, 1), one matrix exponential per segment, so
+the two can be checked against each other.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
+from . import signature_engine
 from .path_core import PiecewiseLinearPath
 from .signature_engine import _check_budget, signature
 
 __all__ = [
     "LinearVectorField",
     "SeriesSolution",
-    "IntegratorError",
     "word_coefficients",
     "apply_word_operator",
     "ito_series",
@@ -44,13 +45,6 @@ __all__ = [
     "field_to_json",
     "field_from_json",
 ]
-
-# Refinement ladder for the fixed-step oracle: steps per segment.
-_REFINE_STEPS = tuple(8 * 2**i for i in range(14))
-
-
-class IntegratorError(RuntimeError):
-    """Raised when successive oracle refinements fail to stabilise."""
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -98,16 +92,19 @@ class LinearVectorField:
 
     @property
     def growth_constant(self) -> float:
-        """Recorded constant C for the remainder bound (C L)^{N+1}/(N+1)!.
+        """Recorded scale C = e * c of the field, c the raw growth constant.
 
         For a unit-speed direction v, ||A(v)||_op <= sqrt(d) max_j ||A_j||_op
-        and |b(v)| <= sqrt(d) max_j |b_j|.  The remainder of the N-term
-        series is at most (c L)^{N+1}/(N+1)! * e^{cL} * (1 + |y0|) with c
-        that raw bound; folding a factor e into the recorded constant
-        absorbs the trailing factors whenever N + 1 >= cL + log(1 + |y0|),
-        so the certificate is a plain factorial bound at every truncation
-        level used in practice.
+        and |b(v)| <= sqrt(d) max_j |b_j|; their sum c bounds the augmented
+        matrix [[A(v), b(v)], [0, 0]] that series_error_bound works with.
+        C times the path length is the size measure by which the tests,
+        demos and benchmark scale their systems; the certificate itself
+        uses c, not C.
         """
+        return math.e * self._raw_growth
+
+    @property
+    def _raw_growth(self) -> float:
         d = self.input_dim
         max_op = max(
             (float(np.linalg.norm(a, ord=2)) for a in self.matrices), default=0.0
@@ -115,13 +112,7 @@ class LinearVectorField:
         max_off = max(
             (float(np.linalg.norm(b)) for b in self.offsets), default=0.0
         )
-        raw = math.sqrt(d) * max_op + math.sqrt(d) * max_off
-        return math.e * raw
-
-    def drift(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Matrix A(v) and offset b(v) for one segment increment v."""
-        v = np.asarray(v, dtype=float)
-        return np.einsum("j,jab->ab", v, self.matrices), v @ self.offsets
+        return math.sqrt(d) * max_op + math.sqrt(d) * max_off
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,12 +200,28 @@ def apply_word_operator(
     return level @ coeffs[level_index]
 
 
-def series_error_bound(field: LinearVectorField, path_length: float, truncation: int) -> float:
-    """Factorial remainder certificate (C L)^{N+1}/(N+1)!."""
+def series_error_bound(
+    field: LinearVectorField, path_length: float, truncation: int, state_norm: float
+) -> float:
+    """Remainder certificate (c L)^{N+1}/(N+1)! * e^{cL} * (1 + |y0|).
+
+    c is the raw growth constant (growth_constant / e) and state_norm is
+    |y0|.  On z = (y, 1) the affine equation is linear, dz = M(dx) z with
+    ||M(v)||_op <= c |v|, so the level-k term of the series has norm at
+    most (cL)^k/k! |z0| and the tail past level N sums to at most the
+    bound, for every field, path and start point.  A bound beyond float
+    range raises FloatingPointError.
+    """
     if truncation < 0:
         raise ValueError(f"truncation must be nonnegative, got {truncation}")
-    c = field.growth_constant * path_length
-    return c ** (truncation + 1) / math.factorial(truncation + 1)
+    cl = field._raw_growth * path_length
+    if cl == 0.0:
+        return 0.0
+    n = truncation + 1
+    log_bound = n * math.log(cl) - math.lgamma(n + 1) + cl + math.log1p(state_norm)
+    if not log_bound < math.log(sys.float_info.max):
+        raise FloatingPointError(f"remainder bound exp({log_bound:.6g}) is beyond float range")
+    return math.exp(log_bound)
 
 
 def _series_value(levels, coeffs, depth: int) -> np.ndarray:
@@ -231,8 +238,8 @@ def ito_series(
 
     The value depends on the driving path only through its signature, so it
     is unchanged by reparameterisation and by inserting out-and-back
-    excursions.  error_bound is the factorial certificate for the recorded
-    growth constant and the 1-variation length of the path as given.
+    excursions.  error_bound is series_error_bound for the 1-variation
+    length of the path as given and |y0|.
     """
     if path.dim != field.input_dim:
         raise ValueError(
@@ -245,88 +252,69 @@ def ito_series(
     return SeriesSolution(
         value=value,
         terms_used=truncation,
-        error_bound=series_error_bound(field, path.length, truncation),
+        error_bound=series_error_bound(field, path.length, truncation, math.hypot(*y0)),
     )
 
 
-def _rk4_transition(M: np.ndarray, c: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    # One classical RK4 step for y' = M y + c is the affine map
-    #   y -> R y + r,  R = sum_{i<=4} (hM)^i/i!,  r = h sum_{i<=3} (hM)^i/(i+1)! c
-    w = M.shape[0]
-    P = h * M
-    eye = np.eye(w)
-    R = eye + P @ (eye + P @ (eye / 2 + P @ (eye / 6 + P / 24)))
-    r = h * ((eye + P @ (eye / 2 + P @ (eye / 6 + P / 24))) @ c)
-    return R, r
-
-
-def _fixed_step_solve(
-    field: LinearVectorField, path: PiecewiseLinearPath, y0: np.ndarray, steps: int
+def _flow_end_states(
+    segments: np.ndarray, field: LinearVectorField, y0: np.ndarray
 ) -> np.ndarray:
-    y = y0
-    for v in path.segments:
-        M, c = field.drift(v)
-        R, r = _rk4_transition(M, c, 1.0 / steps)
-        n = steps
-        # compose the n identical steps by repeated squaring
-        while n > 1:
-            if n % 2:
-                y = R @ y + r
-                n -= 1
-            R, r = R @ R, R @ r + r
-            n //= 2
-        y = R @ y + r
-    return y
+    """Exact end states, shape (N, w), of N paths of m segments, shape (N, m, d).
+
+    Along a segment v the state (y, 1) moves by expm([[A(v), b(v)], [0, 0]]).
+    The augmented matrices of whole segment columns are formed and
+    exponentiated together, at most _MAX_COEFFICIENTS coefficients at a
+    time (paths are split too when one column alone is over), and composed
+    in segment order.  expm works matrix by matrix and each row is composed
+    on its own, so every row is bit-identical to a one-path call and the
+    result does not depend on the blocking.  A non-finite end state raises
+    FloatingPointError.
+    """
+    n, m, _ = segments.shape
+    w = field.state_dim
+    aug_field = np.zeros((field.input_dim, w + 1, w + 1))
+    aug_field[:, :w, :w] = field.matrices
+    aug_field[:, :w, w] = field.offsets
+    per_matrix = (w + 1) ** 2
+    budget = signature_engine._MAX_COEFFICIENTS
+    rows = max(1, min(n, budget // per_matrix))
+    cols = max(1, budget // (rows * per_matrix))
+    z = np.tile(np.append(y0, 1.0), (n, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(0, m, cols):
+            for i in range(0, n, rows):
+                block = segments[i : i + rows, j : j + cols]
+                flows = expm(np.einsum("rsj,jab->rsab", block, aug_field))
+                for s in range(flows.shape[1]):
+                    z[i : i + rows] = (flows[:, s] @ z[i : i + rows, :, None])[..., 0]
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError("the exact flow overflowed to non-finite values")
+    return z[:, :w]
 
 
-def oracle_solve(
-    field: LinearVectorField,
-    path: PiecewiseLinearPath,
-    y0,
-    refine_tol: float = 1e-10,
-) -> np.ndarray:
+def oracle_solve(field: LinearVectorField, path: PiecewiseLinearPath, y0) -> np.ndarray:
     """Independent reference solution of the controlled ODE.
 
-    Linear fields (all offsets zero) use the exact segment flows
-    exp(A(v_m)) ... exp(A(v_1)) y0.  Affine fields run a fixed-step
-    fourth-order scheme, doubling the step count until two successive
-    refinements agree to refine_tol; failure to stabilise raises
-    IntegratorError rather than returning a doubtful value.
+    The affine equation is linear on (y, 1), so its solution is the exact
+    product of segment flows expm([[A(v_m), b(v_m)], [0, 0]]) ...
+    expm([[A(v_1), b(v_1)], [0, 0]]) applied to (y0, 1), for linear and
+    affine fields alike.  It shares no code with the signature series.  A
+    solution beyond float range raises FloatingPointError.
     """
     if path.dim != field.input_dim:
         raise ValueError(
             f"path dim {path.dim} does not match field input dim {field.input_dim}"
         )
     y0 = _check_y0(field, y0)
-    if field.is_linear:
-        y = y0
-        for v in path.segments:
-            M, _ = field.drift(v)
-            y = expm(M) @ y
-        return y
-    prev = None
-    for steps in _REFINE_STEPS:
-        y = _fixed_step_solve(field, path, y0, steps)
-        if prev is not None and np.linalg.norm(y - prev) <= refine_tol * max(
-            1.0, float(np.linalg.norm(y))
-        ):
-            return y
-        prev = y
-    raise IntegratorError(
-        f"no stabilisation to {refine_tol} within {_REFINE_STEPS[-1]} steps per segment"
-    )
+    return _flow_end_states(path.segments[None], field, y0)[0]
 
 
 def solve_and_certify(
-    field: LinearVectorField,
-    path: PiecewiseLinearPath,
-    y0,
-    truncation: int,
-    refine_tol: float = 1e-10,
+    field: LinearVectorField, path: PiecewiseLinearPath, y0, truncation: int
 ) -> SeriesSolution:
     """Series solution with the oracle value and discrepancy filled in."""
     sol = ito_series(field, path, y0, truncation)
-    oracle = oracle_solve(field, path, y0, refine_tol=refine_tol)
+    oracle = oracle_solve(field, path, y0)
     return SeriesSolution(
         value=sol.value,
         terms_used=sol.terms_used,

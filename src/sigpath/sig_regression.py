@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ito_solver import LinearVectorField, oracle_solve
+from .ito_solver import LinearVectorField, _check_y0, _flow_end_states
 from .path_core import PiecewiseLinearPath, path_from_dict, path_to_dict
 from .signature_engine import _signature_levels, signature
 from .tensor_algebra import TruncatedTensor
@@ -184,7 +184,8 @@ def generate_dataset(
 
     Segment directions are uniform on the sphere, segment lengths a random
     partition of a total drawn from [r/4, r), so every path lies strictly
-    inside the ball.  Responses come from oracle_solve, with centred
+    inside the ball.  Responses are oracle_solve's exact flows, computed
+    for all paths at once and row for row bit-identical to it, with centred
     Gaussian noise added when noise_scale > 0.  Features for all paths come
     from one batched signature call, row for row bit-identical to
     featurize.  Everything is a pure function of the seed.
@@ -207,7 +208,7 @@ def generate_dataset(
     # features first: the kernel's size check fails before any oracle work
     segments = np.stack([p.segments for p in paths])
     features = np.concatenate(_signature_levels(segments, depth), axis=1)
-    responses = np.array([oracle_solve(field, p, y0) for p in paths])
+    responses = _flow_end_states(segments, field, _check_y0(field, y0))
     if noise_scale > 0:
         responses = responses + noise_scale * rng.standard_normal(responses.shape)
     return RegressionDataset(

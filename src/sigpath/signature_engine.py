@@ -154,12 +154,15 @@ def exact_signature(path: PiecewiseLinearPath, depth: int) -> GroupTensor:
     integer division per coefficient gives the same bits as exact rational
     arithmetic, so the witness loops' cancellations are literal zeros; a
     coefficient beyond float range raises OverflowError.  Meant for small
-    witness paths.
+    witness paths: dim**depth may be at most 5000 (depth 12 at dim 2), and
+    depth at most 100 at dim 1, where the work per segment is comparable.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
-    if path.dim**depth > 5000:
-        raise ValueError("exact arithmetic is limited to small dim**depth")
+    # dim**13 > 5000 for every dim >= 2, so the power stays small
+    too_deep = depth > 100 if path.dim == 1 else path.dim ** min(depth, 13) > 5000
+    if too_deep:
+        raise ValueError("exact arithmetic is limited to dim**depth <= 5000, or depth <= 100 at dim 1")
     segments = path.segments if len(path.segments) else np.zeros((1, path.dim))
     ratios = [float(c).as_integer_ratio() for c in segments.flat]
     scale = max(q for _, q in ratios)  # 2**s: every denominator divides it

@@ -33,7 +33,7 @@ from .path_core import (
     one_variation_distance,
     reduce,
 )
-from .signature_engine import exact_signature, signature
+from .signature_engine import _check_budget, exact_signature, signature
 from .tensor_algebra import phi_contraction, product_metric, unit
 
 __all__ = [
@@ -245,6 +245,7 @@ def experiment_product_vs_metric(k_max: int = 5, depth: int | None = None) -> Ex
     if depth is None:
         depth = k_max + 1
     origin = PiecewiseLinearPath(2, np.zeros((0, 2)))
+    _check_budget(1, 2, depth, "one tensor of dimension 2")
     one = unit(2, depth)
     indices = list(range(1, k_max + 1))
     pm, dm, low = [], [], []
@@ -310,6 +311,7 @@ def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentRepo
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     origin = PiecewiseLinearPath(2, np.zeros((0, 2)))
+    _check_budget(1, 2, depth, "one tensor of dimension 2")
     one = unit(2, depth)
     indices = list(range(1, n_max + 1))
     d_origin, d_double, scaled, pm = [], [], [], []

@@ -32,6 +32,49 @@ def random_affine_system(rng, low=0.8, high=2.0):
     return field, path, y0
 
 
+def _rk4_transition(M, c, h):
+    # One classical RK4 step for y' = M y + c is the affine map
+    #   y -> R y + r,  R = sum_{i<=4} (hM)^i/i!,  r = h sum_{i<=3} (hM)^i/(i+1)! c
+    eye = np.eye(M.shape[0])
+    P = h * M
+    R = eye + P @ (eye + P @ (eye / 2 + P @ (eye / 6 + P / 24)))
+    r = h * ((eye + P @ (eye / 2 + P @ (eye / 6 + P / 24))) @ c)
+    return R, r
+
+
+def _fixed_step_solve(field, path, y0, steps):
+    y = y0
+    for v in path.segments:
+        M = np.einsum("j,jab->ab", v, field.matrices)
+        R, r = _rk4_transition(M, v @ field.offsets, 1.0 / steps)
+        n = steps
+        # compose the n identical steps by repeated squaring
+        while n > 1:
+            if n % 2:
+                y = R @ y + r
+                n -= 1
+            R, r = R @ R, R @ r + r
+            n //= 2
+        y = R @ y + r
+    return y
+
+
+def reference_rk4_oracle(field, path, y0, refine_tol=1e-10):
+    """Independent integrator for the controlled ODE: fixed-step RK4 on
+    every segment, doubling the steps (8 up to 65536 per segment) until two
+    successive refinements agree to refine_tol relative to max(1, |y|)."""
+    y0 = np.asarray(y0, dtype=float)
+    prev = None
+    for steps in (8 * 2**i for i in range(14)):
+        y = _fixed_step_solve(field, path, y0, steps)
+        if prev is not None and np.linalg.norm(y - prev) <= refine_tol * max(
+            1.0, float(np.linalg.norm(y))
+        ):
+            return y
+        prev = y
+    raise RuntimeError(f"RK4 reference did not stabilise to {refine_tol}")
+
+
 def resplit(path, rng, max_pieces=3):
     """Same trajectory, segments subdivided at random interior cut points."""
     segs = []

@@ -256,3 +256,10 @@ def test_memory_error_is_input_error(capsys, monkeypatch, staircase_csv):
     code, out, err = run_main(capsys, ["signature", staircase_csv])
     assert code == 2 and out == ""
     assert err.startswith("sigpath: error:") and "MemoryError" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", ["product-vs-metric", "incompleteness"])
+def test_experiment_depth_budget_is_input_error(capsys, name, fmt):
+    code, out, err = run_main(capsys, ["experiment", name, "--depth", "100000000", "--format", fmt])
+    assert code == 2 and out == "" and "limit" in err

@@ -12,7 +12,10 @@ from sigpath.ito_solver import (
     word_coefficients,
 )
 
-from helpers import random_affine_system, resplit
+from sigpath import signature_engine
+from sigpath.ito_solver import _flow_end_states
+
+from helpers import random_affine_system, reference_rk4_oracle, resplit, same_bits
 
 
 def two_by_two_field():
@@ -136,7 +139,7 @@ def test_discrepancy_decreases_past_cl():
             for N in range(1, 9)
         ]
         for i in range(len(discs) - 1):
-            # below 1e-9 the oracle's own refinement error dominates
+            # below 1e-9 the discrepancies near rounding level, where they need not fall
             if i + 1 > CL and discs[i] >= 1e-9:
                 assert discs[i + 1] <= discs[i]
 
@@ -232,3 +235,86 @@ def test_field_json_round_trip():
         field_from_json(json.dumps({"d": 1, "w": 1, "A": [[[1.0]]]}))
     with pytest.raises(ValueError):
         field_from_json(json.dumps({"d": 2, "w": 1, "A": [[[1.0]]], "b": [[0.0]]}))
+
+
+def test_oracle_overflow_is_numerical_failure():
+    # exp(800) is beyond float range: the flow must not return a finite value
+    for offset in (0.0, 1.0):
+        f = sp.LinearVectorField([[[800.0]]], [[offset]])
+        with pytest.raises(FloatingPointError):
+            sp.oracle_solve(f, sp.linear_path([1.0]), [1.0])
+
+
+@pytest.mark.parametrize(
+    "y0, length, N",
+    [(1000.0, 1.0, 2), (1e6, 1.0, 4), (1.0, 20.0, 2), (-3.0, 20.0, 12)],
+)
+def test_certificate_bounds_large_state_and_cl(y0, length, N):
+    # dy = y dx: the tail e^L - sum_{k<=N} L^k/k! times |y0| must sit under the bound
+    f = sp.LinearVectorField([[[1.0]]], [[0.0]])
+    sol = sp.solve_and_certify(f, sp.linear_path([length]), [y0], N)
+    assert sol.discrepancy <= sol.error_bound
+
+
+def test_certificate_on_large_cl_corpus():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        f, path, y0 = random_affine_system(rng, low=20.0, high=40.0)
+        oracle = sp.oracle_solve(f, path, y0)
+        for N in (1, 3, 8, 12):
+            sol = sp.ito_series(f, path, y0, N)
+            assert float(np.linalg.norm(sol.value - oracle)) <= sol.error_bound
+
+
+def test_error_bound_overflow_and_log_domain():
+    f = sp.LinearVectorField([[[800.0]]], [[0.0]])
+    with pytest.raises(FloatingPointError):
+        sp.series_error_bound(f, 1.0, 4, 1.0)
+    # e^{cL} alone overflows, but the whole bound (about e^633) does not
+    g = sp.LinearVectorField([[[710.0]]], [[0.0]])
+    assert 1e250 < sp.series_error_bound(g, 1.0, 2000, 0.0) < 1e300
+    assert sp.series_error_bound(f, 0.0, 3, 1.0) == 0.0
+
+
+def test_oracle_matches_rk4_reference():
+    rng = np.random.default_rng(12)
+    for _ in range(25):
+        f, path, y0 = random_affine_system(rng)
+        y = sp.oracle_solve(f, path, y0)
+        ref = reference_rk4_oracle(f, path, y0)
+        assert np.linalg.norm(y - ref) <= 1e-10 * max(1.0, float(np.linalg.norm(y)))
+
+
+def test_scalar_affine_closed_form():
+    for a, b, v, y0 in [(0.7, 0.3, 0.5, 1.0), (-1.3, 2.0, 1.2, -0.4), (2.0, -1.0, -0.9, 3.0)]:
+        f = sp.LinearVectorField([[[a]]], [[b]])
+        y = sp.oracle_solve(f, sp.linear_path([v]), [y0])[0]
+        want = math.exp(a * v) * y0 + math.expm1(a * v) / a * b
+        assert abs(y - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("linear", [True, False])
+def test_dataset_responses_are_per_path_oracle(linear):
+    field, y0 = sp.demo_field()
+    if linear:
+        field = sp.LinearVectorField(field.matrices, np.zeros_like(field.offsets))
+    data = sp.generate_dataset(field, y0, 40, 4, 1.0, 0.0, seed=3, depth=2)
+    rows = [sp.oracle_solve(field, p, y0) for p in data.paths]
+    assert same_bits(list(data.responses), rows)
+
+
+def test_flow_does_not_depend_on_blocking(monkeypatch):
+    rng = np.random.default_rng(13)
+    f, _, y0 = random_affine_system(rng)
+    segments = rng.normal(size=(7, 5, f.input_dim)) * 0.3
+    path = sp.PiecewiseLinearPath(f.input_dim, rng.normal(size=(60, f.input_dim)) * 0.1)
+    whole = _flow_end_states(segments, f, y0)
+    single = sp.oracle_solve(f, path, y0)
+    per = (f.state_dim + 1) ** 2
+    # one matrix, three paths of one column, and all paths over two columns
+    for budget in (per, 3 * per, 14 * per):
+        monkeypatch.setattr(signature_engine, "_MAX_COEFFICIENTS", budget)
+        assert same_bits(list(_flow_end_states(segments, f, y0)), list(whole))
+        assert same_bits([sp.oracle_solve(f, path, y0)], [single])
+    rows = [_flow_end_states(segments[i : i + 1], f, y0)[0] for i in range(7)]
+    assert same_bits(rows, list(whole))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,20 @@ def test_size_budget_is_checked_before_allocating():
     for d in (1, 2):
         with pytest.raises(ValueError, match="limit"):
             sp.signature(sp.PiecewiseLinearPath(d, np.ones((1, d))), 10**9)
+
+
+def test_exact_signature_depth_cap_is_quick():
+    for d in (1, 2):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="limit"):
+            sp.exact_signature(sp.PiecewiseLinearPath(d, np.ones((1, d))), 10**9)
+        assert time.perf_counter() - start < 1.0
+    # the accepted set: depth 12 at d = 2, depth 100 at d = 1
+    sp.exact_signature(sp.PiecewiseLinearPath(2, np.ones((1, 2))), 12)
+    sp.exact_signature(sp.PiecewiseLinearPath(1, np.ones((1, 1))), 100)
+    for d, depth in ((2, 13), (1, 101)):
+        with pytest.raises(ValueError, match="limit"):
+            sp.exact_signature(sp.PiecewiseLinearPath(d, np.ones((1, d))), depth)
 
 
 def _exact_outcome(fn, path, depth):
