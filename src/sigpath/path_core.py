@@ -139,6 +139,47 @@ def reverse(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
     return PiecewiseLinearPath(a.dim, -a.segments[::-1])
 
 
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # row-wise inner products summed coordinate by coordinate, in order, so
+    # that a row's value does not depend on the other rows
+    prod = x * y
+    acc = prod[:, 0]
+    for k in range(1, prod.shape[1]):
+        acc = acc + prod[:, k]
+    return acc
+
+
+def _pair_tests(segs: np.ndarray, tol: float):
+    """reduce()'s collinearity test on every adjacent pair of the nonzero rows segs.
+
+    Each row v is first scaled to v / 2**e, e from np.frexp of its largest
+    component; the scaling is exact in the normal range, so it changes no
+    decision there, and no square under- or overflows.  Returns, for the
+    pairs (u, w) = (segs[i], segs[i + 1]), whether the part of w orthogonal
+    to u is at most tol * |w|; and, per row, |v| / 2**e and e.  Rows are
+    computed independently, coordinate by coordinate, so a pair's verdict is
+    the same whether it is tested alone or among all pairs of a path.
+    """
+    exps = np.frexp(np.abs(segs).max(axis=1))[1]
+    scaled = np.ldexp(segs, -exps[:, None])
+    sq = _row_dot(scaled, scaled)
+    norms = np.sqrt(sq)
+    u, w = scaled[:-1], scaled[1:]
+    resid = w - (_row_dot(u, w) / sq[:-1])[:, None] * u
+    collinear = np.sqrt(_row_dot(resid, resid)) <= tol * norms[1:]
+    return collinear, norms, exps
+
+
+def _cancels(merged: np.ndarray, nu: float, eu: int, nw: float, ew: int, tol: float) -> bool:
+    # |u + w| <= tol * (|u| + |w|), all three at the larger scale of the pair
+    top = max(eu, ew)
+    sq = 0.0
+    for c in merged.tolist():
+        c = math.ldexp(c, -top)
+        sq += c * c
+    return math.sqrt(sq) <= tol * (math.ldexp(nu, eu - top) + math.ldexp(nw, ew - top))
+
+
 def reduce(a: PiecewiseLinearPath, tol: float = COLLINEAR_TOL) -> PiecewiseLinearPath:
     """Drop zero segments and merge adjacent collinear segments to a fixpoint.
 
@@ -150,46 +191,73 @@ def reduce(a: PiecewiseLinearPath, tol: float = COLLINEAR_TOL) -> PiecewiseLinea
     rotation this yields the tree-reduced representative; for arbitrary
     inputs it is a best-effort normal form.
 
-    Collinearity test: the component of w orthogonal to v must be at most
-    tol * |w|.  Cancellation test: the merged v + w is dropped when
+    A segment is zero only when all its components are.  Collinearity test:
+    the component of w orthogonal to v must be at most tol * |w|.
+    Cancellation test: the merged v + w is dropped when
     |v + w| <= tol * (|v| + |w|), so rounding residue such as 0.1 + 0.2 - 0.3
-    does not survive.  tol defaults to COLLINEAR_TOL = 1e-12.
+    does not survive.  tol defaults to COLLINEAR_TOL = 1e-12.  The pair
+    tests are one formula (_pair_tests) evaluated on segments scaled by
+    powers of two, so no norm under- or overflows at any magnitude, and the
+    scaling, being exact, changes no decision in the normal range.  The
+    formula runs once over all adjacent pairs left by the excision; when
+    none of them merges, that list is the result.
     """
     if a.reduced:
         return a
+    segs = a.segments
+    nonzero = (segs != 0.0).any(axis=1)
+    if a.segment_count < 2:
+        return PiecewiseLinearPath(a.dim, segs[nonzero], reduced=True)
     # pass 1: excise exactly mirrored adjacent pairs without any arithmetic,
     # so out-and-back insertions vanish bitwise even when every segment of
     # the path is collinear with its neighbours (d = 1)
-    stack: list[np.ndarray] = []
-    for v in a.segments:
-        if np.linalg.norm(v) == 0.0:
-            continue
-        if stack and np.array_equal(stack[-1], -v):
+    rows = segs.tolist()
+    negated = (-segs).tolist()
+    stack: list[int] = []
+    for i in np.flatnonzero(nonzero).tolist():
+        if stack and rows[stack[-1]] == negated[i]:
             stack.pop()
         else:
-            stack.append(v)
-    # pass 2: merge adjacent collinear segments to a fixpoint
+            stack.append(i)
+    kept = segs[stack]
+    # pass 2: merge adjacent collinear segments to a fixpoint; pass 1 left no
+    # mirrored neighbours, so a path none of whose pairs is collinear is done
+    if len(kept) >= 2:
+        screen = _pair_tests(kept, tol)
+        if screen[0].any():
+            kept = _merge_collinear(kept, screen, tol)
+    return PiecewiseLinearPath(a.dim, kept, reduced=True)
+
+
+def _merge_collinear(kept: np.ndarray, screen, tol: float) -> np.ndarray:
+    # a pair of untouched neighbours kept[j], kept[j + 1] reads row j of the
+    # screen; any other pair is first checked for an exact mirror, then runs
+    # the same formula on its own
+    collinear, norms, exps = (t.tolist() for t in screen)
     out: list[np.ndarray] = []
-    for v in stack:
+    origin: list[int] = []  # index into kept, or -1 for a merged segment
+    for i, v in enumerate(kept):
         out.append(v)
+        origin.append(i)
         while len(out) >= 2:
-            u, w = out[-2], out[-1]
-            if np.array_equal(w, -u):
-                out.pop()
-                out.pop()
+            j = origin[-2]
+            if j >= 0 and origin[-1] == j + 1:
+                pair = collinear[j], norms[j : j + 2], exps[j : j + 2]
+            elif out[-1].tolist() == (-out[-2]).tolist():
+                del out[-2:], origin[-2:]
                 continue
-            uu = np.dot(u, u)
-            lam = float(np.dot(u, w) / uu)
-            norm_w = np.linalg.norm(w)
-            if np.linalg.norm(w - lam * u) > tol * norm_w:
+            else:
+                tests = _pair_tests(np.array(out[-2:]), tol)
+                pair = tests[0][0], tests[1].tolist(), tests[2].tolist()
+            col, (nu, nw), (eu, ew) = pair
+            if not col:
                 break
-            merged = u + w
-            out.pop()
-            out.pop()
-            if np.linalg.norm(merged) > tol * (math.sqrt(uu) + norm_w):
+            merged = out[-2] + out[-1]
+            del out[-2:], origin[-2:]
+            if not _cancels(merged, nu, eu, nw, ew, tol):
                 out.append(merged)
-    segs = np.array(out) if out else np.zeros((0, a.dim))
-    return PiecewiseLinearPath(a.dim, segs, reduced=True)
+                origin.append(-1)
+    return np.array(out) if out else np.zeros((0, kept.shape[1]))
 
 
 def constant_speed(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
@@ -238,40 +306,41 @@ def one_variation(a: PiecewiseLinearPath) -> float:
     return a.length
 
 
-def one_variation_distance(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
-    """Exact 1-variation of t -> a(t) - b(t) on the constant-speed clock.
+def _difference(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> np.ndarray:
+    """Values of t -> a(t) - b(t) at the vertex times of both paths.
 
     The difference is piecewise linear with vertices on the union of the two
-    breakpoint grids, so summing increment norms over that grid is exact.
+    breakpoint grids, so these values determine it exactly.
     """
     _check_dim(a, b)
-    ta, _ = _grid(a)
-    tb, _ = _grid(b)
+    ta, pa = _grid(a)
+    tb, pb = _grid(b)
     times = np.union1d(ta, tb)
-    diff = positions_at(a, times) - positions_at(b, times)
-    steps = np.diff(diff, axis=0)
+    return np.column_stack(
+        [np.interp(times, ta, pa[:, j]) - np.interp(times, tb, pb[:, j]) for j in range(a.dim)]
+    )
+
+
+def one_variation_distance(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
+    """Exact 1-variation of t -> a(t) - b(t) on the constant-speed clock."""
+    steps = np.diff(_difference(a, b), axis=0)
     return float(np.sum(np.linalg.norm(steps, axis=1)))
 
 
 def sup_distance(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
     """Uniform distance sup_t |a(t) - b(t)| on the constant-speed clock."""
-    _check_dim(a, b)
-    ta, _ = _grid(a)
-    tb, _ = _grid(b)
-    times = np.union1d(ta, tb)
-    diff = positions_at(a, times) - positions_at(b, times)
     # |a - b| is convex on each grid interval, so the sup sits at a vertex
-    return float(np.max(np.linalg.norm(diff, axis=1)))
+    return float(np.max(np.linalg.norm(_difference(a, b), axis=1)))
 
 
 def difference_path(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> PiecewiseLinearPath:
     """The path t -> a(t) - b(t), as a segment list on the union grid."""
-    _check_dim(a, b)
-    ta, _ = _grid(a)
-    tb, _ = _grid(b)
-    times = np.union1d(ta, tb)
-    diff = positions_at(a, times) - positions_at(b, times)
-    return PiecewiseLinearPath(a.dim, np.diff(diff, axis=0))
+    return PiecewiseLinearPath(a.dim, np.diff(_difference(a, b), axis=0))
+
+
+# Candidate coefficients p_variation holds at once (2**17 float64 values,
+# 1 MiB per temporary): the DP's block of vertices shrinks as paths grow.
+_PVAR_BLOCK_COEFFICIENTS = 2**17
 
 
 def p_variation(a: PiecewiseLinearPath, p: float) -> float:
@@ -281,18 +350,45 @@ def p_variation(a: PiecewiseLinearPath, p: float) -> float:
     a subset of the vertices (|a(t) - x|**p is convex in t along a segment),
     so a quadratic dynamic programme over the vertex list is exact:
     best[j] = max over i < j of best[i] + |a_j - a_i|**p.
+
+    The programme runs in blocks of B vertices: the costs |a_j - a_i|**p
+    from every earlier vertex to a block form one (B, i) array, with squared
+    differences summed coordinate by coordinate in order, and only the
+    recurrence inside the block runs vertex by vertex.  B is the largest
+    block with B * (m + 1) <= 2**17 (at least 1), so the two temporaries
+    take about 2 MiB whatever the segment count m, up to m = 2**17.  For
+    d <= 7 the result is bit-identical to summing each row with
+    np.linalg.norm; above that numpy sums pairwise and the two differ by
+    about 1 ulp.
     """
     p = float(p)
     if p < 1.0:
         raise ValueError(f"p must be at least 1, got {p}")
-    pts = a.points
-    m = len(pts) - 1
+    m = a.segment_count
     if m == 0:
         return 0.0
+    coords = np.ascontiguousarray(a.points.T)
     best = np.zeros(m + 1)
-    for j in range(1, m + 1):
-        dist = np.linalg.norm(pts[:j] - pts[j], axis=1)
-        best[j] = np.max(best[:j] + dist**p)
+    block = max(1, _PVAR_BLOCK_COEFFICIENTS // (m + 1))
+    # two flat buffers, reshaped per block so that every block is contiguous
+    sq_buf = np.empty(block * (m + 1))
+    step_buf = np.empty_like(sq_buf)
+    for lo in range(1, m + 1, block):
+        hi = min(lo + block, m + 1)
+        sq = sq_buf[: (hi - lo) * hi].reshape(hi - lo, hi)
+        step = step_buf[: (hi - lo) * hi].reshape(hi - lo, hi)
+        for k, x in enumerate(coords):
+            np.subtract(x[:hi], x[lo:hi, None], out=step)
+            if k == 0:
+                np.multiply(step, step, out=sq)
+            else:
+                sq += np.multiply(step, step, out=step)
+        cost = np.sqrt(sq, out=sq)
+        cost **= p
+        earlier = np.add(best[:lo], cost[:, :lo], out=step[:, :lo]).max(axis=1)
+        best[lo] = earlier[0]
+        for j in range(lo + 1, hi):
+            best[j] = max(earlier[j - lo], (best[lo:j] + cost[j - lo, lo:j]).max())
     return float(best[m] ** (1.0 / p))
 
 

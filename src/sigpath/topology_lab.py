@@ -33,8 +33,8 @@ from .path_core import (
     one_variation_distance,
     reduce,
 )
-from .signature_engine import _check_budget, exact_signature, signature
-from .tensor_algebra import phi_contraction, product_metric, unit
+from .signature_engine import _check_budget, _signature_levels, exact_signature, signature
+from .tensor_algebra import GroupTensor, phi_contraction, product_metric, unit
 
 __all__ = [
     "ExperimentReport",
@@ -246,12 +246,13 @@ def experiment_product_vs_metric(k_max: int = 5, depth: int | None = None) -> Ex
         depth = k_max + 1
     origin = PiecewiseLinearPath(2, np.zeros((0, 2)))
     _check_budget(1, 2, depth, "one tensor of dimension 2")
-    one = unit(2, depth)
     indices = list(range(1, k_max + 1))
+    loops = [gamma_loop(k) for k in indices]
+    # exact_signature rejects the depths it cannot afford before unit() allocates
+    sigs = [exact_signature(loop, depth) for loop in loops]
+    one = unit(2, depth)
     pm, dm, low = [], [], []
-    for k in indices:
-        loop = gamma_loop(k)
-        sig = exact_signature(loop, depth)
+    for k, loop, sig in zip(indices, loops, sigs):
         pm.append(product_metric(sig, one))
         dm.append(metric_d(origin, loop))
         low.append(
@@ -314,17 +315,19 @@ def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentRepo
     _check_budget(1, 2, depth, "one tensor of dimension 2")
     one = unit(2, depth)
     indices = list(range(1, n_max + 1))
+    rects = [_shrinking_rectangle(n) for n in indices]
+    # one batched kernel call; its rows are bit-identical to signature(rect)
+    levels = _signature_levels(np.stack([rect.segments for rect in rects]), depth)
     d_origin, d_double, scaled, pm = [], [], [], []
     level_max = {k: [] for k in range(1, 5)}
-    for n in indices:
-        rect = _shrinking_rectangle(n)
+    for row, (n, rect) in enumerate(zip(indices, rects)):
         double = _shrinking_rectangle(2 * n)
         d0 = metric_d(origin, rect)
         dd = metric_d(rect, double)
         d_origin.append(d0)
         d_double.append(dd)
         scaled.append(n * dd)
-        sig = signature(rect, depth)
+        sig = GroupTensor(2, depth, [lvl[row] for lvl in levels])
         pm.append(product_metric(sig, one))
         for k in range(1, 5):
             level_max[k].append(float(np.max(np.abs(sig.levels[k]))) if k <= depth else 0.0)
@@ -396,7 +399,10 @@ def length_lower_bound(
     event bounded by m (1 - r)**2n, r the smallest segment time fraction.
     The report also carries the growth root ((2n)! phi)**(1/2n), which
     approaches the length L from below, plus a Monte Carlo estimate of
-    E[X_n] with its standard error as an independent cross-check.
+    E[X_n] with its standard error as an independent cross-check.  The Monte
+    Carlo reads each adjacent pair's factor from an (m, m) Gram table of
+    L**2 times the segments' direction inner products, so a sample costs two
+    indices per pair rather than two d-vectors.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -425,6 +431,15 @@ def length_lower_bound(
     sdot = signs @ pfrac
 
     unit_dirs = segs / lens[:, None]
+    # L**2 <v_i, v_j> / (|v_i| |v_j|) for every pair of segments, by the same
+    # einsum contraction a gathered pair of directions would get, so a Monte
+    # Carlo sample's adjacent time pairs look up bit-identical products
+    d = segs.shape[1]
+    gram = np.einsum(
+        "ijd,ijd->ij",
+        np.broadcast_to(unit_dirs[:, None, :], (m, m, d)),
+        np.broadcast_to(unit_dirs[None, :, :], (m, m, d)),
+    ) * (L * L)
     edges = np.cumsum(pfrac)[:-1]
     rng = np.random.default_rng(seed)
 
@@ -441,9 +456,7 @@ def length_lower_bound(
         u = rng.random((mc_samples, 2 * n))
         u.sort(axis=1)
         which = np.searchsorted(edges, u)
-        dirs = unit_dirs[which]
-        pair_dots = np.einsum("sjd,sjd->sj", dirs[:, 0::2, :], dirs[:, 1::2, :]) * (L * L)
-        x = pair_dots.prod(axis=1)
+        x = gram[which[:, 0::2], which[:, 1::2]].prod(axis=1)
         mc_mean = float(x.mean())
         mc_se = float(x.std(ddof=1) / math.sqrt(mc_samples)) if mc_samples > 1 else 0.0
 

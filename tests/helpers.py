@@ -1,10 +1,13 @@
 """Shared corpus builders and independent oracles for the test suite."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 
 from sigpath import LinearVectorField, PiecewiseLinearPath, GroupTensor
+from sigpath.path_core import COLLINEAR_TOL, positions_at
 
 
 def random_path(rng, dim=None, max_segments=6, scale=0.5):
@@ -73,6 +76,54 @@ def reference_rk4_oracle(field, path, y0, refine_tol=1e-10):
             return y
         prev = y
     raise RuntimeError(f"RK4 reference did not stabilise to {refine_tol}")
+
+
+def mixed_path_corpus(rng, count, max_dim=5, max_segments=40):
+    """Paths that exercise every branch of reduce: Gaussian steps, quarter
+    steps full of zeros, runs of collinear and mirrored segments, inserted
+    excursions, and axis runs of +-0.1/0.2/0.3 whose sums leave rounding
+    residue.  Empty, one-segment and d = 1 paths come up along the way."""
+    paths = []
+    for i in range(count):
+        d = int(rng.integers(1, max_dim + 1))
+        m = int(rng.integers(0, max_segments + 1))
+        kind = i % 5
+        if kind == 0:
+            segs = rng.normal(size=(m, d))
+        elif kind == 1:
+            segs = rng.integers(-4, 5, size=(m, d)) / 4.0
+        elif kind == 2:
+            segs = [
+                v * float(rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0]))
+                for v in rng.normal(size=(max(m // 3, 1), d))
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+        elif kind == 3:
+            segs = list(rng.normal(size=(m, d)))
+            for _ in range(int(rng.integers(0, 6))):
+                pos = int(rng.integers(0, len(segs) + 1))
+                v = rng.normal(size=d)
+                segs[pos:pos] = [v, -v] if rng.random() < 0.7 else [v, 2 * v, -3 * v]
+        else:
+            axis = np.eye(d)[int(rng.integers(0, d))]
+            segs = []
+            for _ in range(m):
+                segs.append(axis * float(rng.choice([0.1, 0.2, 0.3, -0.1, -0.2, -0.3])))
+                if rng.random() < 0.3:
+                    segs.append(rng.normal(size=d))
+        paths.append(PiecewiseLinearPath(d, np.array(segs, dtype=float).reshape(-1, d)))
+    return paths
+
+
+def rotated_orthogonal_path(rng, d, m):
+    """m segments along the columns of a random rotation, no two neighbours
+    on the same axis, with random lengths and signs."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    axes = [int(rng.integers(0, d))]
+    for _ in range(m - 1):
+        axes.append((axes[-1] + int(rng.integers(1, d))) % d)
+    lengths = rng.uniform(0.2, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
+    return PiecewiseLinearPath(d, q[:, axes].T * lengths[:, None])
 
 
 def resplit(path, rng, max_pieces=3):
@@ -204,3 +255,87 @@ def reference_exact_signature(path, depth):
             paired.append(factors[-1])
         factors = paired
     return [np.array([float(c) for c in lvl]) for lvl in factors[0]]
+
+
+def reference_reduce(a, tol=COLLINEAR_TOL):
+    """Loop reference for reduce: one numpy call per segment and per pair."""
+    stack = []
+    for v in a.segments:
+        if np.linalg.norm(v) == 0.0:
+            continue
+        if stack and np.array_equal(stack[-1], -v):
+            stack.pop()
+        else:
+            stack.append(v)
+    out = []
+    for v in stack:
+        out.append(v)
+        while len(out) >= 2:
+            u, w = out[-2], out[-1]
+            if np.array_equal(w, -u):
+                out.pop()
+                out.pop()
+                continue
+            uu = np.dot(u, u)
+            lam = float(np.dot(u, w) / uu)
+            norm_w = np.linalg.norm(w)
+            if np.linalg.norm(w - lam * u) > tol * norm_w:
+                break
+            merged = u + w
+            out.pop()
+            out.pop()
+            if np.linalg.norm(merged) > tol * (math.sqrt(uu) + norm_w):
+                out.append(merged)
+    segs = np.array(out) if out else np.zeros((0, a.dim))
+    return PiecewiseLinearPath(a.dim, segs, reduced=True)
+
+
+def _reference_grid_times(a):
+    lens = a.segment_lengths
+    mask = lens > 0.0
+    if not mask.any():
+        return np.array([0.0, 1.0])
+    cum = np.cumsum(lens[mask])
+    return np.concatenate([[0.0], cum / cum[-1]])
+
+
+def _reference_difference(a, b):
+    times = np.union1d(_reference_grid_times(a), _reference_grid_times(b))
+    return positions_at(a, times) - positions_at(b, times)
+
+
+def reference_one_variation_distance(a, b):
+    steps = np.diff(_reference_difference(a, b), axis=0)
+    return float(np.sum(np.linalg.norm(steps, axis=1)))
+
+
+def reference_sup_distance(a, b):
+    return float(np.max(np.linalg.norm(_reference_difference(a, b), axis=1)))
+
+
+def reference_difference_path(a, b):
+    return PiecewiseLinearPath(a.dim, np.diff(_reference_difference(a, b), axis=0))
+
+
+def reference_p_variation(a, p):
+    """Quadratic DP over the vertices, one row of candidates per vertex."""
+    pts = a.points
+    m = len(pts) - 1
+    if m == 0:
+        return 0.0
+    best = np.zeros(m + 1)
+    for j in range(1, m + 1):
+        dist = np.linalg.norm(pts[:j] - pts[j], axis=1)
+        best[j] = np.max(best[:j] + dist**p)
+    return float(best[m] ** (1.0 / p))
+
+
+def traced_peak_bytes(fn, *args, **kwargs):
+    """Peak bytes that numpy and Python allocate while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

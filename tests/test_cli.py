@@ -263,3 +263,14 @@ def test_memory_error_is_input_error(capsys, monkeypatch, staircase_csv):
 def test_experiment_depth_budget_is_input_error(capsys, name, fmt):
     code, out, err = run_main(capsys, ["experiment", name, "--depth", "100000000", "--format", fmt])
     assert code == 2 and out == "" and "limit" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_product_vs_metric_rejects_depth_before_the_unit_tensor(capsys, monkeypatch, fmt):
+    # depths 13..24 pass the coefficient budget but not exact_signature
+    def no_unit(dim, depth):
+        raise AssertionError("unit tensor built for a rejected depth")
+
+    monkeypatch.setattr(topology_lab, "unit", no_unit)
+    code, out, err = run_main(capsys, ["experiment", "product-vs-metric", "--depth", "24", "--format", fmt])
+    assert code == 2 and out == "" and err.startswith("sigpath: error:")

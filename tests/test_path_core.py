@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,30 @@ from sigpath.path_core import (
     write_csv,
 )
 
-from helpers import random_path, resplit
+from helpers import (
+    mixed_path_corpus,
+    random_path,
+    reference_difference_path,
+    reference_one_variation_distance,
+    reference_p_variation,
+    reference_reduce,
+    reference_sup_distance,
+    resplit,
+    traced_peak_bytes,
+)
+
+
+def _bitwise_corpus():
+    rng = np.random.default_rng(11)
+    edge = [
+        sp.PiecewiseLinearPath(2, np.zeros((0, 2))),
+        sp.PiecewiseLinearPath(3, np.zeros((1, 3))),
+        sp.linear_path([0.5, -0.0]),
+        sp.linear_path([-2.0]),
+        sp.PiecewiseLinearPath(1, [[1.0], [-1.0], [0.0], [2.0], [0.5], [-0.25]]),
+        sp.PiecewiseLinearPath(2, [[0.0, -0.0], [1.0, 0.0], [-1.0, -0.0], [0.0, 1.0]]),
+    ]
+    return edge + mixed_path_corpus(rng, 300)
 
 
 def test_linear_path_and_origin():
@@ -248,3 +272,78 @@ def test_path_validation():
         sp.PiecewiseLinearPath(2, np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(ValueError):
         sp.PiecewiseLinearPath(2, np.array([[np.nan, 0.0]]))
+
+
+def test_reduce_is_bitwise_the_loop_reference():
+    for p in _bitwise_corpus():
+        got, want = sp.reduce(p), reference_reduce(p)
+        assert got.reduced
+        assert got.segments.shape == want.segments.shape
+        assert got.segments.tobytes() == want.segments.tobytes()
+
+
+def test_distances_are_bitwise_the_reference():
+    corpus = _bitwise_corpus()
+    pairs = [(a, b) for a, b in zip(corpus, corpus[1:] + corpus[:1]) if a.dim == b.dim]
+    assert len(pairs) > 50
+    for a, b in pairs:
+        assert sp.one_variation_distance(a, b) == reference_one_variation_distance(a, b)
+        assert sp.sup_distance(a, b) == reference_sup_distance(a, b)
+        got, want = sp.difference_path(a, b), reference_difference_path(a, b)
+        assert got.segments.tobytes() == want.segments.tobytes()
+        ra, rb = reference_reduce(a), reference_reduce(b)
+        assert sp.metric_d(a, b) == reference_one_variation_distance(ra, rb)
+
+
+def test_p_variation_is_bitwise_the_reference_up_to_d7():
+    corpus = _bitwise_corpus()
+    for p in corpus[::2]:
+        for q in (1.0, 1.5, 2.0, 3.0):
+            assert sp.p_variation(p, q) == reference_p_variation(p, q)
+    rng = np.random.default_rng(12)
+    for d in (6, 7):
+        p = sp.PiecewiseLinearPath(d, rng.normal(size=(60, d)))
+        assert sp.p_variation(p, 2.0) == reference_p_variation(p, 2.0)
+
+
+def test_p_variation_high_dimension_within_an_ulp():
+    # numpy sums rows of 8 or more coordinates pairwise, the DP in order
+    rng = np.random.default_rng(13)
+    for d in (8, 9, 16):
+        for _ in range(3):
+            p = sp.PiecewiseLinearPath(d, rng.normal(size=(50, d)))
+            for q in (1.0, 1.5, 2.0):
+                want = reference_p_variation(p, q)
+                assert abs(sp.p_variation(p, q) - want) <= 1e-14 * want
+
+
+def test_p_variation_spans_several_blocks(monkeypatch):
+    # blocks of 1, 3 and 7 vertices give the same bits as one block
+    rng = np.random.default_rng(14)
+    p = sp.PiecewiseLinearPath(2, rng.normal(size=(40, 2)))
+    want = reference_p_variation(p, 1.5)
+    for cap in (1, 100, 300):
+        monkeypatch.setattr(sp.path_core, "_PVAR_BLOCK_COEFFICIENTS", cap)
+        assert sp.p_variation(p, 1.5) == want
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e-170])
+def test_reduce_keeps_shapes_at_extreme_scales(scale):
+    square = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]) * scale
+    corner = square[:2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for segs in (square, corner):
+            red = sp.reduce(sp.PiecewiseLinearPath(2, segs))
+            assert np.array_equal(red.segments, segs)
+        # scaling changes no decision: a collinear run still merges exactly
+        run = sp.reduce(sp.PiecewiseLinearPath(2, [[scale, 0.0], [2 * scale, 0.0], [0.0, scale]]))
+        assert np.array_equal(run.segments, [[3 * scale, 0.0], [0.0, scale]])
+        residue = sp.reduce(sp.PiecewiseLinearPath(1, [[0.1 * scale], [0.2 * scale], [-0.3 * scale]]))
+        assert residue.segment_count == 0
+
+
+@pytest.mark.parametrize("d", [2, 64])
+def test_p_variation_memory_is_bounded(d):
+    p = sp.PiecewiseLinearPath(d, np.random.default_rng(15).normal(size=(2000, d)))
+    assert traced_peak_bytes(sp.p_variation, p, 2.0) < 8 * 2**20

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import sigpath as sp
-from sigpath.topology_lab import ExperimentReport
+from sigpath.signature_engine import _signature_levels
+from sigpath.tensor_algebra import product_metric, unit
+from sigpath.topology_lab import ExperimentReport, _shrinking_rectangle
+
+from helpers import rotated_orthogonal_path, same_bits, traced_peak_bytes
+
+STAIRCASE = np.array([[1, 0], [0, 2], [3, 0], [0, 1], [2, 0], [0, 3]] * 2, dtype=float) / 4
 
 
 def test_experiment_names_registry():
@@ -176,3 +182,61 @@ def test_ball_membership_examples():
     a = sp.linear_path([3.0, 4.0])
     assert sp.ball_br_membership(a, 5.0)
     assert not sp.ball_br_membership(a, 4.9)
+
+
+def _einsum_monte_carlo(path, n_max, mc_samples, seed):
+    # the Monte Carlo of length_lower_bound as it was before the Gram table:
+    # gather each sample's unit directions, contract adjacent pairs
+    lens = path.segment_lengths
+    segs = path.segments[lens > 0.0]
+    lens = lens[lens > 0.0]
+    L = float(np.sum(lens))
+    unit_dirs = segs / lens[:, None]
+    edges = np.cumsum(lens / L)[:-1]
+    rng = np.random.default_rng(seed)
+    means, ses = [], []
+    for n in range(1, n_max + 1):
+        u = rng.random((mc_samples, 2 * n))
+        u.sort(axis=1)
+        dirs = unit_dirs[np.searchsorted(edges, u)]
+        pair_dots = np.einsum("sjd,sjd->sj", dirs[:, 0::2, :], dirs[:, 1::2, :]) * (L * L)
+        x = pair_dots.prod(axis=1)
+        means.append(float(x.mean()))
+        ses.append(float(x.std(ddof=1) / np.sqrt(mc_samples)) if mc_samples > 1 else 0.0)
+    return means, ses
+
+
+def test_length_bound_monte_carlo_is_bitwise_the_einsum_gather():
+    rng = np.random.default_rng(21)
+    n_cap = {2: 5, 3: 4, 4: 3, 5: 3}
+    for trial in range(40):
+        d = int(rng.integers(2, 6))
+        path = rotated_orthogonal_path(rng, d, int(rng.integers(1, 15)))
+        n_max = int(rng.integers(1, n_cap[d] + 1))
+        rep = sp.length_lower_bound(path, n_max=n_max, mc_samples=3000, seed=trial)
+        means, ses = _einsum_monte_carlo(path, n_max, 3000, trial)
+        assert rep.series["mc_mean"] == means
+        assert rep.series["mc_se"] == ses
+
+
+def test_length_bound_memory_is_bounded():
+    stair = sp.PiecewiseLinearPath(2, STAIRCASE)
+    assert traced_peak_bytes(sp.length_lower_bound, stair, n_max=5, seed=0) < 32 * 2**20
+
+
+def test_incompleteness_signatures_are_bitwise_per_rectangle():
+    n_max, depth = 12, 4
+    rects = [_shrinking_rectangle(n) for n in range(1, n_max + 1)]
+    levels = _signature_levels(np.stack([r.segments for r in rects]), depth)
+    one = unit(2, depth)
+    pm, level_max = [], {k: [] for k in range(1, 5)}
+    for row, rect in enumerate(rects):
+        sig = sp.signature(rect, depth)
+        assert same_bits([lvl[row] for lvl in levels], list(sig.levels))
+        pm.append(product_metric(sig, one))
+        for k in range(1, 5):
+            level_max[k].append(float(np.max(np.abs(sig.levels[k]))))
+    rep = sp.experiment_incompleteness(n_max=n_max, depth=depth)
+    assert rep.series["product_metric_to_unit"] == pm
+    for k in range(1, 5):
+        assert rep.series[f"sig_max_level_{k}"] == level_max[k]
