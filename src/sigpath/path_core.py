@@ -222,41 +222,29 @@ def reduce(a: PiecewiseLinearPath, tol: float = COLLINEAR_TOL) -> PiecewiseLinea
     kept = segs[stack]
     # pass 2: merge adjacent collinear segments to a fixpoint; pass 1 left no
     # mirrored neighbours, so a path none of whose pairs is collinear is done
-    if len(kept) >= 2:
-        screen = _pair_tests(kept, tol)
-        if screen[0].any():
-            kept = _merge_collinear(kept, screen, tol)
+    if len(kept) >= 2 and _pair_tests(kept, tol)[0].any():
+        kept = _merge_collinear(kept, tol)
     return PiecewiseLinearPath(a.dim, kept, reduced=True)
 
 
-def _merge_collinear(kept: np.ndarray, screen, tol: float) -> np.ndarray:
-    # a pair of untouched neighbours kept[j], kept[j + 1] reads row j of the
-    # screen; any other pair is first checked for an exact mirror, then runs
-    # the same formula on its own
-    collinear, norms, exps = (t.tolist() for t in screen)
+def _merge_collinear(kept: np.ndarray, tol: float) -> np.ndarray:
+    # the stack loop over the top pair: an exact mirror is excised, a
+    # collinear pair merged, and the merge dropped if it cancels
     out: list[np.ndarray] = []
-    origin: list[int] = []  # index into kept, or -1 for a merged segment
-    for i, v in enumerate(kept):
+    for v in kept:
         out.append(v)
-        origin.append(i)
         while len(out) >= 2:
-            j = origin[-2]
-            if j >= 0 and origin[-1] == j + 1:
-                pair = collinear[j], norms[j : j + 2], exps[j : j + 2]
-            elif out[-1].tolist() == (-out[-2]).tolist():
-                del out[-2:], origin[-2:]
+            if out[-1].tolist() == (-out[-2]).tolist():
+                del out[-2:]
                 continue
-            else:
-                tests = _pair_tests(np.array(out[-2:]), tol)
-                pair = tests[0][0], tests[1].tolist(), tests[2].tolist()
-            col, (nu, nw), (eu, ew) = pair
-            if not col:
+            collinear, norms, exps = _pair_tests(np.array(out[-2:]), tol)
+            if not collinear[0]:
                 break
             merged = out[-2] + out[-1]
-            del out[-2:], origin[-2:]
+            del out[-2:]
+            (nu, nw), (eu, ew) = norms.tolist(), exps.tolist()
             if not _cancels(merged, nu, eu, nw, ew, tol):
                 out.append(merged)
-                origin.append(-1)
     return np.array(out) if out else np.zeros((0, kept.shape[1]))
 
 
@@ -355,8 +343,8 @@ def p_variation(a: PiecewiseLinearPath, p: float) -> float:
     from every earlier vertex to a block form one (B, i) array, with squared
     differences summed coordinate by coordinate in order, and only the
     recurrence inside the block runs vertex by vertex.  B is the largest
-    block with B * (m + 1) <= 2**17 (at least 1), so the two temporaries
-    take about 2 MiB whatever the segment count m, up to m = 2**17.  For
+    block with B * (m + 1) <= 2**17 (at least 1), so each temporary holds
+    at most 1 MiB whatever the segment count m, up to m = 2**17.  For
     d <= 7 the result is bit-identical to summing each row with
     np.linalg.norm; above that numpy sums pairwise and the two differ by
     about 1 ulp.
@@ -370,22 +358,15 @@ def p_variation(a: PiecewiseLinearPath, p: float) -> float:
     coords = np.ascontiguousarray(a.points.T)
     best = np.zeros(m + 1)
     block = max(1, _PVAR_BLOCK_COEFFICIENTS // (m + 1))
-    # two flat buffers, reshaped per block so that every block is contiguous
-    sq_buf = np.empty(block * (m + 1))
-    step_buf = np.empty_like(sq_buf)
     for lo in range(1, m + 1, block):
         hi = min(lo + block, m + 1)
-        sq = sq_buf[: (hi - lo) * hi].reshape(hi - lo, hi)
-        step = step_buf[: (hi - lo) * hi].reshape(hi - lo, hi)
-        for k, x in enumerate(coords):
-            np.subtract(x[:hi], x[lo:hi, None], out=step)
-            if k == 0:
-                np.multiply(step, step, out=sq)
-            else:
-                sq += np.multiply(step, step, out=step)
-        cost = np.sqrt(sq, out=sq)
+        steps = (x[:hi] - x[lo:hi, None] for x in coords)
+        cost = next(steps) ** 2
+        for step in steps:
+            cost += step**2
+        np.sqrt(cost, out=cost)
         cost **= p
-        earlier = np.add(best[:lo], cost[:, :lo], out=step[:, :lo]).max(axis=1)
+        earlier = (best[:lo] + cost[:, :lo]).max(axis=1)
         best[lo] = earlier[0]
         for j in range(lo + 1, hi):
             best[j] = max(earlier[j - lo], (best[lo:j] + cost[j - lo, lo:j]).max())

@@ -296,6 +296,12 @@ def experiment_quotient_vs_metric(eps_list=(1e-1, 1e-2, 1e-3)) -> ExperimentRepo
     return ExperimentReport("quotient-vs-metric", indices, series, verdict, seed=None)
 
 
+# Segment-exponential coefficients experiment_incompleteness batches into one
+# kernel call (1 MiB): batching saves per-call overhead on shallow
+# signatures, and more would only raise the peak memory of deep ones.
+_BATCH_COEFFICIENTS = 2**17
+
+
 def _shrinking_rectangle(n: int) -> PiecewiseLinearPath:
     return _thin_rectangle(1.0 / n)
 
@@ -316,21 +322,26 @@ def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentRepo
     one = unit(2, depth)
     indices = list(range(1, n_max + 1))
     rects = [_shrinking_rectangle(n) for n in indices]
-    # one batched kernel call; its rows are bit-identical to signature(rect)
-    levels = _signature_levels(np.stack([rect.segments for rect in rects]), depth)
     d_origin, d_double, scaled, pm = [], [], [], []
     level_max = {k: [] for k in range(1, 5)}
-    for row, (n, rect) in enumerate(zip(indices, rects)):
+    for n, rect in zip(indices, rects):
         double = _shrinking_rectangle(2 * n)
         d0 = metric_d(origin, rect)
         dd = metric_d(rect, double)
         d_origin.append(d0)
         d_double.append(dd)
         scaled.append(n * dd)
-        sig = GroupTensor(2, depth, [lvl[row] for lvl in levels])
-        pm.append(product_metric(sig, one))
-        for k in range(1, 5):
-            level_max[k].append(float(np.max(np.abs(sig.levels[k]))) if k <= depth else 0.0)
+    # batched kernel calls, whose rows are bit-identical to signature(rect);
+    # from depth 14 each call takes one rectangle, so deep runs accept the
+    # depths signature(rect) does and need no more memory
+    segs = np.stack([rect.segments for rect in rects])
+    per_call = max(1, _BATCH_COEFFICIENTS // (4 * (2 ** (depth + 1) - 1)))
+    for start in range(0, n_max, per_call):
+        levels = _signature_levels(segs[start : start + per_call], depth)
+        for row in range(levels[0].shape[0]):
+            pm.append(product_metric(GroupTensor(2, depth, [lvl[row] for lvl in levels]), one))
+            for k in range(1, 5):
+                level_max[k].append(float(np.max(np.abs(levels[k][row]))) if k <= depth else 0.0)
     fitted_c = max(scaled)
     series = {
         "d_to_origin": d_origin,

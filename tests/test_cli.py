@@ -274,3 +274,11 @@ def test_product_vs_metric_rejects_depth_before_the_unit_tensor(capsys, monkeypa
     monkeypatch.setattr(topology_lab, "unit", no_unit)
     code, out, err = run_main(capsys, ["experiment", "product-vs-metric", "--depth", "24", "--format", fmt])
     assert code == 2 and out == "" and err.startswith("sigpath: error:")
+
+
+def test_incompleteness_accepts_every_depth_one_rectangle_fits(capsys):
+    # one rectangle's 4 segments at depth 19 take 4 * (2**20 - 1) coefficients,
+    # within the budget; ten of them in one kernel call would not be
+    code, out, err = run_main(capsys, ["experiment", "incompleteness", "--depth", "19", "--format", "json"])
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["series"]["product_metric_to_unit"]) == 10

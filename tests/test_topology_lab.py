@@ -224,8 +224,12 @@ def test_length_bound_memory_is_bounded():
     assert traced_peak_bytes(sp.length_lower_bound, stair, n_max=5, seed=0) < 32 * 2**20
 
 
-def test_incompleteness_signatures_are_bitwise_per_rectangle():
-    n_max, depth = 12, 4
+@pytest.mark.parametrize("depth", [2, 4])
+@pytest.mark.parametrize("batch_coefficients", [1, 700, 2**17])
+def test_incompleteness_signatures_are_bitwise_per_rectangle(monkeypatch, depth, batch_coefficients):
+    # one rectangle per kernel call, a few per call, and all in one call
+    monkeypatch.setattr(sp.topology_lab, "_BATCH_COEFFICIENTS", batch_coefficients)
+    n_max = 12
     rects = [_shrinking_rectangle(n) for n in range(1, n_max + 1)]
     levels = _signature_levels(np.stack([r.segments for r in rects]), depth)
     one = unit(2, depth)
@@ -235,8 +239,14 @@ def test_incompleteness_signatures_are_bitwise_per_rectangle():
         assert same_bits([lvl[row] for lvl in levels], list(sig.levels))
         pm.append(product_metric(sig, one))
         for k in range(1, 5):
-            level_max[k].append(float(np.max(np.abs(sig.levels[k]))))
+            level_max[k].append(float(np.max(np.abs(sig.levels[k]))) if k <= depth else 0.0)
     rep = sp.experiment_incompleteness(n_max=n_max, depth=depth)
     assert rep.series["product_metric_to_unit"] == pm
     for k in range(1, 5):
         assert rep.series[f"sig_max_level_{k}"] == level_max[k]
+
+
+def test_incompleteness_memory_is_one_rectangle_at_a_time_when_deep():
+    # at depth 16 a signature holds 2**17 coefficients: batching ten of them
+    # in one kernel call would take about 96 MiB against 12 MiB
+    assert traced_peak_bytes(sp.experiment_incompleteness, n_max=10, depth=16) < 16 * 2**20
