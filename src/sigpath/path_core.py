@@ -79,9 +79,7 @@ class PiecewiseLinearPath:
 
     @property
     def segment_lengths(self) -> np.ndarray:
-        if self.segment_count == 0:
-            return np.zeros(0)
-        return np.linalg.norm(self.segments, axis=1)
+        return _row_norms(self.segments)
 
     @property
     def length(self) -> float:
@@ -137,6 +135,19 @@ def concat(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> PiecewiseLinearPat
 def reverse(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
     """Time reversal: segments in opposite order with negated displacements."""
     return PiecewiseLinearPath(a.dim, -a.segments[::-1])
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a 2-D array, at any magnitude.
+
+    Each row v is scaled to v / 2**e, e from np.frexp of its largest
+    component, so no square under- or overflows, and its squares are
+    summed as np.linalg.norm sums them.  The scaling is exact in the normal
+    range, where the result is therefore bit-identical to np.linalg.norm.
+    """
+    exps = np.frexp(np.abs(rows).max(axis=1))[1]
+    scaled = np.ldexp(rows, -exps[:, None])
+    return np.ldexp(np.sqrt(np.add.reduce(scaled * scaled, axis=1)), exps)
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -261,14 +272,18 @@ def constant_speed(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
 
 def _grid(a: PiecewiseLinearPath):
     """Strictly increasing constant-speed times with vertex positions."""
-    lens = a.segment_lengths
+    lens, segs = a.segment_lengths, a.segments
     mask = lens > 0.0
-    if not mask.any():
+    kept = np.count_nonzero(mask)
+    if not kept:
         return np.array([0.0, 1.0]), np.zeros((2, a.dim))
-    segs = a.segments[mask]
-    cum = np.cumsum(lens[mask])
-    times = np.concatenate([[0.0], cum / cum[-1]])
-    pts = np.concatenate([np.zeros((1, a.dim)), np.cumsum(segs, axis=0)], axis=0)
+    if kept < len(lens):
+        lens, segs = lens[mask], segs[mask]
+    cum = lens.cumsum()
+    times = np.zeros(kept + 1)
+    np.divide(cum, cum[-1], out=times[1:])
+    pts = np.zeros((kept + 1, a.dim))
+    segs.cumsum(axis=0, out=pts[1:])
     return times, pts
 
 
@@ -303,22 +318,26 @@ def _difference(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> np.ndarray:
     _check_dim(a, b)
     ta, pa = _grid(a)
     tb, pb = _grid(b)
-    times = np.union1d(ta, tb)
-    return np.column_stack(
-        [np.interp(times, ta, pa[:, j]) - np.interp(times, tb, pb[:, j]) for j in range(a.dim)]
-    )
+    # the sorted union of the two grids, as np.union1d forms it
+    times = np.concatenate([ta, tb])
+    times.sort()
+    times = times[np.concatenate([[True], times[1:] != times[:-1]])]
+    out = np.empty((len(times), a.dim))
+    for j in range(a.dim):
+        out[:, j] = np.interp(times, ta, pa[:, j]) - np.interp(times, tb, pb[:, j])
+    return out
 
 
 def one_variation_distance(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
     """Exact 1-variation of t -> a(t) - b(t) on the constant-speed clock."""
-    steps = np.diff(_difference(a, b), axis=0)
-    return float(np.sum(np.linalg.norm(steps, axis=1)))
+    values = _difference(a, b)
+    return float(_row_norms(values[1:] - values[:-1]).sum())
 
 
 def sup_distance(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
     """Uniform distance sup_t |a(t) - b(t)| on the constant-speed clock."""
     # |a - b| is convex on each grid interval, so the sup sits at a vertex
-    return float(np.max(np.linalg.norm(_difference(a, b), axis=1)))
+    return float(_row_norms(_difference(a, b)).max())
 
 
 def difference_path(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> PiecewiseLinearPath:

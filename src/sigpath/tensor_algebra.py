@@ -120,8 +120,9 @@ class GroupTensor(TruncatedTensor):
     """Truncated tensor whose level-0 coefficient is exactly 1.
 
     Signatures and segment exponentials are constructed as GroupTensor.
-    Full group-likeness (the shuffle relations) is a property of the values,
-    verified on demand by signature_engine.check_group_like.
+    Full group-likeness (log x is a Lie element; equivalently, the shuffle
+    relations hold) is a property of the values, verified on demand by
+    signature_engine.check_group_like.
     """
 
     def __post_init__(self):
@@ -197,11 +198,24 @@ def exp(x: TruncatedTensor) -> TruncatedTensor:
     """Truncated exponential series; requires a vanishing level-0 part."""
     if x.scalar != 0.0:
         raise ValueError("exp requires level-0 coefficient exactly 0")
-    one = TruncatedTensor(x.dim, x.depth, _unit_levels(x.dim, x.depth))
+    one = _unit_levels(x.dim, x.depth)
     acc = one
     # Horner form of sum_{n=0}^{depth} x^n / n!
     for n in range(x.depth, 0, -1):
-        acc = add(one, scale(mul(x, acc), 1.0 / n))
+        acc = [e + (1.0 / n) * a for e, a in zip(one, _mul_levels(x.levels, acc))]
+    return TruncatedTensor(x.dim, x.depth, acc)
+
+
+def _log_levels(x, dim):
+    """Truncated logarithm series on plain level arrays whose level 0 is 1."""
+    one = _unit_levels(dim, len(x) - 1)
+    z = [a - e for a, e in zip(x, one)]
+    acc = z
+    p = z
+    for n in range(2, len(x)):
+        p = _mul_levels(p, z)
+        c = (-1.0) ** (n + 1) / n
+        acc = [a + c * b for a, b in zip(acc, p)]
     return acc
 
 
@@ -209,14 +223,7 @@ def log(x: TruncatedTensor) -> TruncatedTensor:
     """Truncated logarithm series; requires level-0 coefficient exactly 1."""
     if x.scalar != 1.0:
         raise ValueError("log requires level-0 coefficient exactly 1")
-    one = TruncatedTensor(x.dim, x.depth, _unit_levels(x.dim, x.depth))
-    z = sub(x, one)
-    acc = z
-    p = z
-    for n in range(2, x.depth + 1):
-        p = mul(p, z)
-        acc = add(acc, scale(p, (-1.0) ** (n + 1) / n))
-    return acc
+    return TruncatedTensor(x.dim, x.depth, _log_levels(x.levels, x.dim))
 
 
 def inverse_psi(x: TruncatedTensor) -> TruncatedTensor:
@@ -229,14 +236,14 @@ def inverse_psi(x: TruncatedTensor) -> TruncatedTensor:
     """
     if x.scalar != 1.0:
         raise ValueError("inverse requires level-0 coefficient exactly 1")
-    one = TruncatedTensor(x.dim, x.depth, _unit_levels(x.dim, x.depth))
-    z = sub(one, x)
+    one = _unit_levels(x.dim, x.depth)
+    z = [e - a for e, a in zip(one, x.levels)]
     acc = one
     p = one
     for _ in range(x.depth):
-        p = mul(p, z)
-        acc = add(acc, p)
-    return acc
+        p = _mul_levels(p, z)
+        acc = [a + b for a, b in zip(acc, p)]
+    return TruncatedTensor(x.dim, x.depth, acc)
 
 
 def project(x: TruncatedTensor, n: int):

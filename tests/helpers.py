@@ -1,5 +1,6 @@
 """Shared corpus builders and independent oracles for the test suite."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from sigpath import LinearVectorField, PiecewiseLinearPath, GroupTensor
+from sigpath import TruncatedTensor, add, mul, scale, shuffle_pairing, sub, unit
 from sigpath.path_core import COLLINEAR_TOL, positions_at
 
 
@@ -328,6 +330,99 @@ def reference_p_variation(a, p):
         dist = np.linalg.norm(pts[:j] - pts[j], axis=1)
         best[j] = np.max(best[:j] + dist**p)
     return float(best[m] ** (1.0 / p))
+
+
+def reference_exp(x):
+    """Exponential series on TruncatedTensor values, one validated tensor per step."""
+    one = TruncatedTensor(x.dim, x.depth, unit(x.dim, x.depth).levels)
+    acc = one
+    for n in range(x.depth, 0, -1):
+        acc = add(one, scale(mul(x, acc), 1.0 / n))
+    return acc
+
+
+def reference_log(x):
+    """Logarithm series on TruncatedTensor values, one validated tensor per step."""
+    one = TruncatedTensor(x.dim, x.depth, unit(x.dim, x.depth).levels)
+    z = sub(x, one)
+    acc = z
+    p = z
+    for n in range(2, x.depth + 1):
+        p = mul(p, z)
+        acc = add(acc, scale(p, (-1.0) ** (n + 1) / n))
+    return acc
+
+
+def reference_inverse_psi(x):
+    """Geometric-series inverse on TruncatedTensor values, one validated tensor per step."""
+    one = TruncatedTensor(x.dim, x.depth, unit(x.dim, x.depth).levels)
+    z = sub(one, x)
+    acc = one
+    p = one
+    for _ in range(x.depth):
+        p = mul(p, z)
+        acc = add(acc, p)
+    return acc
+
+
+def reference_pairs(dim, depth, sample=200, seed=0):
+    """Word pairs for the shuffle relations, drawn one scalar rng call at a
+    time: every pair of combined length at most min(depth, 4) in word order,
+    then `sample` pairs with |u| uniform on 1..depth-1, |w| uniform on
+    1..depth-|u| and uniform letters."""
+    letters = range(1, dim + 1)
+    pairs = []
+    cap = min(depth, 4)
+    for lu in range(1, cap):
+        for lw in range(1, cap - lu + 1):
+            for u in itertools.product(letters, repeat=lu):
+                for w in itertools.product(letters, repeat=lw):
+                    pairs.append((u, w))
+    if depth >= 2 and sample > 0:
+        rng = np.random.default_rng(seed)
+        for _ in range(sample):
+            lu = int(rng.integers(1, depth))
+            lw = int(rng.integers(1, depth - lu + 1))
+            u = tuple(int(a) for a in rng.integers(1, dim + 1, size=lu))
+            w = tuple(int(a) for a in rng.integers(1, dim + 1, size=lw))
+            pairs.append((u, w))
+    return pairs
+
+
+def reference_check_group_like(x, sample=200, tolerance=1e-9, seed=0, pairs=None):
+    """Per-pair loop for the shuffle relations: shuffle_pairing on one pair
+    at a time, over `pairs` or else reference_pairs.  Returns (passed,
+    max_discrepancy, pairs_checked, worst_pair) with the first pair of the
+    largest gap."""
+    if x.scalar != 1.0:
+        raise ValueError("group-likeness requires level-0 coefficient exactly 1")
+    if pairs is None:
+        pairs = reference_pairs(x.dim, x.depth, sample, seed)
+    worst = 0.0
+    worst_pair = ((), ())
+    for u, w in pairs:
+        lhs, rhs = shuffle_pairing(x, u, w)
+        gap = abs(lhs - rhs)
+        if gap > worst:
+            worst = gap
+            worst_pair = (u, w)
+    return worst <= tolerance, worst, len(pairs), worst_pair
+
+
+def reference_right_bracketing(coeffs, dim, k):
+    """r(P) = sum_w P_w [..[w1, w2], .., wk], expanded word by word."""
+    out = np.zeros(dim**k)
+    for flat, word in enumerate(itertools.product(range(dim), repeat=k)):
+        terms = {word[:1]: 1}
+        for letter in word[1:]:
+            nxt = {}
+            for t, c in terms.items():
+                nxt[t + (letter,)] = nxt.get(t + (letter,), 0) + c
+                nxt[(letter,) + t] = nxt.get((letter,) + t, 0) - c
+            terms = nxt
+        for t, c in terms.items():
+            out[sum(a * dim ** (k - 1 - i) for i, a in enumerate(t))] += c * coeffs[flat]
+    return out
 
 
 def traced_peak_bytes(fn, *args, **kwargs):

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -341,6 +342,28 @@ def test_reduce_keeps_shapes_at_extreme_scales(scale):
         assert np.array_equal(run.segments, [[3 * scale, 0.0], [0.0, scale]])
         residue = sp.reduce(sp.PiecewiseLinearPath(1, [[0.1 * scale], [0.2 * scale], [-0.3 * scale]]))
         assert residue.segment_count == 0
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e155, 1e200])
+def test_distances_at_extreme_scales(scale):
+    # no length or step norm under- or overflows: the square loop is 4s long
+    square = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]) * scale
+    loop, origin = sp.PiecewiseLinearPath(2, square), sp.constant_path(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(loop.segment_lengths, [scale] * 4)
+        assert loop.length == pytest.approx(4 * scale, rel=1e-15)
+        assert sp.metric_d(loop, origin) == pytest.approx(4 * scale, rel=1e-15)
+        assert sp.one_variation_distance(loop, origin) == pytest.approx(4 * scale, rel=1e-15)
+        assert sp.sup_distance(loop, origin) == pytest.approx(math.sqrt(2) * scale, rel=1e-15)
+        assert np.array_equal(loop.breakpoints, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.array_equal(sp.difference_path(loop, origin).segments, square)
+
+
+def test_segment_lengths_are_bitwise_numpy_norms():
+    for p in _bitwise_corpus():
+        want = np.linalg.norm(p.segments, axis=1) if p.segment_count else np.zeros(0)
+        assert p.segment_lengths.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 64])

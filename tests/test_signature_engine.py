@@ -9,12 +9,16 @@ from helpers import (
     max_coeff_gap,
     quadrature_signature,
     random_path,
+    reference_check_group_like,
     reference_exact_signature,
     reference_mul,
+    reference_pairs,
+    reference_right_bracketing,
     reference_signature,
     resplit,
     same_bits,
 )
+from sigpath.signature_engine import _lie_residual, _pair_gaps, _right_bracketing
 
 
 def test_exp_segment_levels():
@@ -235,3 +239,176 @@ def test_overflow_is_a_floating_point_error():
         sp.exp_segment([1e200], 2)
     with pytest.raises(ValueError):
         sp.exp_segment([np.inf], 2)
+
+
+def _group_like_corpus():
+    """Signatures, the unit, empty and one-segment paths and non-group-like
+    tensors with level-0 coefficient 1, for d 1-4 and depth 0-7."""
+    rng = np.random.default_rng(20)
+    out = []
+    for d in (1, 2, 3, 4):
+        for depth in range(8):
+            if d**depth > 4**6:
+                continue
+            path = sp.PiecewiseLinearPath(d, rng.normal(size=(int(rng.integers(2, 6)), d)))
+            levels = [rng.normal(size=d**k) for k in range(depth + 1)]
+            levels[0][0] = 1.0
+            out += [
+                sp.signature(path, depth),
+                sp.unit(d, depth),
+                sp.signature(sp.constant_path(d), depth),
+                sp.signature(sp.linear_path(rng.normal(size=d)), depth),
+                sp.TruncatedTensor(d, depth, levels),
+            ]
+    return out
+
+
+def _gathered_gaps(x, pairs):
+    # _pair_gaps on each (|u|, |w|) group of the pair list, back in list order
+    gaps = np.empty(len(pairs))
+    groups = {}
+    for i, (u, w) in enumerate(pairs):
+        groups.setdefault((len(u), len(w)), []).append(i)
+    for (a, b), rows in groups.items():
+        digits = np.array([pairs[i][0] + pairs[i][1] for i in rows], dtype=np.int64) - 1
+        gaps[rows] = _pair_gaps(x.levels, x.dim, a, b, digits)
+    return gaps
+
+
+def _drawn_pairs(d, depth, sample, seed):
+    # the pairs check_group_like visits when its draws fit in one block
+    pairs = reference_pairs(d, depth, sample=0)
+    if depth >= 2 and sample > 0:
+        rng = np.random.default_rng(seed)
+        lu = rng.integers(1, depth, size=sample)
+        lw = rng.integers(1, depth - lu + 1)
+        letters = 1 + rng.integers(0, d, size=(sample, 2, depth - 1))
+        for i in range(sample):
+            pairs.append(
+                (tuple(letters[i, 0, : lu[i]].tolist()), tuple(letters[i, 1, : lw[i]].tolist()))
+            )
+    return pairs
+
+
+def test_shuffle_gather_matches_the_per_pair_loop():
+    # same pair list, each gap within a few ulps of the pair's magnitude
+    eps = np.finfo(float).eps
+    for x in _group_like_corpus():
+        pairs = reference_pairs(x.dim, x.depth, sample=40, seed=3)
+        if not pairs:
+            continue
+        got = _gathered_gaps(x, pairs)
+        for gap, (u, w) in zip(got, pairs):
+            lhs, rhs = sp.shuffle_pairing(x, u, w)
+            size = sum(
+                m * abs(x.coefficient(word)) for word, m in sp.shuffle_words(u, w).items()
+            ) + abs(rhs)
+            assert abs(gap - abs(lhs - rhs)) <= 8 * eps * size
+
+
+def test_check_group_like_matches_the_reference_exactly_on_integer_tensors():
+    # integer coefficients make every gap exact, so ties and the order of
+    # the pairs decide worst_pair exactly as the per-pair loop does
+    rng = np.random.default_rng(21)
+    for d in (1, 2, 3):
+        for depth in range(7):
+            levels = [rng.integers(-2, 3, size=d**k).astype(float) for k in range(depth + 1)]
+            levels[0][0] = 1.0
+            x = sp.TruncatedTensor(d, depth, levels)
+            for sample, seed in ((0, 0), (60, 5)):
+                rep = sp.check_group_like(x, sample=sample, seed=seed)
+                ok, worst, count, worst_pair = reference_check_group_like(
+                    x, pairs=_drawn_pairs(d, depth, sample, seed)
+                )
+                assert rep.max_discrepancy == worst
+                assert rep.worst_pair == worst_pair
+                assert rep.pairs_checked == count
+                assert rep.passed == (ok and rep.lie_residual <= rep.lie_tolerance)
+
+
+def test_check_group_like_counts_the_reference_pairs():
+    # at d = 1 every riffle gives the same word, so depth 40 forms none
+    for d, depth, sample in ((1, 0, 5), (2, 1, 5), (3, 6, 2000), (4, 3, 7), (1, 40, 50)):
+        rep = sp.check_group_like(sp.unit(d, depth), sample=sample)
+        assert rep.pairs_checked == len(reference_pairs(d, depth, sample))
+        assert rep.passed and rep.worst_pair == ((), ())
+        assert rep.max_discrepancy == 0.0 and rep.lie_residual == 0.0
+
+
+def test_check_group_like_catches_the_all_ones_perturbation():
+    # the word (1,)*6 is one of 729 at level 6: the per-pair loop's 2000
+    # sampled pairs miss it, and without samples only the Lie residual sees it
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        sig = sp.signature(sp.PiecewiseLinearPath(3, 0.4 * rng.normal(size=(8, 3))), 6)
+        assert sp.check_group_like(sig, sample=2000).passed
+        levels = [lvl.copy() for lvl in sig.levels]
+        levels[6][sp.word_index((1,) * 6, 3)] += 1e-6
+        planted = sp.TruncatedTensor(3, 6, levels)
+        assert reference_check_group_like(planted, sample=2000)[0]
+        for sample in (2000, 0):
+            rep = sp.check_group_like(planted, sample=sample)
+            assert not rep.passed
+            assert rep.lie_residual > rep.lie_tolerance
+            assert rep.lie_residual == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_check_group_like_fails_when_a_pair_overflows():
+    # <x, 1 shuffle 1> = 2e308 and <x, 1>**2 = 1e400 both overflow: the gap
+    # is not a number, which must count as a failure, without warnings
+    x = sp.TruncatedTensor(2, 2, [[1.0], [1e200, 0.0], [1e308, 0.0, 0.0, 0.0]])
+    rep = sp.check_group_like(x)
+    assert not rep.passed
+    assert rep.max_discrepancy == np.inf and rep.worst_pair == ((1,), (1,))
+    assert rep.lie_residual == np.inf
+
+
+def test_right_bracketing_is_the_word_expansion():
+    rng = np.random.default_rng(22)
+    for d in (1, 2, 3):
+        for k in range(1, 6):
+            p = rng.normal(size=d**k)
+            want = reference_right_bracketing(p, d, k)
+            assert np.allclose(_right_bracketing(p, k, d)[0], want, rtol=0, atol=1e-13)
+
+
+def test_lie_residual_scales_with_the_log_series():
+    # long d = 1 paths at depth 16: the log terms are k! times the largest
+    # coefficient, and the residual stays within the majorant's tolerance
+    rng = np.random.default_rng(23)
+    for d, depth, size in ((1, 16, 3.0), (2, 12, 1.0), (3, 8, 2.0)):
+        for _ in range(3):
+            x = sp.signature(sp.PiecewiseLinearPath(d, size * rng.normal(size=(4, d))), depth)
+            rep = sp.check_group_like(x, sample=0)
+            assert rep.lie_residual <= 1e-3 * rep.lie_tolerance
+    # a Lie element is fixed by r/k; its exponential is group-like
+    lie = [np.zeros(2**k) for k in range(4)]
+    lie[2][sp.word_index((1, 2), 2)], lie[2][sp.word_index((2, 1), 2)] = 1.0, -1.0
+    g = sp.exp(sp.TruncatedTensor(2, 3, lie))
+    assert _lie_residual(g.levels, 2) <= 1e-15
+    assert sp.check_group_like(g).passed
+
+
+def test_check_group_like_blocks_give_the_same_pairs(monkeypatch):
+    rng = np.random.default_rng(24)
+    x = sp.signature(sp.PiecewiseLinearPath(3, 0.5 * rng.normal(size=(5, 3))), 5)
+    levels = [lvl.copy() for lvl in x.levels]
+    levels[4][7] += 1e-3
+    y = sp.TruncatedTensor(3, 5, levels)
+    want = sp.check_group_like(y, sample=0)
+    monkeypatch.setattr(sp.signature_engine, "_MAX_COEFFICIENTS", 50)
+    assert sp.check_group_like(y, sample=0) == want
+    rep = sp.check_group_like(x, sample=300)
+    assert rep.passed and rep.pairs_checked == len(reference_pairs(3, 5, 300))
+
+
+def test_check_group_like_reads_no_coefficient_word_by_word(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-word access")
+
+    monkeypatch.setattr(sp.TruncatedTensor, "coefficient", refuse)
+    monkeypatch.setattr(sp.tensor_algebra, "shuffle_pairing", refuse)
+    monkeypatch.setattr(sp.signature_engine, "shuffle_pairing", refuse, raising=False)
+    rng = np.random.default_rng(25)
+    x = sp.signature(sp.PiecewiseLinearPath(3, 0.4 * rng.normal(size=(8, 3))), 6)
+    assert sp.check_group_like(x, sample=2000).passed

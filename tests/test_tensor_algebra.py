@@ -6,7 +6,13 @@ import pytest
 import sigpath as sp
 from sigpath.tensor_algebra import tensor_from_json, tensor_to_json
 
-from helpers import random_path
+from helpers import (
+    random_path,
+    reference_exp,
+    reference_inverse_psi,
+    reference_log,
+    same_bits,
+)
 
 
 def random_tensor(rng, d, depth, scalar=None):
@@ -75,6 +81,20 @@ def test_exp_log_inverse():
         h = sp.exp(sp.log(g))
         for a, b in zip(g.levels, h.levels):
             assert np.max(np.abs(a - b)) <= 1e-10
+
+
+def test_series_are_bitwise_the_tensor_loops():
+    # the level-list series give the bits of the step-by-step tensor series
+    rng = np.random.default_rng(30)
+    for d in (1, 2, 3):
+        for depth in range(7):
+            x = random_tensor(rng, d, depth, scalar=0.0)
+            g = random_tensor(rng, d, depth, scalar=1.0)
+            s = sp.signature(random_path(rng, dim=d), depth)
+            assert same_bits(sp.exp(x).levels, reference_exp(x).levels)
+            for y in (g, s, sp.unit(d, depth)):
+                assert same_bits(sp.log(y).levels, reference_log(y).levels)
+                assert same_bits(sp.inverse_psi(y).levels, reference_inverse_psi(y).levels)
 
 
 def test_exp_log_domain_errors():
