@@ -210,6 +210,16 @@ def _lie_residual(levels, d: int) -> float:
     # max_k |r(l_k)/k - l_k| over the levels l_k of log x; zero at k <= 1
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
+        if d == 1:
+            # every bracket of degree >= 2 vanishes, so the residual is
+            # max_k |l_k|, and log x is a power series in one letter
+            z = np.array([0.0] + [float(lvl[0]) for lvl in levels[1:]])
+            power, total = z, z.copy()
+            for n in range(2, len(levels)):
+                power = np.convolve(power, z)[: len(levels)]
+                total += (-1.0) ** (n + 1) / n * power
+            gap = np.abs(total[2:]).max(initial=0.0)
+            return math.inf if np.isnan(gap) else float(gap)
         for k, lvl in enumerate(_log_levels(levels, d)[2:], start=2):
             gap = np.abs(_right_bracketing(lvl, k, d)[0] / k - lvl).max()
             # a level that overflows counts as an infinite residual
@@ -283,6 +293,9 @@ def check_group_like(
     right-normed bracketing [..[a1, a2], .., ak] (Dynkin-Specht-Wever).  The
     residual max_k |r(l_k)/k - l_k|, maximum over levels and words, is zero
     exactly on group-like x, so no defect can hide between sampled pairs.
+    At d = 1 every bracket of degree >= 2 vanishes and the residual is
+    max_k>=2 |l_k|, summed as a power series in one letter: depth numpy
+    calls, where the tensor log makes O(depth**3) on one-coefficient levels.
 
     Its tolerance follows the rounding of log x.  With z = x - 1, level k
     of log x is sum_n (-1)**(n+1)/n (z**n)_k, and each coefficient of

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -389,6 +390,76 @@ def experiment_group_discontinuity(n_max: int = 10) -> ExperimentReport:
     return ExperimentReport("group-discontinuity", indices, series, verdict, seed=None)
 
 
+# length_lower_bound's Monte Carlo finds the segment of a time u in [0, 1)
+# in a table of _MC_BUCKETS equal buckets (a power of two, so u * _MC_BUCKETS
+# is exact) and draws its times _MC_BLOCK rows at a time.  The sign vectors
+# are enumerated _SIGN_BLOCK rows at a time: with a multiple of four rows,
+# the row group of the BLAS matrix-vector kernel, every row's dot product
+# has the bits of one call over all 2**m rows (blocks of three rows change
+# the last bit of some).
+_MC_BUCKETS = 4096
+_MC_BLOCK = 16384
+_SIGN_BLOCK = 4096
+
+
+@lru_cache(maxsize=None)
+def _sorting_network(k: int) -> tuple:
+    """Batcher's merge-exchange network on k inputs (Knuth, TAOCP vol. 3,
+    5.2.2, Algorithm M): the compare-exchange pairs (i, j), i < j, in order.
+    31 pairs at k = 10, against 45 for odd-even transposition."""
+    pairs = []
+    t = (k - 1).bit_length()
+    p = 1 << t >> 1
+    while p > 0:
+        q, r, d = 1 << t >> 1, 0, p
+        while d > 0:
+            pairs.extend((i, i + d) for i in range(k - d) if i & p == r)
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+    return tuple(pairs)
+
+
+def _pair_products(gram, edges, n: int, samples: int, rng) -> np.ndarray:
+    """X_n on `samples` rows of 2n uniform times: the product over the
+    adjacent pairs of each sorted row of gram[segment, segment]."""
+    m = gram.shape[0]
+    flat = gram.ravel()
+    # edges below each bucket's two ends; a bucket whose counts differ
+    # holds an edge, so its entry is -1 and its times are searched exactly
+    below = np.searchsorted(edges, np.arange(_MC_BUCKETS + 1) / _MC_BUCKETS)
+    table = below[:-1].astype(np.int16)
+    table[below[1:] != below[:-1]] = -1
+    network = _sorting_network(2 * n)
+    x = np.empty(samples)
+    for first in range(0, samples, _MC_BLOCK):
+        u = rng.random((min(_MC_BLOCK, samples - first), 2 * n)).T
+        seg = table.take((u * _MC_BUCKETS).astype(np.int16))
+        hit = seg < 0
+        if hit.any():
+            seg[hit] = np.searchsorted(edges, u[hit])
+        cols = list(seg)
+        for i, j in network:
+            cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+        prod = flat.take(cols[0] * m + cols[1])
+        for i in range(2, 2 * n, 2):
+            prod *= flat.take(cols[i] * m + cols[i + 1])
+        x[first : first + prod.size] = prod
+    return x
+
+
+def _sign_dots(pfrac) -> np.ndarray:
+    """<eps, pfrac> for every sign vector eps in {-1, 1}**m, eps_i = +1 iff
+    bit i of the row number is set."""
+    m = pfrac.size
+    bits = np.arange(m)
+    sdot = np.empty(2**m)
+    for first in range(0, 2**m, _SIGN_BLOCK):
+        ints = np.arange(first, min(first + _SIGN_BLOCK, 2**m))
+        signs = (((ints[:, None] >> bits) & 1) * 2 - 1).astype(np.int8)
+        sdot[first : first + ints.size] = signs @ pfrac
+    return sdot
+
+
 def length_lower_bound(
     path: PiecewiseLinearPath,
     n_max: int = 5,
@@ -414,11 +485,33 @@ def length_lower_bound(
     Carlo reads each adjacent pair's factor from an (m, m) Gram table of
     L**2 times the segments' direction inner products, so a sample costs two
     indices per pair rather than two d-vectors.
+
+    The Monte Carlo gives the bits of sorting each row of draws and
+    binary-searching the segment edges, without either:
+
+    - Segment of a time u: the number of edges below u.  In a bucket
+      [b, b + 1) / _MC_BUCKETS that holds no edge it is the same for every
+      u, so it is read from a table; the times in the few buckets that hold
+      an edge (or several) are searched exactly.
+    - Sorting: the segment index is nondecreasing in u, so sorting a row's
+      segment indices gives the segment indices of its sorted times.  The
+      rows are sorted as (2n, rows) int16 columns by Batcher's network of
+      compare-exchanges (np.minimum and np.maximum per comparator).
+    - Pair factors: gram.ravel()[a * m + b] is gram[a, b], and a row's n
+      factors are multiplied left to right, as .prod(axis=1) does.
+    - Draws: rng.random fills blocks of _MC_BLOCK rows from the stream in
+      order, so the times are those of one (mc_samples, 2n) draw; mean and
+      standard error are taken over the whole array of X_n as before.
+
+    The sign vectors are likewise formed _SIGN_BLOCK rows at a time, so
+    m = 20 holds 2**20 dot products rather than a (2**20, 20) sign array.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if 2 * n_max > 10:
         raise ValueError("contraction level 2n is capped at 10")
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
     lens_all = path.segment_lengths
     mask = lens_all > 0.0
     segs = path.segments[mask]
@@ -437,9 +530,7 @@ def length_lower_bound(
     r = float(pfrac.min())
     sig = signature(path, 2 * n_max)
 
-    ints = np.arange(2**m)
-    signs = (((ints[:, None] >> np.arange(m)) & 1) * 2 - 1).astype(np.int8)
-    sdot = signs @ pfrac
+    sdot = _sign_dots(pfrac)
 
     unit_dirs = segs / lens[:, None]
     # L**2 <v_i, v_j> / (|v_i| |v_j|) for every pair of segments, by the same
@@ -464,10 +555,7 @@ def length_lower_bound(
         lower = L ** (2 * n) * (p_even - p_empty_bound)
         growth = phi ** (1.0 / (2 * n)) if phi > 0.0 else 0.0
 
-        u = rng.random((mc_samples, 2 * n))
-        u.sort(axis=1)
-        which = np.searchsorted(edges, u)
-        x = gram[which[:, 0::2], which[:, 1::2]].prod(axis=1)
+        x = _pair_products(gram, edges, n, mc_samples, rng)
         mc_mean = float(x.mean())
         mc_se = float(x.std(ddof=1) / math.sqrt(mc_samples)) if mc_samples > 1 else 0.0
 

@@ -425,6 +425,15 @@ def reference_right_bracketing(coeffs, dim, k):
     return out
 
 
+def reference_sign_dots(pfrac):
+    """<eps, pfrac> for all 2**m sign vectors in one (2**m, m) array, as
+    length_lower_bound formed them before the row blocks."""
+    m = len(pfrac)
+    ints = np.arange(2**m)
+    signs = (((ints[:, None] >> np.arange(m)) & 1) * 2 - 1).astype(np.int8)
+    return signs @ pfrac
+
+
 def traced_peak_bytes(fn, *args, **kwargs):
     """Peak bytes that numpy and Python allocate while fn(*args) runs."""
     tracemalloc.start()

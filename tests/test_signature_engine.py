@@ -18,7 +18,7 @@ from helpers import (
     resplit,
     same_bits,
 )
-from sigpath.signature_engine import _lie_residual, _pair_gaps, _right_bracketing
+from sigpath.signature_engine import _lie_residual, _log_majorant, _pair_gaps, _right_bracketing
 
 
 def test_exp_segment_levels():
@@ -387,6 +387,40 @@ def test_lie_residual_scales_with_the_log_series():
     g = sp.exp(sp.TruncatedTensor(2, 3, lie))
     assert _lie_residual(g.levels, 2) <= 1e-15
     assert sp.check_group_like(g).passed
+
+
+def test_lie_residual_at_one_letter_is_the_log_beyond_level_one():
+    # at d = 1 every bracket of degree >= 2 vanishes: the residual is
+    # max_k>=2 |(log x)_k|, summed as a power series in one letter
+    rng = np.random.default_rng(26)
+    eps = np.finfo(float).eps
+    for depth in range(2, 41):
+        x = sp.signature(sp.PiecewiseLinearPath(1, rng.normal(size=(4, 1))), depth)
+        want = max(float(np.abs(lvl).max()) for lvl in sp.log(x).levels[2:])
+        got = _lie_residual(x.levels, 1)
+        assert abs(got - want) <= 64 * eps * max(1.0, _log_majorant(x.levels))
+    # a defect at level 6 of depth 8: the deterministic pairs stop at
+    # length 4, so only the residual sees it, as |(log x)_6| = 1e-6
+    sig = sp.signature(sp.PiecewiseLinearPath(1, np.array([[0.3], [-0.5], [0.4]])), 8)
+    assert sp.check_group_like(sig, sample=0).passed
+    levels = [lvl.copy() for lvl in sig.levels]
+    levels[6][0] += 1e-6
+    rep = sp.check_group_like(sp.TruncatedTensor(1, 8, levels), sample=0)
+    assert not rep.passed and rep.max_discrepancy <= rep.tolerance
+    assert rep.lie_residual == pytest.approx(1e-6, rel=1e-6)
+    # an overflowing log counts as an infinite residual, without warnings,
+    # also where inf * 0 makes a level not a number
+    assert _lie_residual([np.ones(1), np.array([1e200]), np.array([1e308])], 1) == np.inf
+    assert _lie_residual([np.ones(1), np.array([1e200]), np.array([1e200]), np.ones(1)], 1) == np.inf
+
+
+def test_lie_residual_at_one_letter_skips_the_tensor_log(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tensor log at d = 1")
+
+    monkeypatch.setattr(sp.signature_engine, "_log_levels", refuse)
+    x = sp.signature(sp.PiecewiseLinearPath(1, np.array([[0.7], [-0.2]])), 40)
+    assert sp.check_group_like(x).passed
 
 
 def test_check_group_like_blocks_give_the_same_pairs(monkeypatch):

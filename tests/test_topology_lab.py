@@ -9,7 +9,7 @@ from sigpath.signature_engine import _signature_levels
 from sigpath.tensor_algebra import product_metric, unit
 from sigpath.topology_lab import ExperimentReport, _shrinking_rectangle
 
-from helpers import rotated_orthogonal_path, same_bits, traced_peak_bytes
+from helpers import reference_sign_dots, rotated_orthogonal_path, same_bits, traced_peak_bytes
 
 STAIRCASE = np.array([[1, 0], [0, 2], [3, 0], [0, 1], [2, 0], [0, 3]] * 2, dtype=float) / 4
 
@@ -222,6 +222,94 @@ def test_length_bound_monte_carlo_is_bitwise_the_einsum_gather():
 def test_length_bound_memory_is_bounded():
     stair = sp.PiecewiseLinearPath(2, STAIRCASE)
     assert traced_peak_bytes(sp.length_lower_bound, stair, n_max=5, seed=0) < 32 * 2**20
+
+
+def _axis_path(*lengths):
+    # segments alternating between the two axes
+    segs = [[v, 0.0] if i % 2 == 0 else [0.0, v] for i, v in enumerate(lengths)]
+    return sp.PiecewiseLinearPath(2, np.array(segs))
+
+
+_BLOCK = sp.topology_lab._MC_BLOCK
+
+
+@pytest.mark.parametrize(
+    "path, n_max, mc_samples",
+    [
+        # edges on bucket boundaries: 1/2, then 1/4 and 1/2
+        (_axis_path(1.0, 1.0), 5, 3000),
+        (_axis_path(1.0, 1.0, 2.0), 5, 3000),
+        # several edges in one bucket: two in each bucket either side of 1/2
+        # (1e-6 and 1e-13 segments), then two, at 1/2 and 1/2 + 5e-14
+        (_axis_path(1.0, 1e-6, 1e-13, 1e-6, 1.0), 5, 3000),
+        (_axis_path(1.0, 1e-13, 1e-13, 1.0), 5, 3000),
+        (rotated_orthogonal_path(np.random.default_rng(26), 3, 20), 4, 3000),
+        (sp.PiecewiseLinearPath(2, STAIRCASE), 5, 1),
+        (sp.PiecewiseLinearPath(2, STAIRCASE), 5, 2),
+        (sp.PiecewiseLinearPath(2, STAIRCASE), 2, _BLOCK - 1),
+        (sp.PiecewiseLinearPath(2, STAIRCASE), 2, _BLOCK),
+        (sp.PiecewiseLinearPath(2, STAIRCASE), 2, _BLOCK + 1),
+    ],
+)
+def test_length_bound_monte_carlo_edge_cases_are_bitwise_the_einsum_gather(path, n_max, mc_samples):
+    rep = sp.length_lower_bound(path, n_max=n_max, mc_samples=mc_samples, seed=mc_samples)
+    means, ses = _einsum_monte_carlo(path, n_max, mc_samples, mc_samples)
+    assert rep.series["mc_mean"] == means
+    assert rep.series["mc_se"] == ses
+
+
+def test_length_bound_blocks_give_the_same_report(monkeypatch):
+    stair = sp.PiecewiseLinearPath(2, STAIRCASE)
+    want = sp.length_lower_bound(stair, n_max=5, mc_samples=300, seed=3)
+    for block in (1, 7):
+        monkeypatch.setattr(sp.topology_lab, "_MC_BLOCK", block)
+        assert sp.length_lower_bound(stair, n_max=5, mc_samples=300, seed=3) == want
+
+
+def test_sorting_network_sorts_every_zero_one_row():
+    # a comparator network sorts every input iff it sorts every 0-1 input
+    for k in range(1, 11):
+        rows = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+        cols = list(rows.T)
+        for i, j in sp.topology_lab._sorting_network(k):
+            assert i < j < k
+            cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+        assert np.array_equal(np.stack(cols, axis=1), np.sort(rows, axis=1))
+
+
+@pytest.mark.parametrize("m", [1, 5, 12, 17])
+def test_sign_dots_are_bitwise_the_one_shot_enumeration(monkeypatch, m):
+    pfrac = np.random.default_rng(m).uniform(0.2, 2.0, size=m)
+    pfrac /= pfrac.sum()
+    want = reference_sign_dots(pfrac)
+    assert np.array_equal(sp.topology_lab._sign_dots(pfrac), want)
+    for block in (4, 64):
+        monkeypatch.setattr(sp.topology_lab, "_SIGN_BLOCK", block)
+        assert np.array_equal(sp.topology_lab._sign_dots(pfrac), want)
+
+
+def test_length_bound_sign_enumeration_is_bounded_at_twenty_segments():
+    # the one-shot (2**20, 20) int64 sign array took 196 MiB; now the peak
+    # is sdot and one power of it, 8 MiB each
+    path = _axis_path(*np.random.default_rng(27).uniform(0.2, 2.0, size=20))
+    assert traced_peak_bytes(sp.length_lower_bound, path, n_max=1, mc_samples=10) < 20 * 2**20
+
+
+def test_length_bound_rejects_too_few_samples():
+    stair = sp.PiecewiseLinearPath(2, STAIRCASE)
+    for bad in (0, -1, -100):
+        with pytest.raises(ValueError, match="mc_samples"):
+            sp.length_lower_bound(stair, n_max=2, mc_samples=bad)
+    rep = sp.length_lower_bound(stair, n_max=2, mc_samples=1)
+    assert rep.series["mc_se"] == [0.0, 0.0]
+    json.loads(rep.to_json())
+
+
+def test_length_bound_memory_is_one_block_of_draws():
+    # the benchmark staircase at the 100k default and n_max 5: one (100k, 10)
+    # array of draws took 22.3 MiB with its sort and gather
+    stair = sp.PiecewiseLinearPath(2, STAIRCASE)
+    assert traced_peak_bytes(sp.length_lower_bound, stair, n_max=5, seed=0) < 8 * 2**20
 
 
 @pytest.mark.parametrize("depth", [2, 4])
