@@ -2,187 +2,32 @@
 two of their applications: signature-series solutions of controlled ODEs
 and linear regression on signature features.
 
-Submodules group the functionality; the names most workflows touch are
-re-exported here.  The metrics helper sig_regression.evaluate and the
-pointwise path evaluator path_core.evaluate stay submodule-qualified to
-keep the flat namespace unambiguous.
+Submodules group the functionality, and every name in a submodule's
+__all__ is re-exported here, so the flat namespace is derived from those
+lists rather than kept by hand.  The one exception is evaluate, which two
+submodules define: the pointwise path evaluator path_core.evaluate and the
+metrics helper sig_regression.evaluate stay submodule-qualified to keep
+the flat namespace unambiguous.
 """
 
-from .tensor_algebra import (
-    TruncatedTensor,
-    GroupTensor,
-    unit,
-    zero,
-    as_group,
-    add,
-    sub,
-    scale,
-    mul,
-    exp,
-    log,
-    inverse_psi,
-    project,
-    level_norm,
-    product_metric,
-    phi_contraction,
-    max_coefficient_difference,
-    word_index,
-    shuffle_words,
-    shuffle_pairing,
-    tensor_to_dict,
-    tensor_from_dict,
-    tensor_to_json,
-    tensor_from_json,
-)
-from .path_core import (
-    PiecewiseLinearPath,
-    PathFormatError,
-    linear_path,
-    constant_path,
-    concat,
-    reverse,
-    reduce,
-    constant_speed,
-    positions_at,
-    one_variation,
-    one_variation_distance,
-    sup_distance,
-    difference_path,
-    p_variation,
-    axis_rho_sigma,
-    gamma_loop,
-    read_csv,
-    write_csv,
-    path_to_dict,
-    path_from_dict,
-)
-from .signature_engine import (
-    exp_segment,
-    signature,
-    log_signature,
-    exact_signature,
-    GroupLikeReport,
-    check_group_like,
-)
-from .topology_lab import (
-    ExperimentReport,
-    metric_d,
-    ball_br_membership,
-    experiment_product_vs_metric,
-    experiment_quotient_vs_metric,
-    experiment_incompleteness,
-    experiment_group_discontinuity,
-    length_lower_bound,
-    recheck_verdict,
-    EXPERIMENT_NAMES,
-)
-from .ito_solver import (
-    LinearVectorField,
-    SeriesSolution,
-    word_coefficients,
-    apply_word_operator,
-    ito_series,
-    oracle_solve,
-    solve_and_certify,
-    truncated_functional_LN,
-    series_error_bound,
-    field_to_dict,
-    field_from_dict,
-    field_to_json,
-    field_from_json,
-)
-from .sig_regression import (
-    LinearFunctional,
-    RegressionDataset,
-    feature_count,
-    featurize,
-    generate_dataset,
-    fit,
-    demo_field,
-)
+from .tensor_algebra import *
+from .path_core import *
+from .signature_engine import *
+from .topology_lab import *
+from .ito_solver import *
+from .sig_regression import *
+# named after the star imports, which set the order the submodules load in
+from . import ito_solver, path_core, sig_regression, signature_engine, tensor_algebra, topology_lab
+
+del evaluate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TruncatedTensor",
-    "GroupTensor",
-    "unit",
-    "zero",
-    "as_group",
-    "add",
-    "sub",
-    "scale",
-    "mul",
-    "exp",
-    "log",
-    "inverse_psi",
-    "project",
-    "level_norm",
-    "product_metric",
-    "phi_contraction",
-    "max_coefficient_difference",
-    "word_index",
-    "shuffle_words",
-    "shuffle_pairing",
-    "tensor_to_dict",
-    "tensor_from_dict",
-    "tensor_to_json",
-    "tensor_from_json",
-    "PiecewiseLinearPath",
-    "PathFormatError",
-    "linear_path",
-    "constant_path",
-    "concat",
-    "reverse",
-    "reduce",
-    "constant_speed",
-    "positions_at",
-    "one_variation",
-    "one_variation_distance",
-    "sup_distance",
-    "difference_path",
-    "p_variation",
-    "axis_rho_sigma",
-    "gamma_loop",
-    "read_csv",
-    "write_csv",
-    "path_to_dict",
-    "path_from_dict",
-    "exp_segment",
-    "signature",
-    "log_signature",
-    "exact_signature",
-    "GroupLikeReport",
-    "check_group_like",
-    "ExperimentReport",
-    "metric_d",
-    "ball_br_membership",
-    "experiment_product_vs_metric",
-    "experiment_quotient_vs_metric",
-    "experiment_incompleteness",
-    "experiment_group_discontinuity",
-    "length_lower_bound",
-    "recheck_verdict",
-    "EXPERIMENT_NAMES",
-    "LinearVectorField",
-    "SeriesSolution",
-    "word_coefficients",
-    "apply_word_operator",
-    "ito_series",
-    "oracle_solve",
-    "solve_and_certify",
-    "truncated_functional_LN",
-    "series_error_bound",
-    "field_to_dict",
-    "field_from_dict",
-    "field_to_json",
-    "field_from_json",
-    "LinearFunctional",
-    "RegressionDataset",
-    "feature_count",
-    "featurize",
-    "generate_dataset",
-    "fit",
-    "demo_field",
-    "__version__",
-]
+    name
+    for module in (
+        tensor_algebra, path_core, signature_engine, topology_lab, ito_solver, sig_regression
+    )
+    for name in module.__all__
+    if name != "evaluate"
+] + ["__version__"]

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import topology_lab
-from .ito_solver import field_from_json, solve_and_certify
+from .ito_solver import field_from_dict, field_from_json, solve_and_certify
 from .path_core import PathFormatError, concat, linear_path, read_csv
 from .signature_engine import signature
 from .sig_regression import demo_field, evaluate, fit, generate_dataset
@@ -203,32 +204,36 @@ def _cmd_regress(args, seed) -> int:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         config.update(overrides)
-    if config["seed"] is not None:
-        seed = int(config["seed"])
-    if config["field"] is not None:
-        from .ito_solver import field_from_dict
-
-        field = field_from_dict(config["field"])
-        if config["y0"] is None:
-            raise ValueError("config with an explicit field must also set y0")
-        y0 = np.asarray(config["y0"], dtype=float)
-    else:
-        field, y0 = demo_field()
-    depths = [int(k) for k in config["depths"]]
+    # coerce every value once, so a wrongly typed config is malformed input
+    try:
+        if config["seed"] is not None:
+            seed = int(config["seed"])
+        if config["field"] is not None:
+            field = field_from_dict(config["field"])
+            if config["y0"] is None:
+                raise ValueError("config with an explicit field must also set y0")
+            y0 = np.asarray(config["y0"], dtype=float)
+        else:
+            field, y0 = demo_field()
+        depths = [int(k) for k in config["depths"]]
+        n_paths, heldout_paths, segment_count = (
+            int(config[key]) for key in ("n_paths", "heldout_paths", "segment_count")
+        )
+        r, noise_scale, ridge = (float(config[key]) for key in ("r", "noise_scale", "ridge"))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed config: {exc}") from None
     if not depths or any(k < 0 for k in depths):
         raise ValueError(f"depths must be nonnegative, got {config['depths']}")
     top = max(depths)
     train = generate_dataset(
-        field, y0, int(config["n_paths"]), int(config["segment_count"]),
-        float(config["r"]), float(config["noise_scale"]), seed, depth=top,
+        field, y0, n_paths, segment_count, r, noise_scale, seed, depth=top
     )
     heldout = generate_dataset(
-        field, y0, int(config["heldout_paths"]), int(config["segment_count"]),
-        float(config["r"]), float(config["noise_scale"]), seed + 1, depth=top,
+        field, y0, heldout_paths, segment_count, r, noise_scale, seed + 1, depth=top
     )
     rows = []
     for depth in depths:
-        functional = fit(train, depth, ridge=float(config["ridge"]))
+        functional = fit(train, depth, ridge=ridge)
         metrics = evaluate(functional, train, heldout)
         metrics["depth"] = depth
         metrics["rank_deficient"] = functional.rank_deficient
@@ -249,8 +254,6 @@ def _cmd_regress(args, seed) -> int:
 
 
 def main(argv=None, environ=None) -> int:
-    import os
-
     environ = os.environ if environ is None else environ
     parser = _build_parser()
     try:

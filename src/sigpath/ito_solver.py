@@ -21,14 +21,15 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
 
 from . import signature_engine
 from .path_core import PiecewiseLinearPath
-from .signature_engine import _check_budget, signature
+from .signature_engine import LinearFunctional, _check_budget, signature
+from .tensor_algebra import _readonly
 
 __all__ = [
     "LinearVectorField",
@@ -45,12 +46,6 @@ __all__ = [
     "field_to_json",
     "field_from_json",
 ]
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,13 +219,6 @@ def series_error_bound(
     return math.exp(log_bound)
 
 
-def _series_value(levels, coeffs, depth: int) -> np.ndarray:
-    acc = levels[0] @ coeffs[0]
-    for k in range(1, depth + 1):
-        acc = acc + levels[k] @ coeffs[k]
-    return acc
-
-
 def ito_series(
     field: LinearVectorField, path: PiecewiseLinearPath, y0, truncation: int
 ) -> SeriesSolution:
@@ -238,7 +226,9 @@ def ito_series(
 
     The value depends on the driving path only through its signature, so it
     is unchanged by reparameterisation and by inserting out-and-back
-    excursions.  error_bound is series_error_bound for the 1-variation
+    excursions.  The series is evaluated by the functional
+    truncated_functional_LN(field, y0, truncation) on signature(path,
+    truncation).  error_bound is series_error_bound for the 1-variation
     length of the path as given and |y0|.
     """
     if path.dim != field.input_dim:
@@ -246,11 +236,9 @@ def ito_series(
             f"path dim {path.dim} does not match field input dim {field.input_dim}"
         )
     y0 = _check_y0(field, y0)
-    coeffs = word_coefficients(field, y0, truncation)
-    sig = signature(path, truncation)
-    value = _series_value(sig.levels, coeffs, truncation)
+    functional = truncated_functional_LN(field, y0, truncation)
     return SeriesSolution(
-        value=value,
+        value=functional.evaluate(signature(path, truncation)),
         terms_used=truncation,
         error_bound=series_error_bound(field, path.length, truncation, math.hypot(*y0)),
     )
@@ -315,25 +303,16 @@ def solve_and_certify(
     """Series solution with the oracle value and discrepancy filled in."""
     sol = ito_series(field, path, y0, truncation)
     oracle = oracle_solve(field, path, y0)
-    return SeriesSolution(
-        value=sol.value,
-        terms_used=sol.terms_used,
-        error_bound=sol.error_bound,
-        oracle_value=oracle,
-        discrepancy=float(np.linalg.norm(sol.value - oracle)),
-    )
+    return replace(sol, oracle_value=oracle, discrepancy=float(np.linalg.norm(sol.value - oracle)))
 
 
-def truncated_functional_LN(field: LinearVectorField, y0, truncation: int):
+def truncated_functional_LN(field: LinearVectorField, y0, truncation: int) -> LinearFunctional:
     """The truncated solution map as an explicit functional on signatures.
 
-    Applying the result to signature(path, truncation) reproduces
-    ito_series(field, path, y0, truncation).value exactly: the functional
-    stores the same per-level coefficient arrays and evaluation walks them
-    in the same order.
+    Its weights are the word coefficients, level by level; ito_series
+    evaluates the series as this functional applied to signature(path,
+    truncation), so the two agree bit for bit.
     """
-    from .sig_regression import LinearFunctional
-
     coeffs = word_coefficients(field, y0, truncation)
     return LinearFunctional(
         dim=field.input_dim,

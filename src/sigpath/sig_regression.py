@@ -23,13 +23,17 @@ import scipy.linalg
 
 from .ito_solver import LinearVectorField, _check_y0, _flow_end_states
 from .path_core import PiecewiseLinearPath, path_from_dict, path_to_dict
-from .signature_engine import _signature_levels, signature
-from .tensor_algebra import TruncatedTensor
+from .signature_engine import (
+    LinearFunctional,
+    _check_budget,
+    _signature_levels,
+    feature_count,
+    signature,
+)
+from .tensor_algebra import _readonly
 
 __all__ = [
-    "LinearFunctional",
     "RegressionDataset",
-    "feature_count",
     "featurize",
     "generate_dataset",
     "fit",
@@ -46,15 +50,6 @@ __all__ = [
 ]
 
 
-def feature_count(dim: int, depth: int) -> int:
-    """Number of tensor coefficients across levels 0..depth."""
-    if dim < 1 or depth < 0:
-        raise ValueError(f"need dim >= 1 and depth >= 0, got {dim}, {depth}")
-    if dim == 1:
-        return depth + 1
-    return (dim ** (depth + 1) - 1) // (dim - 1)
-
-
 def featurize(path: PiecewiseLinearPath, depth: int) -> np.ndarray:
     """Flattened truncated signature, levels 0..depth in order.
 
@@ -63,80 +58,6 @@ def featurize(path: PiecewiseLinearPath, depth: int) -> np.ndarray:
     bit-identical to featurize(path, d).
     """
     return np.concatenate(signature(path, depth).levels)
-
-
-@dataclass(frozen=True, eq=False)
-class LinearFunctional:
-    """Affine-in-signature predictor: one weight per tensor coefficient.
-
-    weights has shape (feature_count(dim, depth), outputs).  rank_deficient
-    records that an unregularised fit met a singular normal system and
-    returned the minimum-norm solution.
-    """
-
-    dim: int
-    depth: int
-    weights: np.ndarray
-    rank_deficient: bool = False
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim == 1:
-            w = w[:, None]
-        if w.ndim != 2:
-            raise ValueError(f"weights must be 1- or 2-dimensional, got {w.ndim}")
-        expected = feature_count(self.dim, self.depth)
-        if w.shape[0] != expected:
-            raise ValueError(
-                f"weights must have {expected} rows for dim {self.dim} "
-                f"depth {self.depth}, got {w.shape[0]}"
-            )
-        w = np.array(w)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def output_dim(self) -> int:
-        return self.weights.shape[1]
-
-    def _level_blocks(self):
-        offset = 0
-        for k in range(self.depth + 1):
-            size = self.dim**k
-            yield self.weights[offset : offset + size]
-            offset += size
-
-    def evaluate(self, tensor: TruncatedTensor) -> np.ndarray:
-        """Pair with a truncated tensor, level by level in ascending order.
-
-        This walks the same per-level arrays in the same order as the
-        series solver, so functionals built from word coefficients agree
-        with it exactly, not just to rounding.
-        """
-        if tensor.dim != self.dim:
-            raise ValueError(f"tensor dim {tensor.dim} does not match {self.dim}")
-        if tensor.depth < self.depth:
-            raise ValueError(
-                f"tensor depth {tensor.depth} is below functional depth {self.depth}"
-            )
-        blocks = self._level_blocks()
-        acc = tensor.levels[0] @ next(blocks)
-        for k, block in enumerate(blocks, start=1):
-            acc = acc + tensor.levels[k] @ block
-        return acc
-
-    def predict_path(self, path: PiecewiseLinearPath) -> np.ndarray:
-        return self.evaluate(signature(path, self.depth))
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Batched prediction from rows of flattened features."""
-        features = np.asarray(features, dtype=float)
-        expected = self.weights.shape[0]
-        if features.shape[-1] < expected:
-            raise ValueError(
-                f"features have {features.shape[-1]} columns, need {expected}"
-            )
-        return features[..., :expected] @ self.weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,13 +74,9 @@ class RegressionDataset:
         resp = np.atleast_2d(np.asarray(self.responses, dtype=float))
         if resp.shape[0] != feats.shape[0] or len(self.paths) != feats.shape[0]:
             raise ValueError("paths, features and responses must align")
-        feats = np.array(feats)
-        feats.setflags(write=False)
-        resp = np.array(resp)
-        resp.setflags(write=False)
         object.__setattr__(self, "paths", tuple(self.paths))
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "responses", resp)
+        object.__setattr__(self, "features", _readonly(feats))
+        object.__setattr__(self, "responses", _readonly(resp))
 
     @property
     def n_samples(self) -> int:
@@ -197,6 +114,9 @@ def generate_dataset(
     if noise_scale < 0:
         raise ValueError(f"noise scale must be nonnegative, got {noise_scale}")
     d = field.input_dim
+    # the kernel's size check, before any path is drawn
+    what = f"{n_paths} x {segment_count} segments of dimension {d}"
+    _check_budget(n_paths * segment_count, d, depth, what)
     rng = np.random.default_rng(seed)
     paths = []
     for _ in range(n_paths):
@@ -205,7 +125,6 @@ def generate_dataset(
         lengths = rng.random(segment_count)
         lengths *= r * rng.uniform(0.25, 1.0) / lengths.sum()
         paths.append(PiecewiseLinearPath(d, dirs * lengths[:, None]))
-    # features first: the kernel's size check fails before any oracle work
     segments = np.stack([p.segments for p in paths])
     features = np.concatenate(_signature_levels(segments, depth), axis=1)
     responses = _flow_end_states(segments, field, _check_y0(field, y0))

@@ -52,6 +52,13 @@ __all__ = [
 ]
 
 
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    # a float copy that the frozen value types can hand out safely
+    out = np.array(arr, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 def _frozen_levels(dim, depth, levels):
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
@@ -61,12 +68,11 @@ def _frozen_levels(dim, depth, levels):
         raise ValueError(f"expected {depth + 1} levels, got {len(levels)}")
     out = []
     for k, lvl in enumerate(levels):
-        arr = np.array(lvl, dtype=float).reshape(-1)
+        arr = _readonly(lvl).reshape(-1)
         if arr.size != dim**k:
             raise ValueError(f"level {k} must hold {dim**k} coefficients, got {arr.size}")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"level {k} contains non-finite coefficients")
-        arr.setflags(write=False)
         out.append(arr)
     return tuple(out)
 

@@ -28,7 +28,7 @@ import numpy as np
 from .path_core import (
     PiecewiseLinearPath,
     concat,
-    constant_speed,
+    constant_path,
     gamma_loop,
     linear_path,
     one_variation_distance,
@@ -78,13 +78,16 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentReport":
-        return cls(
-            name=str(data["name"]),
-            indices=list(data["indices"]),
-            series={k: list(v) for k, v in data["series"].items()},
-            verdict=bool(data["verdict"]),
-            seed=data.get("seed"),
-        )
+        try:
+            return cls(
+                name=str(data["name"]),
+                indices=list(data["indices"]),
+                series={k: list(v) for k, v in data["series"].items()},
+                verdict=bool(data["verdict"]),
+                seed=data.get("seed"),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed experiment report: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
@@ -105,12 +108,13 @@ class ExperimentReport:
 def metric_d(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
     """1-variation distance between constant-speed reduced representatives.
 
-    Zero exactly when the two paths reduce to the same segment list, which
-    is how tree-like insertions are quotiented away.
+    A segment list is its own constant-speed representative.  Zero exactly
+    when the two paths reduce to the same segment list, which is how
+    tree-like insertions are quotiented away.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return one_variation_distance(constant_speed(reduce(a)), constant_speed(reduce(b)))
+    return one_variation_distance(reduce(a), reduce(b))
 
 
 def ball_br_membership(a: PiecewiseLinearPath, r: float) -> bool:
@@ -245,7 +249,7 @@ def experiment_product_vs_metric(k_max: int = 5, depth: int | None = None) -> Ex
         raise ValueError(f"k_max must be between 1 and 6, got {k_max}")
     if depth is None:
         depth = k_max + 1
-    origin = PiecewiseLinearPath(2, np.zeros((0, 2)))
+    origin = constant_path(2)
     _check_budget(1, 2, depth, "one tensor of dimension 2")
     indices = list(range(1, k_max + 1))
     loops = [gamma_loop(k) for k in indices]
@@ -318,7 +322,7 @@ def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentRepo
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
-    origin = PiecewiseLinearPath(2, np.zeros((0, 2)))
+    origin = constant_path(2)
     _check_budget(1, 2, depth, "one tensor of dimension 2")
     one = unit(2, depth)
     indices = list(range(1, n_max + 1))
@@ -369,7 +373,7 @@ def experiment_group_discontinuity(n_max: int = 10) -> ExperimentReport:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    origin = PiecewiseLinearPath(2, np.zeros((0, 2)))
+    origin = constant_path(2)
     limit_rho = linear_path([1.0, 0.0])
     limit_sigma = linear_path([-1.0, 0.0])
     indices = list(range(1, n_max + 1))

@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 
 from sigpath import LinearVectorField, PiecewiseLinearPath, GroupTensor
-from sigpath import TruncatedTensor, add, mul, scale, shuffle_pairing, sub, unit
+from sigpath import TruncatedTensor, add, mul, scale, shuffle_pairing, signature, sub, unit
+from sigpath.ito_solver import word_coefficients
 from sigpath.path_core import COLLINEAR_TOL, positions_at
 
 
@@ -443,3 +444,14 @@ def traced_peak_bytes(fn, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def reference_series_value(field, path, y0, truncation):
+    """The signature series summed level by level from word_coefficients:
+    sum_k S_k @ c_k, the k = 0 term first."""
+    levels = signature(path, truncation).levels
+    coeffs = word_coefficients(field, y0, truncation)
+    acc = levels[0] @ coeffs[0]
+    for k in range(1, truncation + 1):
+        acc = acc + levels[k] @ coeffs[k]
+    return acc

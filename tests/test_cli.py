@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -282,3 +283,41 @@ def test_incompleteness_accepts_every_depth_one_rectangle_fits(capsys):
     code, out, err = run_main(capsys, ["experiment", "incompleteness", "--depth", "19", "--format", "json"])
     assert code == 0 and err == ""
     assert len(json.loads(out)["series"]["product_metric_to_unit"]) == 10
+
+
+VALID_FIELD = {"d": 1, "w": 1, "A": [[[0.5]]], "b": [[0.0]]}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        '{"depths": 5}',
+        '{"ridge": null}',
+        '{"n_paths": [3]}',
+        '{"seed": [1]}',
+        '{"depths": [[1]]}',
+        '{"r": {"a": 1}}',
+        '{"n_paths": 1e400}',
+        '{"field": 3, "y0": [1]}',
+        json.dumps({"field": VALID_FIELD, "y0": {"a": 1}}),
+    ],
+)
+def test_regress_wrongly_typed_config_is_input_error(capsys, tmp_path, config, fmt):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(config)
+    code, out, err = run_main(capsys, ["regress", "--config", str(cfg), "--format", fmt])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("sigpath: error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_regress_rejects_too_many_paths_before_drawing_them(capsys, tmp_path, fmt):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"n_paths": 10**9}))
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, ["regress", "--config", str(cfg), "--format", fmt])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "limit" in err

@@ -15,7 +15,13 @@ from sigpath.ito_solver import (
 from sigpath import signature_engine
 from sigpath.ito_solver import _flow_end_states
 
-from helpers import random_affine_system, reference_rk4_oracle, resplit, same_bits
+from helpers import (
+    random_affine_system,
+    reference_rk4_oracle,
+    reference_series_value,
+    resplit,
+    same_bits,
+)
 
 
 def two_by_two_field():
@@ -318,3 +324,30 @@ def test_flow_does_not_depend_on_blocking(monkeypatch):
         assert same_bits([sp.oracle_solve(f, path, y0)], [single])
     rows = [_flow_end_states(segments[i : i + 1], f, y0)[0] for i in range(7)]
     assert same_bits(rows, list(whole))
+
+
+def test_ito_series_is_bitwise_the_level_by_level_sum():
+    # the functional evaluates the series exactly as the level-by-level sum
+    # of signature levels against word coefficients
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        f, path, y0 = random_affine_system(rng)
+        for N in range(10):
+            want = reference_series_value(f, path, y0, N)
+            assert same_bits([sp.ito_series(f, path, y0, N).value], [want])
+            got = sp.truncated_functional_LN(f, y0, N).evaluate(sp.signature(path, N))
+            assert same_bits([got], [want])
+
+
+def test_ito_series_reaches_the_series_through_the_functional(monkeypatch):
+    calls = []
+    real = sp.ito_solver.truncated_functional_LN
+
+    def spy(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(sp.ito_solver, "truncated_functional_LN", spy)
+    f, path, y0 = random_affine_system(np.random.default_rng(32))
+    sp.ito_series(f, path, y0, 5)
+    assert calls == [5]

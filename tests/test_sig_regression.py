@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,23 @@ def test_serialisation_round_trips():
     )
     with pytest.raises(ValueError):
         functional_from_json("{\"dim\": 2}")
+
+
+@pytest.mark.parametrize(
+    "n_paths, segment_count",
+    # 10**9 paths would take hours to draw; 360801 x 3 segments are two
+    # over the 1082401 that fit 2**25 coefficients at d = 2, depth 4
+    [(10**9, 4), ((2**25 // 31) // 3 + 1, 3)],
+)
+def test_generate_dataset_checks_the_budget_before_drawing(monkeypatch, n_paths, segment_count):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator created before the budget check")
+
+    monkeypatch.setattr(sp.sig_regression.np.random, "default_rng", refuse)
+    field, y0 = sp.demo_field()
+    assert sp.feature_count(2, 4) == 31
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="limit"):
+        sp.generate_dataset(field, y0, n_paths=n_paths, segment_count=segment_count, r=1.0,
+                            noise_scale=0.0, seed=0, depth=4)
+    assert time.perf_counter() - start < 1.0

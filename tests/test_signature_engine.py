@@ -446,3 +446,67 @@ def test_check_group_like_reads_no_coefficient_word_by_word(monkeypatch):
     rng = np.random.default_rng(25)
     x = sp.signature(sp.PiecewiseLinearPath(3, 0.4 * rng.normal(size=(8, 3))), 6)
     assert sp.check_group_like(x, sample=2000).passed
+
+
+def test_check_group_like_scales_the_shuffle_gaps_like_the_residual():
+    # a genuine signature of a longer path: its largest shuffle gap, 1.8e-9,
+    # is rounding of level-6 sums of size mu_6, far inside lie_tolerance
+    path = sp.PiecewiseLinearPath(2, 5 * np.random.default_rng(0).normal(size=(8, 2)))
+    rep = sp.check_group_like(sp.signature(path, 6))
+    assert rep.passed
+    assert rep.tolerance < rep.max_discrepancy <= rep.lie_tolerance
+    assert rep.worst_pair == ((2, 1, 1), (1, 1, 1))
+
+
+def test_check_group_like_passes_correctly_rounded_signatures():
+    # exact_signature rounds each coefficient once, so every gap and the
+    # residual are rounding of the check alone
+    for d, depths in ((1, (6, 7, 8)), (2, (6, 7, 8)), (3, (6,))):
+        for depth in depths:
+            for step in (0.1, 1.0, 5.0, 20.0):
+                for seed in range(5):
+                    rng = np.random.default_rng(seed)
+                    path = sp.PiecewiseLinearPath(d, step * rng.normal(size=(8, d)))
+                    rep = sp.check_group_like(sp.exact_signature(path, depth))
+                    assert rep.passed, (d, depth, step, seed)
+                    assert max(rep.max_discrepancy, rep.lie_residual) <= 1e-5 * rep.lie_tolerance
+
+
+def test_check_group_like_passes_float_signatures_unless_the_fold_lost_them():
+    # 8-step Gaussian paths, d 1-3, depth 6-8, steps 0.1-20: every float
+    # signature passes, except where the fold's rounding left it a million
+    # ulps from exact_signature.  That happens at d = 1 on a path whose
+    # steps nearly cancel (length 38-152 against an endpoint of 1-4): level
+    # k is the difference of products of size L**k/k!, while the check can
+    # only scale by the sizes of the result
+    eps = np.finfo(float).eps
+    failed = []
+    for d in (1, 2, 3):
+        for depth in (6, 7, 8):
+            for step in (0.1, 1.0, 5.0, 20.0):
+                for seed in range(10):
+                    rng = np.random.default_rng(seed)
+                    path = sp.PiecewiseLinearPath(d, step * rng.normal(size=(8, d)))
+                    sig = sp.signature(path, depth)
+                    if sp.check_group_like(sig).passed:
+                        continue
+                    exact = sp.exact_signature(path, depth)
+                    assert sp.check_group_like(exact).passed
+                    size = max(1.0, max(float(np.abs(lvl).max()) for lvl in exact.levels))
+                    assert max_coeff_gap(sig, exact) > 1e5 * eps * size
+                    failed.append((d, depth, step, seed))
+    assert {case[0] for case in failed} <= {1}
+
+
+def test_check_group_like_fails_when_the_majorant_overflows():
+    # mu_2 >= max|x_1|**2 / 2 is beyond float range: no rounding bound is
+    # left, so the infinite gap of <x, 1 shuffle 1> = 0 against 1e400 fails
+    x = sp.TruncatedTensor(2, 2, [[1.0], [1e200, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    rep = sp.check_group_like(x)
+    assert rep.lie_tolerance == np.inf
+    assert not rep.passed
+    # and a finite gap fails too when the tolerance is infinite
+    y = sp.TruncatedTensor(2, 2, [[1.0], [1e154, 0.0], [5e307, 1.5e308, -1.5e308, 0.0]])
+    rep = sp.check_group_like(y)
+    assert rep.lie_tolerance == np.inf and rep.max_discrepancy < np.inf
+    assert not rep.passed

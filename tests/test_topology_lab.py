@@ -338,3 +338,27 @@ def test_incompleteness_memory_is_one_rectangle_at_a_time_when_deep():
     # at depth 16 a signature holds 2**17 coefficients: batching ten of them
     # in one kernel call would take about 96 MiB against 12 MiB
     assert traced_peak_bytes(sp.experiment_incompleteness, n_max=10, depth=16) < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"indices": [1], "series": {}, "verdict": True},
+        {"name": "x", "indices": 5, "series": {}, "verdict": True},
+        {"name": "x", "indices": [1], "series": [], "verdict": True},
+        {"name": "x", "indices": [1], "series": {"a": 5}, "verdict": True},
+        {"name": "x", "indices": [1], "series": {}},
+        [1, 2],
+        None,
+    ],
+)
+def test_report_from_dict_rejects_malformed_input_with_value_error(doc):
+    with pytest.raises(ValueError, match="malformed experiment report"):
+        ExperimentReport.from_dict(doc)
+    with pytest.raises(ValueError, match="malformed experiment report"):
+        ExperimentReport.from_json(json.dumps(doc))
+
+
+def test_report_from_json_rejects_invalid_json_with_value_error():
+    with pytest.raises(ValueError):
+        ExperimentReport.from_json("{not json")
