@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -188,6 +189,22 @@ _REGRESS_DEFAULTS = {
 }
 
 
+def _config_int(key, value) -> int:
+    # a JSON integer: no string, boolean or number with a fraction part
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _config_float(key, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config key {key!r} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"config key {key!r} must be finite, got {value!r}")
+    return value
+
+
 def _cmd_regress(args, seed) -> int:
     config = dict(_REGRESS_DEFAULTS)
     if args.config is not None:
@@ -204,10 +221,10 @@ def _cmd_regress(args, seed) -> int:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         config.update(overrides)
-    # coerce every value once, so a wrongly typed config is malformed input
+    # check every value once, so a wrongly typed config is malformed input
     try:
         if config["seed"] is not None:
-            seed = int(config["seed"])
+            seed = _config_int("seed", config["seed"])
         if config["field"] is not None:
             field = field_from_dict(config["field"])
             if config["y0"] is None:
@@ -215,11 +232,13 @@ def _cmd_regress(args, seed) -> int:
             y0 = np.asarray(config["y0"], dtype=float)
         else:
             field, y0 = demo_field()
-        depths = [int(k) for k in config["depths"]]
+        if not isinstance(config["depths"], list):
+            raise ValueError(f"config key 'depths' must be a list of integers, got {config['depths']!r}")
+        depths = [_config_int("depths", k) for k in config["depths"]]
         n_paths, heldout_paths, segment_count = (
-            int(config[key]) for key in ("n_paths", "heldout_paths", "segment_count")
+            _config_int(key, config[key]) for key in ("n_paths", "heldout_paths", "segment_count")
         )
-        r, noise_scale, ridge = (float(config[key]) for key in ("r", "noise_scale", "ridge"))
+        r, noise_scale, ridge = (_config_float(key, config[key]) for key in ("r", "noise_scale", "ridge"))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed config: {exc}") from None
     if not depths or any(k < 0 for k in depths):

@@ -24,7 +24,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import signature_engine
 from .path_core import PiecewiseLinearPath
@@ -244,18 +243,104 @@ def ito_series(
     )
 
 
+# The [13/13] Pade approximant of exp and the largest 1-norm at which it
+# meets double precision, from Higham, "The scaling and squaring method for
+# the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005.
+# The numerator coefficients b_j are integers, exact in double precision.
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+# matrix-sized arrays alive at once in _expm, its input included
+_EXPM_TEMPORARIES = 8
+
+
+def _scaling_powers(norms: np.ndarray) -> np.ndarray:
+    """The smallest integers s >= 0 with 2**-s * norm <= theta13, per norm.
+
+    A non-finite norm raises FloatingPointError, so that no inf or NaN is
+    ever cast to an integer.
+    """
+    if not np.all(np.isfinite(norms)):
+        raise FloatingPointError("a segment's flow matrix has a non-finite norm")
+    # frexp's exponent e of the rounded quotient norm / theta13 has
+    # norm <= theta13 * 2**e, as rounding is monotone and 2**e a double; e
+    # is one too large when the quotient rounded up to a power of two
+    s = np.maximum(np.frexp(norms / _THETA13)[1], 0)
+    s -= (s > 0) & (np.ldexp(norms, 1 - s) <= _THETA13)
+    return s
+
+
+def _expm(mats: np.ndarray) -> np.ndarray:
+    """Exponentials of a stack of square matrices, shape (K, n, n).
+
+    Scaling and squaring with one fixed [13/13] Pade approximant (Higham
+    2005): matrix k is scaled by 2**-s_k, s_k the smallest integer >= 0 with
+    ||2**-s_k M_k||_1 <= theta13, exactly (by np.ldexp); r13 = (V - U)^-1
+    (V + U) is formed from A**2, A**4 and A**6 and one batched solve, as
+    I + 2 (V - U)^-1 U; then each result is squared exactly s_k times.
+    Every step acts on each matrix on its own, so a matrix's result does
+    not depend on the rest of the stack.
+    A non-finite norm raises FloatingPointError; overflow in the squarings
+    is left for the caller to detect.
+    """
+    s = _scaling_powers(np.abs(mats).sum(axis=1).max(axis=1, initial=0.0))
+    a = np.ldexp(mats, -s[:, None, None])
+    b = _PADE13
+    ident = np.eye(mats.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    inner = b[13] * a6
+    inner += b[11] * a4
+    inner += b[9] * a2
+    odd = a6 @ inner
+    odd += b[7] * a6
+    odd += b[5] * a4
+    odd += b[3] * a2
+    odd += b[1] * ident
+    u = a @ odd
+    del a, odd
+    np.multiply(b[12], a6, out=inner)
+    inner += b[10] * a4
+    inner += b[8] * a2
+    v = a6 @ inner
+    del inner
+    v += b[6] * a6
+    v += b[4] * a4
+    v += b[2] * a2
+    v += b[0] * ident
+    del a2, a4, a6
+    # (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U: the identity is added
+    # exactly, so small matrices keep their last bits and zero gives I
+    flows = np.linalg.solve(v - u, u)
+    flows *= 2.0
+    flows += ident
+    for k in range(int(s.max(initial=0))):
+        live = s > k
+        square = flows[live]
+        flows[live] = square @ square
+    return flows
+
+
 def _flow_end_states(
     segments: np.ndarray, field: LinearVectorField, y0: np.ndarray
 ) -> np.ndarray:
     """Exact end states, shape (N, w), of N paths of m segments, shape (N, m, d).
 
-    Along a segment v the state (y, 1) moves by expm([[A(v), b(v)], [0, 0]]).
+    Along a segment v the state (y, 1) moves by exp([[A(v), b(v)], [0, 0]]).
     The augmented matrices of whole segment columns are formed and
-    exponentiated together, at most _MAX_COEFFICIENTS coefficients at a
-    time (paths are split too when one column alone is over), and composed
-    in segment order.  expm works matrix by matrix and each row is composed
-    on its own, so every row is bit-identical to a one-path call and the
-    result does not depend on the blocking.  A non-finite end state raises
+    exponentiated together by _expm, scaling and squaring with Higham's
+    (2005) [13/13] Pade approximant at theta13 = 5.371920351148152, and
+    composed in segment order.  A block holds at most _MAX_COEFFICIENTS
+    coefficients counted over _expm's _EXPM_TEMPORARIES live matrix arrays
+    (paths are split too when one column alone is over).  Each matrix gets
+    its own scaling power and its own number of squarings, the solve and
+    products act matrix by matrix, and each row is composed on its own, so
+    every row is bit-identical to a one-path call and the result does not
+    depend on the blocking.  A non-finite flow matrix or end state raises
     FloatingPointError.
     """
     n, m, _ = segments.shape
@@ -263,7 +348,7 @@ def _flow_end_states(
     aug_field = np.zeros((field.input_dim, w + 1, w + 1))
     aug_field[:, :w, :w] = field.matrices
     aug_field[:, :w, w] = field.offsets
-    per_matrix = (w + 1) ** 2
+    per_matrix = _EXPM_TEMPORARIES * (w + 1) ** 2
     budget = signature_engine._MAX_COEFFICIENTS
     rows = max(1, min(n, budget // per_matrix))
     cols = max(1, budget // (rows * per_matrix))
@@ -272,9 +357,12 @@ def _flow_end_states(
         for j in range(0, m, cols):
             for i in range(0, n, rows):
                 block = segments[i : i + rows, j : j + cols]
-                flows = expm(np.einsum("rsj,jab->rsab", block, aug_field))
+                mats = np.einsum("rsj,jab->rsab", block, aug_field)
+                flows = _expm(mats.reshape(-1, w + 1, w + 1)).reshape(mats.shape)
                 for s in range(flows.shape[1]):
                     z[i : i + rows] = (flows[:, s] @ z[i : i + rows, :, None])[..., 0]
+                # freed before the next block's matrices are formed
+                del mats, flows
     if not np.all(np.isfinite(z)):
         raise FloatingPointError("the exact flow overflowed to non-finite values")
     return z[:, :w]
@@ -284,10 +372,16 @@ def oracle_solve(field: LinearVectorField, path: PiecewiseLinearPath, y0) -> np.
     """Independent reference solution of the controlled ODE.
 
     The affine equation is linear on (y, 1), so its solution is the exact
-    product of segment flows expm([[A(v_m), b(v_m)], [0, 0]]) ...
-    expm([[A(v_1), b(v_1)], [0, 0]]) applied to (y0, 1), for linear and
-    affine fields alike.  It shares no code with the signature series.  A
-    solution beyond float range raises FloatingPointError.
+    product of segment flows exp([[A(v_m), b(v_m)], [0, 0]]) ...
+    exp([[A(v_1), b(v_1)], [0, 0]]) applied to (y0, 1), for linear and
+    affine fields alike.  Each exponential is scaling and squaring with one
+    [13/13] Pade approximant (Higham 2005, theta13 = 5.371920351148152),
+    the scaling power chosen per matrix; the call is _flow_end_states on a
+    batch of one, and since every matrix and row is computed on its own,
+    the value is bit-identical to that path's row in any batch
+    (generate_dataset's responses included).  It shares no code with the
+    signature series.  A solution beyond float range, or a segment whose
+    flow matrix is not finite, raises FloatingPointError.
     """
     if path.dim != field.input_dim:
         raise ValueError(

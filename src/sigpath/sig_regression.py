@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .ito_solver import LinearVectorField, _check_y0, _flow_end_states
 from .path_core import PiecewiseLinearPath, path_from_dict, path_to_dict
@@ -144,7 +143,11 @@ def fit(dataset: RegressionDataset, depth: int, ridge: float = 0.0) -> LinearFun
     """Least-squares functional on features truncated to the given depth.
 
     ridge = 0 uses the minimum-norm solution and flags rank deficiency;
-    ridge > 0 solves the augmented system [X; sqrt(ridge) I].
+    ridge > 0 solves the augmented system [X; sqrt(ridge) I].  Both go
+    through scipy.linalg.lstsq (gelsd), imported here rather than with the
+    module, so that the other commands start without loading scipy;
+    numpy.linalg.lstsq with the same cutoff calls another LAPACK build and
+    changes the last bits of some fits.
     """
     if dataset.n_samples == 0:
         raise ValueError("dataset is empty")
@@ -158,6 +161,8 @@ def fit(dataset: RegressionDataset, depth: int, ridge: float = 0.0) -> LinearFun
     F = feature_count(dim, depth)
     X = dataset.features[:, :F]
     Y = dataset.responses
+    import scipy.linalg
+
     rank_deficient = False
     if ridge == 0.0:
         sol, _, rank, _ = scipy.linalg.lstsq(X, Y)

@@ -6,6 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import expm
 
 from sigpath import LinearVectorField, PiecewiseLinearPath, GroupTensor
 from sigpath import TruncatedTensor, add, mul, scale, shuffle_pairing, signature, sub, unit
@@ -455,3 +456,20 @@ def reference_series_value(field, path, y0, truncation):
     for k in range(1, truncation + 1):
         acc = acc + levels[k] @ coeffs[k]
     return acc
+
+
+def reference_flow_end_states(segments, field, y0):
+    """Exact end states of N paths of m segments, shape (N, m, d), as
+    _flow_end_states defines them, composed one scipy.linalg.expm of
+    [[A(v), b(v)], [0, 0]] at a time."""
+    w = field.state_dim
+    rows = []
+    for path in segments:
+        z = np.append(y0, 1.0)
+        for v in path:
+            aug = np.zeros((w + 1, w + 1))
+            aug[:w, :w] = np.einsum("j,jab->ab", v, field.matrices)
+            aug[:w, w] = v @ field.offsets
+            z = expm(aug) @ z
+        rows.append(z[:w])
+    return np.array(rows)

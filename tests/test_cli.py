@@ -321,3 +321,85 @@ def test_regress_rejects_too_many_paths_before_drawing_them(capsys, tmp_path, fm
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert "limit" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        '{"depths": "12", "n_paths": 30.9}',
+        '{"depths": "12"}',
+        '{"depths": ["2"]}',
+        '{"depths": [true, 2]}',
+        '{"depths": [1.5]}',
+        '{"depths": [2.0]}',
+        '{"n_paths": 30.9}',
+        '{"n_paths": 30.0}',
+        '{"n_paths": "30"}',
+        '{"n_paths": true}',
+        '{"heldout_paths": "5"}',
+        '{"heldout_paths": false}',
+        '{"heldout_paths": 5.5}',
+        '{"segment_count": "4"}',
+        '{"segment_count": true}',
+        '{"segment_count": 4.0}',
+        '{"seed": "1"}',
+        '{"seed": true}',
+        '{"seed": 1.5}',
+        '{"r": "1.0"}',
+        '{"r": true}',
+        '{"noise_scale": "0"}',
+        '{"noise_scale": false}',
+        '{"ridge": "0"}',
+        '{"ridge": true}',
+        '{"noise_scale": NaN}',
+        '{"r": Infinity}',
+        '{"ridge": -Infinity}',
+    ],
+)
+def test_regress_config_numbers_are_json_numbers_of_the_key_type(capsys, tmp_path, config, fmt):
+    # integer keys take JSON integers only; float keys take finite JSON
+    # numbers; nothing is parsed from a string or truncated
+    cfg = tmp_path / "config.json"
+    cfg.write_text(config)
+    code, out, err = run_main(capsys, ["regress", "--config", str(cfg), "--format", fmt])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("sigpath: error: config key ") and "Traceback" not in err
+
+
+def test_regress_float_keys_accept_json_integers(capsys, tmp_path):
+    base = {"n_paths": 20, "heldout_paths": 6, "depths": [1, 2], "seed": 5}
+    outs = []
+    for extra in ({"r": 1, "noise_scale": 0, "ridge": 0}, {"r": 1.0, "noise_scale": 0.0, "ridge": 0.0}):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**base, **extra}))
+        code, out, _ = run_main(capsys, ["regress", "--config", str(cfg), "--format", "json"])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "A, r",
+    [
+        (1e308, 100.0),  # A(v) overflows: the flow matrix has an infinite norm
+        (800.0, 4.0),  # a finite flow matrix whose exponential overflows
+    ],
+)
+def test_regress_flow_overflow_is_numerical_failure(capsys, tmp_path, fmt, A, r):
+    config = {
+        "field": {"d": 1, "w": 1, "A": [[[A]]], "b": [[0.0]]},
+        "y0": [1.0],
+        "r": r,
+        "n_paths": 3,
+        "heldout_paths": 2,
+        "segment_count": 1,
+        "depths": [1],
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_main(capsys, ["regress", "--config", str(cfg), "--format", fmt])
+    assert code == 4 and out == ""
+    assert err.startswith("sigpath: numerical failure: ")

@@ -13,14 +13,22 @@ from sigpath.ito_solver import (
 )
 
 from sigpath import signature_engine
-from sigpath.ito_solver import _flow_end_states
+from sigpath.ito_solver import (
+    _EXPM_TEMPORARIES,
+    _THETA13,
+    _expm,
+    _flow_end_states,
+    _scaling_powers,
+)
 
 from helpers import (
     random_affine_system,
+    reference_flow_end_states,
     reference_rk4_oracle,
     reference_series_value,
     resplit,
     same_bits,
+    traced_peak_bytes,
 )
 
 
@@ -351,3 +359,127 @@ def test_ito_series_reaches_the_series_through_the_functional(monkeypatch):
     f, path, y0 = random_affine_system(np.random.default_rng(32))
     sp.ito_series(f, path, y0, 5)
     assert calls == [5]
+
+
+# _expm against scipy.linalg.expm: |R - S|_max <= 1e-12 max(1, |M|_1) |S|_max.
+# The worst case over this corpus uses 0.11 of that (norm 700; 0.10 at
+# theta13, 0.06 at 1e2).  Most of the gap is scipy's own error on
+# non-normal matrices: against a 40-digit mpmath exponential, _expm was
+# within 2e-13 of max|S| at norms up to 700 and scipy within 1.2e-11.
+EXPM_NORMS = (1e-300, np.nextafter(_THETA13, 0.0), _THETA13, np.nextafter(_THETA13, 9.0), 1e2, 700.0)
+
+
+def _structured_matrices(rng, n):
+    yield np.diag(rng.normal(size=n))
+    yield np.triu(rng.normal(size=(n, n)))
+    yield np.triu(rng.normal(size=(n, n)), 1)  # nilpotent
+    aug = np.zeros((n, n))  # [[A, b], [0, 0]] with w = n - 1
+    aug[:-1] = rng.normal(size=(n - 1, n))
+    yield aug
+
+
+def _one_norm(m):
+    return float(np.abs(m).sum(axis=0).max())
+
+
+def test_expm_of_zero_is_the_identity_bitwise():
+    for n in range(1, 9):
+        got = _expm(np.zeros((3, n, n)))
+        assert same_bits(list(got), [np.eye(n)] * 3)
+
+
+def test_scaling_powers_are_the_smallest_that_reach_theta13():
+    t = _THETA13
+    norms = np.array([0.0, 5e-324, 1e-300, t, np.nextafter(t, 9.0), 2 * t, np.nextafter(2 * t, 99.0), 1e2, 700.0, 1.7e308])
+    assert _scaling_powers(norms).tolist() == [0, 0, 0, 0, 1, 1, 2, 5, 8, 1022]
+    edges = np.ldexp(t, np.arange(-20, 1000))
+    norms = np.concatenate([
+        10.0 ** np.random.default_rng(40).uniform(-300, 308, size=10**4),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+    ])
+    s = _scaling_powers(norms)
+    assert np.all(np.ldexp(norms, -s) <= t)
+    assert np.all((s == 0) | (np.ldexp(norms, 1 - s) > t))
+
+
+@pytest.mark.parametrize("target", EXPM_NORMS, ids=lambda x: f"{x:.17g}")
+def test_expm_matches_scipy_on_structured_matrices(target):
+    rng = np.random.default_rng(41)
+    mats = []
+    for n in range(2, 8):  # augmented matrices for w = 1..6
+        for _ in range(10):
+            for m in _structured_matrices(rng, n):
+                mats.append(m * (target / _one_norm(m)))
+    # matrices exactly at the target norm, the theta13 boundary included
+    mats += [np.diag([target, -target / 2]), np.array([[0.0, target], [0.0, 0.0]])]
+    for m in mats:
+        want = expm(m)
+        got = _expm(m[None].copy())[0]
+        assert np.all(np.isfinite(want))
+        tol = 1e-12 * max(1.0, _one_norm(m)) * float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(got - want))) <= tol
+
+
+def test_expm_rows_do_not_depend_on_the_stack():
+    # scaling powers from 0 to 8 in one stack: each matrix is squared
+    # exactly its own number of times
+    rng = np.random.default_rng(42)
+    mats = rng.normal(size=(40, 4, 4)) * 10.0 ** rng.uniform(-3, 2.3, size=(40, 1, 1))
+    assert len(set(_scaling_powers(np.abs(mats).sum(axis=1).max(axis=1)).tolist())) > 5
+    whole = _expm(mats.copy())
+    assert same_bits(list(whole), [_expm(m[None].copy())[0] for m in mats])
+    assert same_bits(list(whole), list(_expm(mats[::-1].copy())[::-1]))
+
+
+def test_flow_with_mixed_scaling_does_not_depend_on_blocking(monkeypatch):
+    rng = np.random.default_rng(43)
+    f, _, y0 = random_affine_system(rng)
+    segments = rng.normal(size=(9, 4, f.input_dim)) * 10.0 ** rng.uniform(-2, 1, size=(9, 4, 1))
+    whole = _flow_end_states(segments, f, y0)
+    per = _EXPM_TEMPORARIES * (f.state_dim + 1) ** 2
+    for budget in (per, 5 * per, 18 * per):
+        monkeypatch.setattr(signature_engine, "_MAX_COEFFICIENTS", budget)
+        assert same_bits(list(_flow_end_states(segments, f, y0)), list(whole))
+
+
+@pytest.mark.parametrize("low, high, tol", [(0.8, 2.0, 1e-14), (20.0, 40.0, 1e-10)])
+def test_flow_matches_the_scipy_composition(low, high, tol):
+    # measured worst: 6.4e-16 at C L 0.8-2 and 1.5e-12 at C L 20-40
+    rng = np.random.default_rng(44)
+    for _ in range(40):
+        f, path, y0 = random_affine_system(rng, low=low, high=high)
+        got = sp.oracle_solve(f, path, y0)
+        want = reference_flow_end_states(path.segments[None], f, y0)[0]
+        assert np.linalg.norm(got - want) <= tol * max(1.0, float(np.linalg.norm(want)))
+
+
+def test_non_finite_flow_matrix_is_numerical_failure():
+    with pytest.raises(FloatingPointError, match="non-finite norm"):
+        _scaling_powers(np.array([1.0, np.inf]))
+    with pytest.raises(FloatingPointError, match="non-finite norm"):
+        _scaling_powers(np.array([np.nan]))
+    # A(v) = 1e310 overflows to inf; 1e318 - 1e318 makes a NaN
+    inf_field = sp.LinearVectorField([[[1e300]]], [[0.0]])
+    nan_field = sp.LinearVectorField([[[1e308]], [[1e308]]], [[0.0], [0.0]])
+    cases = [(inf_field, sp.linear_path([1e10])), (nan_field, sp.linear_path([1e10, -1e10]))]
+    for field, path in cases:
+        with pytest.raises(FloatingPointError, match="non-finite norm"):
+            sp.oracle_solve(field, path, [1.0])
+    # a finite matrix whose exponential overflows: exp(800)
+    with pytest.raises(FloatingPointError, match="overflowed"):
+        sp.oracle_solve(sp.LinearVectorField([[[800.0]]], [[0.0]]), sp.linear_path([1.0]), [1.0])
+
+
+@pytest.mark.parametrize("w", [1, 3, 6])
+@pytest.mark.parametrize("budget", [2**12, 2**14])
+def test_flow_temporaries_stay_within_the_budget(monkeypatch, w, budget):
+    # every live matrix array of a block counts against the budget, so the
+    # peak is the budget's bytes plus the (n, w + 1) state and a little
+    monkeypatch.setattr(signature_engine, "_MAX_COEFFICIENTS", budget)
+    rng = np.random.default_rng(45)
+    f = sp.LinearVectorField(rng.normal(size=(2, w, w)) * 0.3, rng.normal(size=(2, w)) * 0.3)
+    n, m = 500, 8
+    segments = rng.normal(size=(n, m, 2)) * 0.5
+    assert _EXPM_TEMPORARIES * n * m * (w + 1) ** 2 >= 4 * budget  # many blocks
+    peak = traced_peak_bytes(_flow_end_states, segments, f, rng.normal(size=w))
+    assert peak <= 8 * budget + 8 * n * (w + 1) + 16 * 2**10

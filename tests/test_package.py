@@ -1,5 +1,9 @@
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -66,3 +70,71 @@ def test_regression_serialisers_are_top_level():
             name = f"{kind}_{direction}"
             assert name in sp.__all__
             assert getattr(sp, name) is getattr(sig_regression, name)
+
+
+def _scipy_imports(tree):
+    # (enclosing function or None, line) of every import of scipy
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module or ""]
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append((function, child.lineno))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_scipy_is_imported_only_by_fit():
+    # the library's one scipy call is fit's least-squares solve; the
+    # exact-flow oracle has its own matrix exponential
+    found = {
+        source.name: [function for function, _ in _scipy_imports(ast.parse(source.read_text(encoding="utf-8")))]
+        for source in SOURCES
+    }
+    assert {name: funcs for name, funcs in found.items() if funcs} == {"sig_regression.py": ["fit"]}
+
+
+def test_the_scipy_detector_sees_module_and_function_imports():
+    tree = ast.parse("import scipy.linalg\nfrom scipy import linalg\ndef f():\n    from scipy.linalg import expm\n")
+    assert _scipy_imports(tree) == [(None, 1), (None, 2), ("f", 4)]
+
+
+def test_only_regress_loads_scipy(tmp_path):
+    # a fresh interpreter: import, signature, experiment and solve leave
+    # scipy unloaded; regress loads it for its fit
+    csv = tmp_path / "path.csv"
+    csv.write_text("# dim=1\n0.5\n-0.25\n")
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"d": 1, "w": 1, "A": [[[0.5]]], "b": [[0.1]]}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_paths": 12, "heldout_paths": 4, "depths": [1, 2]}))
+    script = f"""
+import contextlib, io, json, sys
+import sigpath.cli
+seen = ["scipy" in sys.modules]
+runs = [
+    ["signature", {str(csv)!r}, "--depth", "3"],
+    ["experiment", "quotient-vs-metric"],
+    ["solve", {str(field)!r}, {str(csv)!r}, "--y0", "1", "--N", "4"],
+    ["regress", "--config", {str(config)!r}],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        if sigpath.cli.main(argv, environ={{}}) != 0:
+            raise SystemExit(f"{{argv}} failed")
+    seen.append("scipy" in sys.modules)
+print(json.dumps(seen))
+"""
+    src = str(pathlib.Path(sp.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, False, False, False, True]
