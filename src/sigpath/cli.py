@@ -13,6 +13,7 @@ failure.  The same flags and seed always produce byte-identical JSON output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -69,7 +70,10 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("text", "json"), default=Config.format)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parse_args leaves the parser unchanged and
+    # returns a fresh namespace, so repeated main calls can share it
     parser = _Parser(prog="sigpath", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -141,7 +141,7 @@ def _check_y0(field: LinearVectorField, y0) -> np.ndarray:
         raise ValueError(
             f"y0 must have shape ({field.state_dim},), got {y0.shape}"
         )
-    if not np.all(np.isfinite(y0)):
+    if not np.isfinite(y0).all():
         raise ValueError("y0 must be finite")
     return y0
 

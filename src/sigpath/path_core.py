@@ -68,7 +68,7 @@ class PiecewiseLinearPath:
         if self.dim < 1:
             raise ValueError(f"dim must be at least 1, got {self.dim}")
         segs = np.array(self.segments, dtype=float).reshape(-1, self.dim)
-        if not np.all(np.isfinite(segs)):
+        if not np.isfinite(segs).all():
             raise ValueError("segments contain non-finite entries")
         segs.setflags(write=False)
         object.__setattr__(self, "segments", segs)

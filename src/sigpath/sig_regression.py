@@ -16,6 +16,7 @@ the intercept column.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,32 +106,44 @@ def generate_dataset(
     Gaussian noise added when noise_scale > 0.  Features for all paths come
     from one batched signature call, row for row bit-identical to
     featurize.  Everything is a pure function of the seed.
+
+    Path by path the generator draws normal(size=(m, d)) directions, then
+    random(m) lengths, then one uniform(0.25, 1.0) total, into blocks
+    allocated once.  These draws stay in a loop: the ziggurat behind
+    normal consumes a variable number of words, so one call for all paths
+    would change the stream.  Normalising, scaling and forming segments
+    then act on the whole (n_paths, m, d) block, which both kernels take
+    as it is.
     """
     if n_paths < 1 or segment_count < 1:
         raise ValueError("need at least one path and one segment")
-    if r <= 0:
-        raise ValueError(f"length budget must be positive, got {r}")
-    if noise_scale < 0:
-        raise ValueError(f"noise scale must be nonnegative, got {noise_scale}")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"length budget r must be finite and positive, got {r}")
+    if not (math.isfinite(noise_scale) and noise_scale >= 0):
+        raise ValueError(f"noise_scale must be finite and nonnegative, got {noise_scale}")
     d = field.input_dim
     # the kernel's size check, before any path is drawn
     what = f"{n_paths} x {segment_count} segments of dimension {d}"
     _check_budget(n_paths * segment_count, d, depth, what)
+    y0 = _check_y0(field, y0)
     rng = np.random.default_rng(seed)
-    paths = []
-    for _ in range(n_paths):
-        dirs = rng.normal(size=(segment_count, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        lengths = rng.random(segment_count)
-        lengths *= r * rng.uniform(0.25, 1.0) / lengths.sum()
-        paths.append(PiecewiseLinearPath(d, dirs * lengths[:, None]))
-    segments = np.stack([p.segments for p in paths])
+    dirs = np.empty((n_paths, segment_count, d))
+    lengths = np.empty((n_paths, segment_count))
+    totals = np.empty(n_paths)
+    for i in range(n_paths):
+        # normal, not standard_normal(out=...): 0 + 1 * x turns -0.0 into +0.0
+        dirs[i] = rng.normal(size=(segment_count, d))
+        rng.random(segment_count, out=lengths[i])
+        totals[i] = rng.uniform(0.25, 1.0)
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    lengths *= (r * totals / lengths.sum(axis=1))[:, None]
+    segments = dirs * lengths[:, :, None]
     features = np.concatenate(_signature_levels(segments, depth), axis=1)
-    responses = _flow_end_states(segments, field, _check_y0(field, y0))
+    responses = _flow_end_states(segments, field, y0)
     if noise_scale > 0:
         responses = responses + noise_scale * rng.standard_normal(responses.shape)
     return RegressionDataset(
-        paths=tuple(paths),
+        paths=tuple(PiecewiseLinearPath(d, row) for row in segments),
         features=features,
         responses=responses,
         depth=depth,

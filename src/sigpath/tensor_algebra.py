@@ -71,7 +71,7 @@ def _frozen_levels(dim, depth, levels):
         arr = _readonly(lvl).reshape(-1)
         if arr.size != dim**k:
             raise ValueError(f"level {k} must hold {dim**k} coefficients, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError(f"level {k} contains non-finite coefficients")
         out.append(arr)
     return tuple(out)

@@ -10,7 +10,9 @@ from scipy.linalg import expm
 
 from sigpath import LinearVectorField, PiecewiseLinearPath, GroupTensor
 from sigpath import TruncatedTensor, add, mul, scale, shuffle_pairing, signature, sub, unit
-from sigpath.ito_solver import word_coefficients
+from sigpath.ito_solver import _flow_end_states, word_coefficients
+from sigpath.sig_regression import RegressionDataset
+from sigpath.signature_engine import _signature_levels
 from sigpath.path_core import COLLINEAR_TOL, positions_at
 
 
@@ -473,3 +475,30 @@ def reference_flow_end_states(segments, field, y0):
             z = expm(aug) @ z
         rows.append(z[:w])
     return np.array(rows)
+
+
+def reference_generate_dataset(field, y0, n_paths, segment_count, r, noise_scale, seed, depth=4):
+    """Per-path loop for generate_dataset: each path drawn, normalised,
+    scaled and validated on its own, then the validated segments stacked
+    for the batched signature and exact flow."""
+    rng = np.random.default_rng(seed)
+    paths = []
+    for _ in range(n_paths):
+        dirs = rng.normal(size=(segment_count, field.input_dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        lengths = rng.random(segment_count)
+        lengths *= r * rng.uniform(0.25, 1.0) / lengths.sum()
+        paths.append(PiecewiseLinearPath(field.input_dim, dirs * lengths[:, None]))
+    segments = np.stack([p.segments for p in paths])
+    features = np.concatenate(_signature_levels(segments, depth), axis=1)
+    responses = _flow_end_states(segments, field, np.asarray(y0, dtype=float))
+    if noise_scale > 0:
+        responses = responses + noise_scale * rng.standard_normal(responses.shape)
+    return RegressionDataset(
+        paths=tuple(paths),
+        features=features,
+        responses=responses,
+        depth=depth,
+        noise_scale=float(noise_scale),
+        seed=seed,
+    )

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -403,3 +404,76 @@ def test_regress_flow_overflow_is_numerical_failure(capsys, tmp_path, fmt, A, r)
     code, out, err = run_main(capsys, ["regress", "--config", str(cfg), "--format", fmt])
     assert code == 4 and out == ""
     assert err.startswith("sigpath: numerical failure: ")
+
+
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def _small_regress_config(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"n_paths": 24, "heldout_paths": 12, "depths": [1, 2, 3]}))
+    return str(cfg)
+
+
+def test_cached_parser_output_matches_fresh_interpreters(capsys, monkeypatch, tmp_path, staircase_csv):
+    # --help wraps to the terminal width; pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    src = os.path.dirname(os.path.dirname(sp.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "SIGPATH_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cfg = _small_regress_config(tmp_path)
+    commands = [
+        (["regress", "--config", cfg, "--seed", "3", "--format", "json"], 0),
+        (["regress", "--no-such-flag"], 3),
+        (["--help"], 0),
+        (["signature", staircase_csv, "--depth", "3", "--format", "json"], 0),
+    ]
+    for argv, want_code in commands:
+        code, out, err = run_main(capsys, argv)
+        assert code == want_code
+        fresh = subprocess.run(
+            [sys.executable, "-m", "sigpath.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_cached_parser_honours_the_seed_environment_per_call(capsys, tmp_path):
+    cli._build_parser()
+    argv = ["regress", "--config", _small_regress_config(tmp_path), "--format", "json"]
+    outs = []
+    for environ, want in (({"SIGPATH_SEED": "5"}, 5), ({"SIGPATH_SEED": "6"}, 6), ({}, 0)):
+        code, out, _ = run_main(capsys, argv, environ=environ)
+        assert code == 0 and json.loads(out)["seed"] == want
+        outs.append(out)
+    assert len(set(outs)) == 3
+    assert run_main(capsys, argv, environ={"SIGPATH_SEED": "5"})[1] == outs[0]
+
+
+GOLDEN_FIELD = {
+    "d": 2,
+    "w": 2,
+    "A": [[[0.1, 0.4], [-0.3, 0.2]], [[0.0, -0.25], [0.35, 0.05]]],
+    "b": [[0.0, 0.0], [0.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        # default affine demo field, noise-free
+        ({}, "bfc0187abd9a4677b1bf9ed90022985015067d427f303142da420ca2da965f9c"),
+        (
+            {"field": GOLDEN_FIELD, "y0": [0.5, -0.75], "noise_scale": 0.01, "ridge": 1e-6},
+            "788a963357a46b332629db6cc4825d6cb1f689b4f51ed5f5c5595fb99b7a8c7a",
+        ),
+    ],
+)
+def test_regress_payload_is_pinned(capsys, tmp_path, extra, digest):
+    # any change that moves a bit of the regress payload fails here
+    config = {"n_paths": 64, "heldout_paths": 32, "segment_count": 4, "depths": [1, 2, 3, 4, 5]}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**config, **extra}))
+    code, out, _ = run_main(capsys, ["regress", "--config", str(cfg), "--seed", "7", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -12,7 +13,7 @@ from sigpath.sig_regression import (
     functional_to_json,
 )
 
-from helpers import random_path, reference_signature, same_bits
+from helpers import random_path, reference_generate_dataset, reference_signature, same_bits
 
 
 def test_feature_count():
@@ -243,3 +244,54 @@ def test_generate_dataset_checks_the_budget_before_drawing(monkeypatch, n_paths,
         sp.generate_dataset(field, y0, n_paths=n_paths, segment_count=segment_count, r=1.0,
                             noise_scale=0.0, seed=0, depth=4)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "r, noise_scale, name",
+    [
+        (float("inf"), 0.0, "length budget r"),
+        (float("nan"), 0.0, "length budget r"),
+        (-float("inf"), 0.0, "length budget r"),
+        (1.0, float("inf"), "noise_scale"),
+        (1.0, float("nan"), "noise_scale"),
+        (1.0, -float("inf"), "noise_scale"),
+    ],
+)
+def test_generate_dataset_rejects_non_finite_arguments_before_drawing(monkeypatch, r, noise_scale, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator created before the argument check")
+
+    monkeypatch.setattr(sp.sig_regression.np.random, "default_rng", refuse)
+    field, y0 = sp.demo_field()
+    with pytest.raises(ValueError, match=f"^{name} must be finite and"):
+        sp.generate_dataset(field, y0, n_paths=4, segment_count=3, r=r,
+                            noise_scale=noise_scale, seed=0, depth=2)
+
+
+def _field_of_dim(d):
+    rng = np.random.default_rng(d)
+    mats, offs = rng.normal(size=(d, 2, 2)), rng.normal(size=(d, 2))
+    base = sp.LinearVectorField(matrices=mats, offsets=offs)
+    s = 0.9 / base.growth_constant
+    return sp.LinearVectorField(matrices=s * mats, offsets=s * offs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("segment_count", [1, 4, 8, 9, 17])
+def test_generate_dataset_is_bitwise_the_per_path_loop(d, segment_count):
+    # 8 and 9 segments sit either side of numpy's 8-element pairwise block,
+    # so the lengths' row sums must still match the one-path sum
+    field, y0 = _field_of_dim(d), np.array([0.5, -0.25])
+    cases = itertools.product((1, 2, 64), (0.0, 0.3), (0, 7, 31))
+    for k, (n_paths, noise, seed) in enumerate(cases):
+        depth = k % 6
+        args = (field, y0, n_paths, segment_count, 1.5, noise, seed)
+        got = sp.generate_dataset(*args, depth=depth)
+        want = reference_generate_dataset(*args, depth=depth)
+        assert same_bits([got.features, got.responses], [want.features, want.responses])
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.responses, want.responses)
+        assert len(got.paths) == n_paths
+        for p, q in zip(got.paths, want.paths):
+            assert p.dim == d and same_bits([p.segments], [q.segments])
+            assert not p.segments.flags.writeable
