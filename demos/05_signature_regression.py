@@ -28,7 +28,7 @@ for depth in (1, 2, 3, 4):
 target = sp.truncated_functional_LN(field, y0, 2)
 responses = np.stack([target.evaluate(sp.signature(p, 2)) for p in train.paths])
 realised = sp.RegressionDataset(
-    paths=train.paths, features=train.features, responses=responses,
+    segments=train.segments, features=train.features, responses=responses,
     depth=train.depth, noise_scale=0.0, seed=0,
 )
 fitted = sp.fit(realised, depth=2)

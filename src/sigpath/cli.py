@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -24,10 +23,10 @@ import numpy as np
 
 from . import topology_lab
 from .ito_solver import field_from_dict, field_from_json, solve_and_certify
-from .path_core import PathFormatError, concat, linear_path, read_csv
+from .path_core import concat, linear_path, read_csv
 from .signature_engine import signature
 from .sig_regression import demo_field, evaluate, fit, generate_dataset
-from .tensor_algebra import tensor_to_json
+from .tensor_algebra import _MALFORMED, _json_float, _json_int, tensor_to_json
 
 __all__ = ["Config", "main", "entry"]
 
@@ -193,30 +192,11 @@ _REGRESS_DEFAULTS = {
 }
 
 
-def _config_int(key, value) -> int:
-    # a JSON integer: no string, boolean or number with a fraction part
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _config_float(key, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"config key {key!r} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"config key {key!r} must be finite, got {value!r}")
-    return value
-
-
 def _cmd_regress(args, seed) -> int:
     config = dict(_REGRESS_DEFAULTS)
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                overrides = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"invalid config JSON: {exc}") from None
+            overrides = json.load(fh)
         if not isinstance(overrides, dict):
             raise ValueError("config JSON must be an object")
         if "depth" in overrides:
@@ -228,7 +208,7 @@ def _cmd_regress(args, seed) -> int:
     # check every value once, so a wrongly typed config is malformed input
     try:
         if config["seed"] is not None:
-            seed = _config_int("seed", config["seed"])
+            seed = _json_int("config key 'seed'", config["seed"])
         if config["field"] is not None:
             field = field_from_dict(config["field"])
             if config["y0"] is None:
@@ -238,12 +218,12 @@ def _cmd_regress(args, seed) -> int:
             field, y0 = demo_field()
         if not isinstance(config["depths"], list):
             raise ValueError(f"config key 'depths' must be a list of integers, got {config['depths']!r}")
-        depths = [_config_int("depths", k) for k in config["depths"]]
+        depths = [_json_int("config key 'depths'", k) for k in config["depths"]]
         n_paths, heldout_paths, segment_count = (
-            _config_int(key, config[key]) for key in ("n_paths", "heldout_paths", "segment_count")
+            _json_int(f"config key {key!r}", config[key]) for key in ("n_paths", "heldout_paths", "segment_count")
         )
-        r, noise_scale, ridge = (_config_float(key, config[key]) for key in ("r", "noise_scale", "ridge"))
-    except (TypeError, OverflowError) as exc:
+        r, noise_scale, ridge = (_json_float(f"config key {key!r}", config[key]) for key in ("r", "noise_scale", "ridge"))
+    except _MALFORMED as exc:
         raise ValueError(f"malformed config: {exc}") from None
     if not depths or any(k < 0 for k in depths):
         raise ValueError(f"depths must be nonnegative, got {config['depths']}")
@@ -297,7 +277,7 @@ def main(argv=None, environ=None) -> int:
     except FloatingPointError as exc:
         print(f"sigpath: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (PathFormatError, OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"sigpath: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT
 

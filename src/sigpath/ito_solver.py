@@ -28,7 +28,7 @@ import numpy as np
 from . import signature_engine
 from .path_core import PiecewiseLinearPath
 from .signature_engine import LinearFunctional, _check_budget, signature
-from .tensor_algebra import _readonly
+from .tensor_algebra import _MALFORMED, _json_int, _readonly
 
 __all__ = [
     "LinearVectorField",
@@ -430,28 +430,20 @@ def field_to_dict(field: LinearVectorField) -> dict:
 
 def field_from_dict(data: dict) -> LinearVectorField:
     try:
-        d = int(data["d"])
-        w = int(data["w"])
+        d, w = (_json_int(f"field key {key!r}", data[key]) for key in ("d", "w"))
         mats = np.asarray(data["A"], dtype=float)
         offs = np.asarray(data["b"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise ValueError(f"malformed field specification: {exc}") from None
-    if mats.shape != (d, w, w):
-        raise ValueError(f"A must have shape ({d}, {w}, {w}), got {mats.shape}")
-    if offs.shape != (d, w):
-        raise ValueError(f"b must have shape ({d}, {w}), got {offs.shape}")
-    return LinearVectorField(matrices=mats, offsets=offs)
+    field = LinearVectorField(matrices=mats, offsets=offs)
+    if (field.input_dim, field.state_dim) != (d, w):
+        raise ValueError(f"A and b are for d={field.input_dim}, w={field.state_dim}, not d={d}, w={w}")
+    return field
 
 
-def field_to_json(field: LinearVectorField, indent: int | None = 2) -> str:
-    return json.dumps(field_to_dict(field), allow_nan=False, sort_keys=True, indent=indent)
+def field_to_json(field: LinearVectorField) -> str:
+    return json.dumps(field_to_dict(field), allow_nan=False, sort_keys=True, indent=2)
 
 
 def field_from_json(text: str) -> LinearVectorField:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid field JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValueError("field JSON must be an object")
-    return field_from_dict(data)
+    return field_from_dict(json.loads(text))

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor_algebra import _MALFORMED, _json_int
+
 __all__ = [
     "PiecewiseLinearPath",
     "PathFormatError",
@@ -160,7 +162,7 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _pair_tests(segs: np.ndarray, tol: float):
+def _pair_tests(segs: np.ndarray):
     """reduce()'s collinearity test on every adjacent pair of the nonzero rows segs.
 
     Each row v is first scaled to v / 2**e, e from np.frexp of its largest
@@ -177,21 +179,21 @@ def _pair_tests(segs: np.ndarray, tol: float):
     norms = np.sqrt(sq)
     u, w = scaled[:-1], scaled[1:]
     resid = w - (_row_dot(u, w) / sq[:-1])[:, None] * u
-    collinear = np.sqrt(_row_dot(resid, resid)) <= tol * norms[1:]
+    collinear = np.sqrt(_row_dot(resid, resid)) <= COLLINEAR_TOL * norms[1:]
     return collinear, norms, exps
 
 
-def _cancels(merged: np.ndarray, nu: float, eu: int, nw: float, ew: int, tol: float) -> bool:
+def _cancels(merged: np.ndarray, nu: float, eu: int, nw: float, ew: int) -> bool:
     # |u + w| <= tol * (|u| + |w|), all three at the larger scale of the pair
     top = max(eu, ew)
     sq = 0.0
     for c in merged.tolist():
         c = math.ldexp(c, -top)
         sq += c * c
-    return math.sqrt(sq) <= tol * (math.ldexp(nu, eu - top) + math.ldexp(nw, ew - top))
+    return math.sqrt(sq) <= COLLINEAR_TOL * (math.ldexp(nu, eu - top) + math.ldexp(nw, ew - top))
 
 
-def reduce(a: PiecewiseLinearPath, tol: float = COLLINEAR_TOL) -> PiecewiseLinearPath:
+def reduce(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
     """Drop zero segments and merge adjacent collinear segments to a fixpoint.
 
     Merging v then w with w = lam * v (either sign of lam) into v + w never
@@ -203,15 +205,15 @@ def reduce(a: PiecewiseLinearPath, tol: float = COLLINEAR_TOL) -> PiecewiseLinea
     inputs it is a best-effort normal form.
 
     A segment is zero only when all its components are.  Collinearity test:
-    the component of w orthogonal to v must be at most tol * |w|.
-    Cancellation test: the merged v + w is dropped when
-    |v + w| <= tol * (|v| + |w|), so rounding residue such as 0.1 + 0.2 - 0.3
-    does not survive.  tol defaults to COLLINEAR_TOL = 1e-12.  The pair
-    tests are one formula (_pair_tests) evaluated on segments scaled by
-    powers of two, so no norm under- or overflows at any magnitude, and the
-    scaling, being exact, changes no decision in the normal range.  The
-    formula runs once over all adjacent pairs left by the excision; when
-    none of them merges, that list is the result.
+    the component of w orthogonal to v must be at most tol * |w|, with
+    tol = COLLINEAR_TOL = 1e-12.  Cancellation test: the merged v + w is
+    dropped when |v + w| <= tol * (|v| + |w|), so rounding residue such as
+    0.1 + 0.2 - 0.3 does not survive.  The pair tests are one formula
+    (_pair_tests) evaluated on segments scaled by powers of two, so no norm
+    under- or overflows at any magnitude, and the scaling, being exact,
+    changes no decision in the normal range.  The formula runs once over all
+    adjacent pairs left by the excision; when none of them merges, that list
+    is the result.
     """
     if a.reduced:
         return a
@@ -233,12 +235,12 @@ def reduce(a: PiecewiseLinearPath, tol: float = COLLINEAR_TOL) -> PiecewiseLinea
     kept = segs[stack]
     # pass 2: merge adjacent collinear segments to a fixpoint; pass 1 left no
     # mirrored neighbours, so a path none of whose pairs is collinear is done
-    if len(kept) >= 2 and _pair_tests(kept, tol)[0].any():
-        kept = _merge_collinear(kept, tol)
+    if len(kept) >= 2 and _pair_tests(kept)[0].any():
+        kept = _merge_collinear(kept)
     return PiecewiseLinearPath(a.dim, kept, reduced=True)
 
 
-def _merge_collinear(kept: np.ndarray, tol: float) -> np.ndarray:
+def _merge_collinear(kept: np.ndarray) -> np.ndarray:
     # the stack loop over the top pair: an exact mirror is excised, a
     # collinear pair merged, and the merge dropped if it cancels
     out: list[np.ndarray] = []
@@ -248,13 +250,13 @@ def _merge_collinear(kept: np.ndarray, tol: float) -> np.ndarray:
             if out[-1].tolist() == (-out[-2]).tolist():
                 del out[-2:]
                 continue
-            collinear, norms, exps = _pair_tests(np.array(out[-2:]), tol)
+            collinear, norms, exps = _pair_tests(np.array(out[-2:]))
             if not collinear[0]:
                 break
             merged = out[-2] + out[-1]
             del out[-2:]
             (nu, nw), (eu, ew) = norms.tolist(), exps.tolist()
-            if not _cancels(merged, nu, eu, nw, ew, tol):
+            if not _cancels(merged, nu, eu, nw, ew):
                 out.append(merged)
     return np.array(out) if out else np.zeros((0, kept.shape[1]))
 
@@ -491,9 +493,9 @@ def path_to_dict(a: PiecewiseLinearPath) -> dict:
 
 
 def path_from_dict(data: dict) -> PiecewiseLinearPath:
+    # every failure, a bad value included, is re-typed as PathFormatError
     try:
-        dim = int(data["dim"])
-        segments = data["segments"]
-    except (KeyError, TypeError, ValueError) as err:
+        dim = _json_int("path key 'dim'", data["dim"])
+        return PiecewiseLinearPath(dim, np.array(data["segments"], dtype=float))
+    except (ValueError, *_MALFORMED) as err:
         raise PathFormatError(f"malformed path record: {err}") from None
-    return PiecewiseLinearPath(dim, np.array(segments, dtype=float).reshape(-1, dim))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,11 +27,11 @@ from .path_core import PiecewiseLinearPath, path_from_dict, path_to_dict
 from .signature_engine import (
     LinearFunctional,
     _check_budget,
+    _check_feature_count,
     _signature_levels,
     feature_count,
-    signature,
 )
-from .tensor_algebra import _readonly
+from .tensor_algebra import _MALFORMED, _json_float, _json_int, _readonly
 
 __all__ = [
     "RegressionDataset",
@@ -57,12 +58,14 @@ def featurize(path: PiecewiseLinearPath, depth: int) -> np.ndarray:
     leading feature_count(dim, d) entries at any smaller depth d are
     bit-identical to featurize(path, d).
     """
-    return np.concatenate(signature(path, depth).levels)
+    return np.concatenate(_signature_levels(path.segments[None], depth), axis=1)[0]
 
 
 @dataclass(frozen=True, eq=False)
 class RegressionDataset:
-    paths: tuple
+    """n paths as one (n, m, d) segment block, with their features and responses."""
+
+    segments: np.ndarray
     features: np.ndarray
     responses: np.ndarray
     depth: int
@@ -70,13 +73,21 @@ class RegressionDataset:
     seed: int | None = None
 
     def __post_init__(self):
+        segs = np.asarray(self.segments, dtype=float)
         feats = np.asarray(self.features, dtype=float)
         resp = np.atleast_2d(np.asarray(self.responses, dtype=float))
-        if resp.shape[0] != feats.shape[0] or len(self.paths) != feats.shape[0]:
-            raise ValueError("paths, features and responses must align")
-        object.__setattr__(self, "paths", tuple(self.paths))
+        if segs.ndim != 3 or not np.isfinite(segs).all():
+            raise ValueError(f"segments must be a finite (n, m, d) block, got shape {segs.shape}")
+        if feats.ndim != 2 or not segs.shape[0] == feats.shape[0] == resp.shape[0]:
+            raise ValueError("segments, features and responses must align")
+        _check_feature_count(feats.shape[1], segs.shape[2], self.depth, "feature columns")
+        object.__setattr__(self, "segments", _readonly(segs))
         object.__setattr__(self, "features", _readonly(feats))
         object.__setattr__(self, "responses", _readonly(resp))
+
+    @cached_property
+    def paths(self) -> tuple:
+        return tuple(PiecewiseLinearPath(self.dim, row) for row in self.segments)
 
     @property
     def n_samples(self) -> int:
@@ -84,7 +95,7 @@ class RegressionDataset:
 
     @property
     def dim(self) -> int:
-        return self.paths[0].dim
+        return self.segments.shape[2]
 
 
 def generate_dataset(
@@ -143,7 +154,7 @@ def generate_dataset(
     if noise_scale > 0:
         responses = responses + noise_scale * rng.standard_normal(responses.shape)
     return RegressionDataset(
-        paths=tuple(PiecewiseLinearPath(d, row) for row in segments),
+        segments=segments,
         features=features,
         responses=responses,
         depth=depth,
@@ -246,12 +257,12 @@ def functional_to_dict(functional: LinearFunctional) -> dict:
 def functional_from_dict(data: dict) -> LinearFunctional:
     try:
         return LinearFunctional(
-            dim=int(data["dim"]),
-            depth=int(data["depth"]),
+            dim=_json_int("functional key 'dim'", data["dim"]),
+            depth=_json_int("functional key 'depth'", data["depth"]),
             weights=np.asarray(data["weights"], dtype=float),
             rank_deficient=bool(data.get("rank_deficient", False)),
         )
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise ValueError(f"malformed functional: {exc}") from None
 
 
@@ -269,14 +280,14 @@ def dataset_to_dict(dataset: RegressionDataset) -> dict:
 def dataset_from_dict(data: dict) -> RegressionDataset:
     try:
         return RegressionDataset(
-            paths=tuple(path_from_dict(p) for p in data["paths"]),
+            segments=np.stack([path_from_dict(p).segments for p in data["paths"]]),
             features=np.asarray(data["features"], dtype=float),
             responses=np.asarray(data["responses"], dtype=float),
-            depth=int(data["depth"]),
-            noise_scale=float(data["noise_scale"]),
-            seed=data.get("seed"),
+            depth=_json_int("dataset key 'depth'", data["depth"]),
+            noise_scale=_json_float("dataset key 'noise_scale'", data["noise_scale"]),
+            seed=None if data.get("seed") is None else _json_int("dataset key 'seed'", data["seed"]),
         )
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise ValueError(f"malformed dataset: {exc}") from None
 
 

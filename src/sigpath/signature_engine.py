@@ -149,6 +149,13 @@ def feature_count(dim: int, depth: int) -> int:
     return (dim ** (depth + 1) - 1) // (dim - 1)
 
 
+def _check_feature_count(count: int, dim: int, depth: int, what: str) -> None:
+    # feature_count(dim, depth) > depth, so a depth of at least count is
+    # refused before dim**(depth + 1) is formed
+    if depth >= count or count != feature_count(dim, depth):
+        raise ValueError(f"{count} {what} do not fit dim {dim} depth {depth}")
+
+
 @dataclass(frozen=True, eq=False)
 class LinearFunctional:
     """Affine-in-signature predictor: one weight per tensor coefficient.
@@ -169,12 +176,7 @@ class LinearFunctional:
             w = w[:, None]
         if w.ndim != 2:
             raise ValueError(f"weights must be 1- or 2-dimensional, got {w.ndim}")
-        expected = feature_count(self.dim, self.depth)
-        if w.shape[0] != expected:
-            raise ValueError(
-                f"weights must have {expected} rows for dim {self.dim} "
-                f"depth {self.depth}, got {w.shape[0]}"
-            )
+        _check_feature_count(w.shape[0], self.dim, self.depth, "weight rows")
         object.__setattr__(self, "weights", _readonly(w))
 
     @property

@@ -59,6 +59,26 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+# what every *_from_dict turns into its ValueError: a missing key or entry,
+# a value of the wrong JSON type, or an integer beyond float range
+_MALFORMED = (KeyError, IndexError, TypeError, AttributeError, OverflowError)
+
+
+def _json_int(what, value) -> int:
+    # a JSON integer: no string, boolean or number with a fraction part
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_float(what, value) -> float:
+    # a finite JSON number; math.isfinite of an integer beyond float range
+    # raises OverflowError
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _frozen_levels(dim, depth, levels):
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
@@ -363,12 +383,10 @@ def tensor_to_dict(x: TruncatedTensor) -> dict:
 
 def tensor_from_dict(data: dict) -> TruncatedTensor:
     try:
-        dim = int(data["dim"])
-        depth = int(data["depth"])
-        levels = data["levels"]
-    except (KeyError, TypeError, ValueError) as err:
+        dim, depth = (_json_int(f"tensor key {key!r}", data[key]) for key in ("dim", "depth"))
+        return TruncatedTensor(dim, depth, data["levels"])
+    except _MALFORMED as err:
         raise ValueError(f"malformed tensor record: {err}") from None
-    return TruncatedTensor(dim, depth, levels)
 
 
 def tensor_to_json(x: TruncatedTensor) -> str:
@@ -377,8 +395,4 @@ def tensor_to_json(x: TruncatedTensor) -> str:
 
 
 def tensor_from_json(text: str) -> TruncatedTensor:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"malformed tensor JSON: {err}") from None
-    return tensor_from_dict(data)
+    return tensor_from_dict(json.loads(text))

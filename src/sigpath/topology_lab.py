@@ -35,7 +35,7 @@ from .path_core import (
     reduce,
 )
 from .signature_engine import _check_budget, _signature_levels, exact_signature, signature
-from .tensor_algebra import GroupTensor, phi_contraction, product_metric, unit
+from .tensor_algebra import _MALFORMED, GroupTensor, _json_int, phi_contraction, product_metric, unit
 
 __all__ = [
     "ExperimentReport",
@@ -84,9 +84,9 @@ class ExperimentReport:
                 indices=list(data["indices"]),
                 series={k: list(v) for k, v in data["series"].items()},
                 verdict=bool(data["verdict"]),
-                seed=data.get("seed"),
+                seed=None if data.get("seed") is None else _json_int("report key 'seed'", data["seed"]),
             )
-        except (KeyError, TypeError, AttributeError) as exc:
+        except _MALFORMED as exc:
             raise ValueError(f"malformed experiment report: {exc}") from None
 
     @classmethod
@@ -112,8 +112,6 @@ def metric_d(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
     when the two paths reduce to the same segment list, which is how
     tree-like insertions are quotiented away.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return one_variation_distance(reduce(a), reduce(b))
 
 

@@ -1,11 +1,13 @@
 """Shared corpus builders and independent oracles for the test suite."""
 
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
 from sigpath import LinearVectorField, PiecewiseLinearPath, GroupTensor
@@ -495,10 +497,56 @@ def reference_generate_dataset(field, y0, n_paths, segment_count, r, noise_scale
     if noise_scale > 0:
         responses = responses + noise_scale * rng.standard_normal(responses.shape)
     return RegressionDataset(
-        paths=tuple(paths),
+        segments=segments,
         features=features,
         responses=responses,
         depth=depth,
         noise_scale=float(noise_scale),
         seed=seed,
     )
+
+
+# Bad values for a record's integer keys, as JSON text: 1e400 reads as
+# float infinity, the 400-digit integer is beyond float range.
+BIG_INT = "9" * 400
+BAD_INTEGERS = ("1e400", BIG_INT, "2.5", "true", '"2"')
+# JSON texts that are no object at all
+NOT_OBJECTS = ("[1, 2]", "null", "3", '"record"')
+
+
+def with_value(record, key, text):
+    """JSON text of record with key set to the raw JSON text given."""
+    return json.dumps({**record, key: "@"}).replace('"@"', text)
+
+
+def with_big_entry(record, *where):
+    """JSON text of record with the first number of the array at the key
+    path `where` replaced by a 400-digit integer."""
+    doc = json.loads(json.dumps(record))
+    node = doc
+    for step in where:
+        node = node[step]
+    while isinstance(node[0], list):
+        node = node[0]
+    node[0] = "@"
+    return json.dumps(doc).replace('"@"', BIG_INT)
+
+
+def bad_value_params(record, key, bads=BAD_INTEGERS):
+    """pytest params: record with key set to each raw JSON text in bads."""
+    return [
+        pytest.param(with_value(record, key, bad), id=f"{key}={'400-digit' if bad == BIG_INT else bad}")
+        for bad in bads
+    ]
+
+
+def malformed_record_params(record, int_keys, arrays):
+    """One JSON text per defect, as pytest params: each integer key given
+    each of BAD_INTEGERS, a 400-digit integer in each array, and every
+    NOT_OBJECTS text in place of the record."""
+    params = [param for key in int_keys for param in bad_value_params(record, key)]
+    params += [
+        pytest.param(with_big_entry(record, *where), id=f"400-digit-in-{'/'.join(map(str, where))}")
+        for where in arrays
+    ]
+    return params + [pytest.param(text, id=f"record={text}") for text in NOT_OBJECTS]

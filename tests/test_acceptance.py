@@ -208,7 +208,7 @@ def test_criterion_10_regression_realisability():
     target = sp.truncated_functional_LN(field, y0, 2)
     responses = np.stack([target.evaluate(sp.signature(p, 2)) for p in ds.paths])
     realised = sp.RegressionDataset(
-        paths=ds.paths, features=ds.features, responses=responses,
+        segments=ds.segments, features=ds.features, responses=responses,
         depth=ds.depth, noise_scale=0.0, seed=3,
     )
     fitted = sp.fit(realised, depth=2)

@@ -250,6 +250,33 @@ def test_solve_size_budget_is_input_error(capsys, tmp_path, fmt):
     assert code == 2 and out == "" and "limit" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "field_text",
+    [
+        '{"d": 1e400, "w": 1, "A": [[[0.5]]], "b": [[0.1]]}',
+        '{"d": 1, "w": 1, "A": [[[' + "9" * 400 + ']]], "b": [[0.1]]}',
+        '{"d": 1.0, "w": 1, "A": [[[0.5]]], "b": [[0.1]]}',
+        "[1, 2]",
+        "null",
+        '{"d": 1,',
+    ],
+    ids=["d=1e400", "400-digit-in-A", "d=1.0", "list", "null", "syntax"],
+)
+def test_solve_malformed_field_is_input_error(capsys, tmp_path, field_text, fmt):
+    # the first two exited 1 with an OverflowError traceback, and a float d
+    # was truncated
+    fjson = tmp_path / "field.json"
+    fjson.write_text(field_text)
+    path_csv = tmp_path / "one.csv"
+    write_csv(sp.linear_path([0.5]), path_csv)
+    code, out, err = run_main(
+        capsys, ["solve", str(fjson), str(path_csv), "--y0", "1", "--N", "4", "--format", fmt]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("sigpath: error: ") and "Traceback" not in err
+
+
 def test_memory_error_is_input_error(capsys, monkeypatch, staircase_csv):
     def exhausted(args, seed):
         raise MemoryError()

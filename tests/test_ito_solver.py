@@ -22,6 +22,7 @@ from sigpath.ito_solver import (
 )
 
 from helpers import (
+    malformed_record_params,
     random_affine_system,
     reference_flow_end_states,
     reference_rk4_oracle,
@@ -249,6 +250,20 @@ def test_field_json_round_trip():
         field_from_json(json.dumps({"d": 1, "w": 1, "A": [[[1.0]]]}))
     with pytest.raises(ValueError):
         field_from_json(json.dumps({"d": 2, "w": 1, "A": [[[1.0]]], "b": [[0.0]]}))
+    with pytest.raises(ValueError):
+        field_from_json('{"d": 1,')
+
+
+FIELD_RECORD = {"d": 1, "w": 2, "A": [[[0.5, 0.0], [0.1, -0.2]]], "b": [[0.1, 0.0]]}
+
+
+@pytest.mark.parametrize("text", malformed_record_params(FIELD_RECORD, ("d", "w"), [("A",), ("b",)]))
+def test_field_record_with_a_bad_value_is_a_value_error(text):
+    sp.field_from_dict(FIELD_RECORD)
+    with pytest.raises(ValueError):
+        sp.field_from_dict(json.loads(text))
+    with pytest.raises(ValueError):
+        field_from_json(text)
 
 
 def test_oracle_overflow_is_numerical_failure():

@@ -138,3 +138,76 @@ print(json.dumps(seen))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [False, False, False, False, True]
+
+
+# the shared decoding policy and the cli helpers it replaced
+_POLICY = {"_json_int", "_json_float", "_MALFORMED"}
+_RETIRED = {"_config_int", "_config_float"}
+
+
+def _is_decoder(node):
+    return isinstance(node, ast.FunctionDef) and (node.name.endswith("from_dict") or node.name == "_cmd_regress")
+
+
+def _decoder_faults(tree):
+    # (function, line, fault) for a bare int( call in a decoder, or a handler
+    # there that catches anything but _MALFORMED; ValueError may stand
+    # beside it, to re-type a bad value as PathFormatError
+    faults = []
+    for node in filter(_is_decoder, ast.walk(tree)):
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name) and inner.func.id == "int":
+                faults.append((node.name, inner.lineno, "int("))
+            if isinstance(inner, ast.ExceptHandler):
+                caught = [] if inner.type is None else getattr(inner.type, "elts", [inner.type])
+                names = {ast.unparse(c) for c in caught}
+                if not (names & {"_MALFORMED", "*_MALFORMED"}) or not names <= {"_MALFORMED", "*_MALFORMED", "ValueError"}:
+                    faults.append((node.name, inner.lineno, ", ".join(sorted(names)) or "bare except"))
+    return sorted(faults)
+
+
+def test_every_decoder_reads_records_through_the_shared_policy():
+    trees = {source.name: ast.parse(source.read_text(encoding="utf-8")) for source in SOURCES}
+    decoders = sorted(node.name for tree in trees.values() for node in filter(_is_decoder, ast.walk(tree)))
+    assert decoders == [
+        "_cmd_regress", "dataset_from_dict", "field_from_dict", "from_dict",
+        "functional_from_dict", "path_from_dict", "tensor_from_dict",
+    ]
+    assert {name: _decoder_faults(tree) for name, tree in trees.items() if _decoder_faults(tree)} == {}
+    defined = {
+        (name, target)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        for target in (
+            [node.name] if isinstance(node, ast.FunctionDef)
+            else [t.id for t in node.targets if isinstance(t, ast.Name)] if isinstance(node, ast.Assign)
+            else []
+        )
+        if target in _POLICY | _RETIRED
+    }
+    assert defined == {("tensor_algebra.py", name) for name in _POLICY}
+    used = {node.id for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not used & _RETIRED
+
+
+def test_the_decoder_detector_sees_int_calls_and_private_exception_lists():
+    tree = ast.parse(
+        "def x_from_dict(d):\n"
+        "    try:\n"
+        "        return int(d['a'])\n"
+        "    except (KeyError, TypeError):\n"
+        "        pass\n"
+        "    except _MALFORMED:\n"
+        "        pass\n"
+        "    except (ValueError, *_MALFORMED):\n"
+        "        pass\n"
+        "    except ValueError:\n"
+        "        pass\n"
+        "def other(d):\n"
+        "    return int(d)\n"
+    )
+    assert _decoder_faults(tree) == [
+        ("x_from_dict", 3, "int("),
+        ("x_from_dict", 4, "KeyError, TypeError"),
+        ("x_from_dict", 10, "ValueError"),
+    ]

@@ -18,6 +18,7 @@ from sigpath.path_core import (
 )
 
 from helpers import (
+    malformed_record_params,
     mixed_path_corpus,
     random_path,
     reference_difference_path,
@@ -264,6 +265,16 @@ def test_path_json_round_trip():
     assert set(doc) == {"dim", "segments"}
     q = path_from_dict(json.loads(json.dumps(doc)))
     assert np.array_equal(q.segments, p.segments)
+
+
+PATH_RECORD = {"dim": 2, "segments": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("text", malformed_record_params(PATH_RECORD, ("dim",), [("segments",)]))
+def test_path_record_with_a_bad_value_is_a_path_format_error(text):
+    path_from_dict(PATH_RECORD)
+    with pytest.raises(PathFormatError):
+        path_from_dict(json.loads(text))
 
 
 def test_path_validation():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 
 import numpy as np
@@ -6,14 +7,26 @@ import pytest
 
 import sigpath as sp
 from sigpath.sig_regression import (
+    dataset_from_dict,
     dataset_from_json,
+    dataset_to_dict,
     dataset_to_json,
     evaluate,
+    functional_from_dict,
     functional_from_json,
     functional_to_json,
 )
 
-from helpers import random_path, reference_generate_dataset, reference_signature, same_bits
+from helpers import (
+    BAD_INTEGERS,
+    BIG_INT,
+    bad_value_params,
+    malformed_record_params,
+    random_path,
+    reference_generate_dataset,
+    reference_signature,
+    same_bits,
+)
 
 
 def test_feature_count():
@@ -122,7 +135,7 @@ def test_realisable_recovery():
     target = sp.truncated_functional_LN(field, y0, 2)
     responses = np.stack([target.evaluate(sp.signature(p, 2)) for p in ds.paths])
     realised = sp.RegressionDataset(
-        paths=ds.paths, features=ds.features, responses=responses,
+        segments=ds.segments, features=ds.features, responses=responses,
         depth=ds.depth, noise_scale=0.0, seed=3,
     )
     f = sp.fit(realised, depth=2)
@@ -163,7 +176,7 @@ def test_scaling_equivariance_bitwise():
     ds = sp.generate_dataset(field, y0, n_paths=30, segment_count=3, r=1.0,
                              noise_scale=0.0, seed=6)
     scaled = sp.RegressionDataset(
-        paths=ds.paths, features=ds.features, responses=ds.responses * 4.0,
+        segments=ds.segments, features=ds.features, responses=ds.responses * 4.0,
         depth=ds.depth, noise_scale=0.0, seed=6,
     )
     f1 = sp.fit(ds, depth=3)
@@ -295,3 +308,60 @@ def test_generate_dataset_is_bitwise_the_per_path_loop(d, segment_count):
         for p, q in zip(got.paths, want.paths):
             assert p.dim == d and same_bits([p.segments], [q.segments])
             assert not p.segments.flags.writeable
+
+
+FUNCTIONAL_RECORD = {"dim": 2, "depth": 1, "weights": [[0.5], [1.0], [-1.0]], "rank_deficient": False}
+DATASET_RECORD = dataset_to_dict(
+    sp.generate_dataset(*sp.demo_field(), n_paths=3, segment_count=2, r=1.0, noise_scale=0.0, seed=1, depth=1)
+)
+
+
+@pytest.mark.parametrize("text", malformed_record_params(FUNCTIONAL_RECORD, ("dim", "depth"), [("weights",)]))
+def test_functional_record_with_a_bad_value_is_a_value_error(text):
+    # a 400-digit depth is refused before 2**(depth + 1) is formed
+    functional_from_dict(FUNCTIONAL_RECORD)
+    with pytest.raises(ValueError):
+        functional_from_dict(json.loads(text))
+    with pytest.raises(ValueError):
+        functional_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    malformed_record_params(
+        DATASET_RECORD, ("depth",), [("features",), ("responses",), ("paths", 0, "segments")]
+    )
+    + bad_value_params(DATASET_RECORD, "seed", [bad for bad in BAD_INTEGERS if bad != BIG_INT])
+    + bad_value_params(DATASET_RECORD, "noise_scale", ("1e400", BIG_INT, "true", '"0"')),
+)
+def test_dataset_record_with_a_bad_value_is_a_value_error(text):
+    # a 400-digit seed is a valid numpy seed, so only the other bad values
+    # are tried on it
+    dataset_from_dict(DATASET_RECORD)
+    with pytest.raises(ValueError):
+        dataset_from_dict(json.loads(text))
+    with pytest.raises(ValueError):
+        dataset_from_json(text)
+
+
+def test_ragged_dataset_record_is_a_value_error():
+    doc = json.loads(json.dumps(DATASET_RECORD))
+    doc["paths"][1]["segments"] = doc["paths"][1]["segments"][:1]
+    with pytest.raises(ValueError):
+        dataset_from_dict(doc)
+
+
+def test_dataset_holds_a_read_only_segment_block_and_builds_paths_on_first_read():
+    field, y0 = sp.demo_field()
+    ds = sp.generate_dataset(field, y0, n_paths=5, segment_count=3, r=1.0, noise_scale=0.0, seed=4, depth=2)
+    assert ds.segments.shape == (5, 3, 2) and not ds.segments.flags.writeable
+    assert "paths" not in vars(ds)
+    assert ds.paths is ds.paths and len(ds.paths) == 5
+    assert all(same_bits([p.segments], [row]) for p, row in zip(ds.paths, ds.segments))
+    fields = dict(features=ds.features, responses=ds.responses, depth=2, noise_scale=0.0)
+    with pytest.raises(ValueError):
+        sp.RegressionDataset(segments=ds.segments[0], **fields)
+    with pytest.raises(ValueError):
+        sp.RegressionDataset(segments=ds.segments[:4], **fields)
+    with pytest.raises(ValueError):
+        sp.RegressionDataset(segments=ds.segments, **{**fields, "depth": 3})

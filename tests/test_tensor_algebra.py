@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import sigpath as sp
-from sigpath.tensor_algebra import tensor_from_json, tensor_to_json
+from sigpath.tensor_algebra import tensor_from_dict, tensor_from_json, tensor_to_json
 
 from helpers import (
+    malformed_record_params,
     random_path,
     reference_exp,
     reference_inverse_psi,
@@ -289,3 +290,17 @@ def test_tensor_json_malformed():
         tensor_from_json(json.dumps({"dim": 2, "depth": 1, "levels": [[1.0], [0.0]]}))
     with pytest.raises(ValueError):
         tensor_from_json(json.dumps({"dim": 2, "levels": [[1.0]]}))
+
+
+TENSOR_RECORD = {"dim": 2, "depth": 1, "levels": [[1.0], [0.5, -0.25]]}
+
+
+@pytest.mark.parametrize("text", malformed_record_params(TENSOR_RECORD, ("dim", "depth"), [("levels",)]))
+def test_tensor_record_with_a_bad_value_is_a_value_error(text):
+    # no int() truncation of 2.5 or "2", and no OverflowError or
+    # AttributeError escaping the decoder
+    tensor_from_dict(TENSOR_RECORD)
+    with pytest.raises(ValueError):
+        tensor_from_dict(json.loads(text))
+    with pytest.raises(ValueError):
+        tensor_from_json(text)

@@ -9,7 +9,15 @@ from sigpath.signature_engine import _signature_levels
 from sigpath.tensor_algebra import product_metric, unit
 from sigpath.topology_lab import ExperimentReport, _shrinking_rectangle
 
-from helpers import reference_sign_dots, rotated_orthogonal_path, same_bits, traced_peak_bytes
+from helpers import (
+    BAD_INTEGERS,
+    BIG_INT,
+    reference_sign_dots,
+    rotated_orthogonal_path,
+    same_bits,
+    traced_peak_bytes,
+    with_value,
+)
 
 STAIRCASE = np.array([[1, 0], [0, 2], [3, 0], [0, 1], [2, 0], [0, 3]] * 2, dtype=float) / 4
 
@@ -350,6 +358,8 @@ def test_incompleteness_memory_is_one_rectangle_at_a_time_when_deep():
         {"name": "x", "indices": [1], "series": {}},
         [1, 2],
         None,
+        3,
+        "report",
     ],
 )
 def test_report_from_dict_rejects_malformed_input_with_value_error(doc):
@@ -357,6 +367,14 @@ def test_report_from_dict_rejects_malformed_input_with_value_error(doc):
         ExperimentReport.from_dict(doc)
     with pytest.raises(ValueError, match="malformed experiment report"):
         ExperimentReport.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bad", [bad for bad in BAD_INTEGERS if bad != BIG_INT])
+def test_report_seed_must_be_a_json_integer(bad):
+    doc = ExperimentReport("x", [1], {"a": [1.0]}, True, seed=3).to_dict()
+    assert ExperimentReport.from_dict(doc).seed == 3
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentReport.from_json(with_value(doc, "seed", bad))
 
 
 def test_report_from_json_rejects_invalid_json_with_value_error():
