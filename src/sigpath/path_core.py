@@ -49,6 +49,14 @@ __all__ = [
 # relative tolerance for the collinearity rejection test in reduce()
 COLLINEAR_TOL = 1e-12
 
+# numpy sums fewer than 8 terms in order and pairwise from 8 up (np.sum and
+# np.add.reduce, along either axis), so a scalar loop that sums in order has
+# numpy's bits only on sums of fewer terms.  It bounds the row length and the
+# step count of one_variation_distance's scalar route.  reduce, whose scalar
+# loop matches at any size, uses it too: its screen over all pairs pays for
+# its numpy calls from about 7 rows on random planar paths
+_IN_ORDER_TERMS = 8
+
 
 class PathFormatError(ValueError):
     """Raised when a serialised path cannot be parsed."""
@@ -162,35 +170,39 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _pair_tests(segs: np.ndarray):
-    """reduce()'s collinearity test on every adjacent pair of the nonzero rows segs.
+def _pair_tests(segs: np.ndarray) -> np.ndarray:
+    """Whether each adjacent pair of the nonzero rows segs passes reduce()'s
+    collinearity test, evaluated on all pairs at once.
 
     Each row v is first scaled to v / 2**e, e from np.frexp of its largest
     component; the scaling is exact in the normal range, so it changes no
-    decision there, and no square under- or overflows.  Returns, for the
-    pairs (u, w) = (segs[i], segs[i + 1]), whether the part of w orthogonal
-    to u is at most tol * |w|; and, per row, |v| / 2**e and e.  Rows are
-    computed independently, coordinate by coordinate, so a pair's verdict is
-    the same whether it is tested alone or among all pairs of a path.
+    decision there, and no square under- or overflows.  A pair (u, w) =
+    (segs[i], segs[i + 1]) passes when the part of w orthogonal to u is at
+    most tol * |w|.  Rows are computed independently, coordinate by
+    coordinate, so a pair's verdict is _merge_collinear's on that pair.
     """
     exps = np.frexp(np.abs(segs).max(axis=1))[1]
     scaled = np.ldexp(segs, -exps[:, None])
     sq = _row_dot(scaled, scaled)
-    norms = np.sqrt(sq)
     u, w = scaled[:-1], scaled[1:]
     resid = w - (_row_dot(u, w) / sq[:-1])[:, None] * u
-    collinear = np.sqrt(_row_dot(resid, resid)) <= COLLINEAR_TOL * norms[1:]
-    return collinear, norms, exps
+    return np.sqrt(_row_dot(resid, resid)) <= COLLINEAR_TOL * np.sqrt(sq[1:])
 
 
-def _cancels(merged: np.ndarray, nu: float, eu: int, nw: float, ew: int) -> bool:
-    # |u + w| <= tol * (|u| + |w|), all three at the larger scale of the pair
-    top = max(eu, ew)
-    sq = 0.0
-    for c in merged.tolist():
-        c = math.ldexp(c, -top)
-        sq += c * c
-    return math.sqrt(sq) <= COLLINEAR_TOL * (math.ldexp(nu, eu - top) + math.ldexp(nw, ew - top))
+def _dot(x: list, y: list) -> float:
+    # _row_dot on one pair of rows given as lists
+    acc = x[0] * y[0]
+    for i in range(1, len(x)):
+        acc += x[i] * y[i]
+    return acc
+
+
+def _scaled_row(row: list) -> tuple:
+    # (row, s, |s|**2, e) with s = row / 2**e, scaled as _row_norms and
+    # _pair_tests scale it
+    exp = math.frexp(max(map(abs, row)))[1]
+    scaled = [math.ldexp(c, -exp) for c in row]
+    return row, scaled, _dot(scaled, scaled), exp
 
 
 def reduce(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
@@ -208,57 +220,69 @@ def reduce(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
     the component of w orthogonal to v must be at most tol * |w|, with
     tol = COLLINEAR_TOL = 1e-12.  Cancellation test: the merged v + w is
     dropped when |v + w| <= tol * (|v| + |w|), so rounding residue such as
-    0.1 + 0.2 - 0.3 does not survive.  The pair tests are one formula
-    (_pair_tests) evaluated on segments scaled by powers of two, so no norm
-    under- or overflows at any magnitude, and the scaling, being exact,
-    changes no decision in the normal range.  The formula runs once over all
-    adjacent pairs left by the excision; when none of them merges, that list
-    is the result.
+    0.1 + 0.2 - 0.3 does not survive.  Both tests run on segments scaled by
+    powers of two, so no norm under- or overflows at any magnitude, and the
+    scaling, being exact, changes no decision in the normal range.
+
+    The merge is one stack loop over Python floats that tests one pair at a
+    time.  When the excision leaves more than _IN_ORDER_TERMS = 8 segments,
+    the collinearity test first runs once over all adjacent pairs as numpy
+    arrays (_pair_tests), and when none of them merges that list is the
+    result.  A shorter list goes straight to the loop, since on a few rows
+    numpy's per-call cost exceeds the arithmetic.  Both forms of the test
+    sum coordinate by coordinate in order, so they agree on every pair and
+    the two routes give the same bits.
     """
     if a.reduced:
         return a
     segs = a.segments
-    nonzero = (segs != 0.0).any(axis=1)
-    if a.segment_count < 2:
-        return PiecewiseLinearPath(a.dim, segs[nonzero], reduced=True)
     # pass 1: excise exactly mirrored adjacent pairs without any arithmetic,
     # so out-and-back insertions vanish bitwise even when every segment of
-    # the path is collinear with its neighbours (d = 1)
+    # the path is collinear with its neighbours (d = 1); merging only after
+    # this pass keeps [0.1], [0.2], [-0.2] at [0.1] rather than 0.1 + 0.2 - 0.2
     rows = segs.tolist()
-    negated = (-segs).tolist()
     stack: list[int] = []
-    for i in np.flatnonzero(nonzero).tolist():
-        if stack and rows[stack[-1]] == negated[i]:
+    for i, negated in enumerate((-segs).tolist()):
+        if not any(negated):
+            continue
+        if stack and rows[stack[-1]] == negated:
             stack.pop()
         else:
             stack.append(i)
-    kept = segs[stack]
     # pass 2: merge adjacent collinear segments to a fixpoint; pass 1 left no
-    # mirrored neighbours, so a path none of whose pairs is collinear is done
-    if len(kept) >= 2 and _pair_tests(kept)[0].any():
-        kept = _merge_collinear(kept)
-    return PiecewiseLinearPath(a.dim, kept, reduced=True)
+    # mirrored neighbours, so a long path none of whose pairs is collinear is done
+    if len(stack) > _IN_ORDER_TERMS:
+        kept = segs[stack]
+        if not _pair_tests(kept).any():
+            return PiecewiseLinearPath(a.dim, kept, reduced=True)
+    return PiecewiseLinearPath(a.dim, _merge_collinear([rows[i] for i in stack]), reduced=True)
 
 
-def _merge_collinear(kept: np.ndarray) -> np.ndarray:
+def _merge_collinear(rows: list) -> list:
     # the stack loop over the top pair: an exact mirror is excised, a
-    # collinear pair merged, and the merge dropped if it cancels
-    out: list[np.ndarray] = []
-    for v in kept:
-        out.append(v)
+    # collinear pair merged (_pair_tests' arithmetic on that one pair), and
+    # the merge dropped if |u + w| <= tol * (|u| + |w|), all three at the
+    # larger scale of the pair
+    out: list[tuple] = []
+    for v in rows:
+        out.append(_scaled_row(v))
         while len(out) >= 2:
-            if out[-1].tolist() == (-out[-2]).tolist():
+            (u, su, squ, eu), (w, sw, sqw, ew) = out[-2:]
+            if u == [-c for c in w]:
                 del out[-2:]
                 continue
-            collinear, norms, exps = _pair_tests(np.array(out[-2:]))
-            if not collinear[0]:
+            lam = _dot(su, sw) / squ
+            resid = [q - lam * p for p, q in zip(su, sw)]
+            if not math.sqrt(_dot(resid, resid)) <= COLLINEAR_TOL * math.sqrt(sqw):
                 break
-            merged = out[-2] + out[-1]
+            merged = [p + q for p, q in zip(u, w)]
             del out[-2:]
-            (nu, nw), (eu, ew) = norms.tolist(), exps.tolist()
-            if not _cancels(merged, nu, eu, nw, ew):
-                out.append(merged)
-    return np.array(out) if out else np.zeros((0, kept.shape[1]))
+            top = max(eu, ew)
+            sm = [math.ldexp(c, -top) for c in merged]
+            size = math.ldexp(math.sqrt(squ), eu - top) + math.ldexp(math.sqrt(sqw), ew - top)
+            if not math.sqrt(_dot(sm, sm)) <= COLLINEAR_TOL * size:
+                out.append(_scaled_row(merged))
+    return [entry[0] for entry in out]
 
 
 def constant_speed(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
@@ -331,9 +355,86 @@ def _difference(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> np.ndarray:
 
 
 def one_variation_distance(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
-    """Exact 1-variation of t -> a(t) - b(t) on the constant-speed clock."""
+    """Exact 1-variation of t -> a(t) - b(t) on the constant-speed clock.
+
+    Short paths take a scalar route on Python floats, where numpy's per-call
+    cost would exceed the arithmetic: the same grids, np.interp's formula and
+    _row_norms' scaled norms, with every sum taken in order.  numpy sums
+    fewer than _IN_ORDER_TERMS = 8 terms in order too, so the route gives
+    the numpy route's bits when a row has at most 7 coordinates and the
+    union grid at most 7 steps; the union of grids of ka and kb steps
+    (a path with no nonzero segment has one) has at most ka + kb - 1.  A
+    result that is not finite, from an overflow or from a point where the
+    formula gives nan and np.interp retries it, is recomputed on the numpy
+    route.
+    """
+    _check_dim(a, b)
+    if a.dim < _IN_ORDER_TERMS and max(a.segment_count, 1) + max(b.segment_count, 1) <= _IN_ORDER_TERMS:
+        dist = _scalar_one_variation_distance(a, b)
+        if math.isfinite(dist):
+            return dist
     values = _difference(a, b)
     return float(_row_norms(values[1:] - values[:-1]).sum())
+
+
+def _scalar_norm(row: list) -> float:
+    # _row_norms on one row given as a list
+    exp = math.frexp(max(map(abs, row)))[1]
+    sq = 0.0
+    for c in row:
+        c = math.ldexp(c, -exp)
+        sq += c * c
+    return math.ldexp(math.sqrt(sq), exp)
+
+
+def _scalar_grid(a: PiecewiseLinearPath):
+    # _grid as lists; an overflowing length raises OverflowError, as
+    # math.ldexp does where np.ldexp returns inf
+    times, pts, total, pos = [0.0], [[0.0] * a.dim], 0.0, None
+    for row in a.segments.tolist():
+        norm = _scalar_norm(row)
+        if norm > 0.0:
+            total += norm
+            pos = row if pos is None else [p + c for p, c in zip(pos, row)]
+            times.append(total)
+            pts.append(pos)
+    if pos is None:
+        return [0.0, 1.0], pts * 2
+    if total == math.inf:
+        raise OverflowError("path length overflows")
+    return [t / total for t in times], pts
+
+
+def _scalar_interp(ts: list, times: list, pts: list) -> list:
+    # np.interp at the increasing times ts, knot j the last with times[j] <= t
+    out, j, last = [], 0, len(times) - 1
+    for t in ts:
+        while j < last and times[j + 1] <= t:
+            j += 1
+        if j == last or times[j] == t:
+            out.append(pts[j])
+        else:
+            t0, dt = times[j], times[j + 1] - times[j]
+            out.append([(q - p) / dt * (t - t0) + p for p, q in zip(pts[j], pts[j + 1])])
+    return out
+
+
+def _scalar_one_variation_distance(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
+    # the sum of |step| over the union grid, or inf where anything overflows
+    try:
+        ta, pa = _scalar_grid(a)
+        tb, pb = _scalar_grid(b)
+        times = sorted(set(ta).union(tb))
+        values = [
+            [p - q for p, q in zip(u, v)]
+            for u, v in zip(_scalar_interp(times, ta, pa), _scalar_interp(times, tb, pb))
+        ]
+        total = 0.0
+        for prev, cur in zip(values, values[1:]):
+            total += _scalar_norm([c - p for p, c in zip(prev, cur)])
+        return total
+    except OverflowError:
+        return math.inf
 
 
 def sup_distance(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:

@@ -31,7 +31,7 @@ from .signature_engine import (
     _signature_levels,
     feature_count,
 )
-from .tensor_algebra import _MALFORMED, _json_float, _json_int, _readonly
+from .tensor_algebra import _MALFORMED, _json_bool, _json_float, _json_int, _readonly
 
 __all__ = [
     "RegressionDataset",
@@ -260,7 +260,7 @@ def functional_from_dict(data: dict) -> LinearFunctional:
             dim=_json_int("functional key 'dim'", data["dim"]),
             depth=_json_int("functional key 'depth'", data["depth"]),
             weights=np.asarray(data["weights"], dtype=float),
-            rank_deficient=bool(data.get("rank_deficient", False)),
+            rank_deficient=_json_bool("functional key 'rank_deficient'", data.get("rank_deficient", False)),
         )
     except _MALFORMED as exc:
         raise ValueError(f"malformed functional: {exc}") from None

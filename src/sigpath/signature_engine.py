@@ -195,14 +195,20 @@ class LinearFunctional:
             raise ValueError(
                 f"tensor depth {tensor.depth} is below functional depth {self.depth}"
             )
-        acc = tensor.levels[0] @ self.weights[:1]
-        for k in range(1, self.depth + 1):
-            start = feature_count(self.dim, k - 1)
-            acc = acc + tensor.levels[k] @ self.weights[start : start + self.dim**k]
-        return acc
+        return self._pair(tensor.levels)
 
     def predict_path(self, path: PiecewiseLinearPath) -> np.ndarray:
-        return self.evaluate(signature(path, self.depth))
+        """evaluate(signature(path, depth)), from the signature's bare levels."""
+        if path.dim != self.dim:
+            raise ValueError(f"path dim {path.dim} does not match {self.dim}")
+        return self._pair([lvl[0] for lvl in _signature_levels(path.segments[None], self.depth)])
+
+    def _pair(self, levels) -> np.ndarray:
+        acc = levels[0] @ self.weights[:1]
+        for k in range(1, self.depth + 1):
+            start = feature_count(self.dim, k - 1)
+            acc = acc + levels[k] @ self.weights[start : start + self.dim**k]
+        return acc
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Batched prediction from rows of flattened features."""

@@ -79,6 +79,20 @@ def _json_float(what, value) -> float:
     return float(value)
 
 
+def _json_bool(what, value) -> bool:
+    # a JSON boolean: no number, string or null
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be a boolean, got {value!r}")
+    return value
+
+
+def _json_str(what, value) -> str:
+    # a JSON string: no number, boolean or null
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _frozen_levels(dim, depth, levels):
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")

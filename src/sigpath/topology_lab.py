@@ -35,7 +35,17 @@ from .path_core import (
     reduce,
 )
 from .signature_engine import _check_budget, _signature_levels, exact_signature, signature
-from .tensor_algebra import _MALFORMED, GroupTensor, _json_int, phi_contraction, product_metric, unit
+from .tensor_algebra import (
+    _MALFORMED,
+    GroupTensor,
+    _json_bool,
+    _json_float,
+    _json_int,
+    _json_str,
+    phi_contraction,
+    product_metric,
+    unit,
+)
 
 __all__ = [
     "ExperimentReport",
@@ -80,10 +90,13 @@ class ExperimentReport:
     def from_dict(cls, data: dict) -> "ExperimentReport":
         try:
             return cls(
-                name=str(data["name"]),
+                name=_json_str("report key 'name'", data["name"]),
                 indices=list(data["indices"]),
-                series={k: list(v) for k, v in data["series"].items()},
-                verdict=bool(data["verdict"]),
+                series={
+                    k: [_json_float(f"report series {k!r}", v) for v in vals]
+                    for k, vals in data["series"].items()
+                },
+                verdict=_json_bool("report key 'verdict'", data["verdict"]),
                 seed=None if data.get("seed") is None else _json_int("report key 'seed'", data["seed"]),
             )
         except _MALFORMED as exc:

@@ -504,3 +504,29 @@ def test_regress_payload_is_pinned(capsys, tmp_path, extra, digest):
     code, out, _ = run_main(capsys, ["regress", "--config", str(cfg), "--seed", "7", "--format", "json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the benchmark's length-bound staircase: a monotone 12-segment path
+STAIRCASE = np.array([[1, 0], [0, 2], [3, 0], [0, 1], [2, 0], [0, 3]] * 2, dtype=float) / 4
+
+
+@pytest.mark.parametrize(
+    "name, flags, digest",
+    [
+        ("product-vs-metric", ["--k-max", "5"], "fc9c0b5aecb563ea54960954f5ced02f887a7eb35303c11be4e56d9640ad5dc3"),
+        ("quotient-vs-metric", [], "64de23ad65d7f5d127aae117b19b95f0f17dfae75994fdaf1c030dd57edae783"),
+        ("incompleteness", ["--n-max", "80"], "d9f088c926fb4b3dc6a3293db43595ad73b72e881ad5a744e940813146f6eb7b"),
+        ("group-discontinuity", ["--n-max", "120"], "931b00bd52135c1d9352c46bd5fb8a1daa78d2ddceacfccd00d9e0a029922ddc"),
+        ("length-bound", ["--n-max", "5", "--seed", "0"], "d3dd892ac907baaaefe3117e06a49e81d4b338260dd7da46937dbc3607dc9f24"),
+    ],
+)
+def test_experiment_payload_is_pinned(capsys, tmp_path, name, flags, digest):
+    # any change that moves a bit of an experiment payload fails here; the
+    # flags are the benchmark's, and length-bound reads the staircase
+    if name == "length-bound":
+        stair = tmp_path / "stair.csv"
+        write_csv(sp.PiecewiseLinearPath(2, STAIRCASE), stair)
+        flags = ["--path", str(stair), *flags]
+    code, out, _ = run_main(capsys, ["experiment", name, *flags, "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

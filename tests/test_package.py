@@ -141,8 +141,10 @@ print(json.dumps(seen))
 
 
 # the shared decoding policy and the cli helpers it replaced
-_POLICY = {"_json_int", "_json_float", "_MALFORMED"}
+_POLICY = {"_json_int", "_json_float", "_json_bool", "_json_str", "_MALFORMED"}
 _RETIRED = {"_config_int", "_config_float"}
+# builtins that accept any JSON value and coerce it silently ("false" is truthy)
+_COERCIONS = {"int", "bool", "str"}
 
 
 def _is_decoder(node):
@@ -150,14 +152,14 @@ def _is_decoder(node):
 
 
 def _decoder_faults(tree):
-    # (function, line, fault) for a bare int( call in a decoder, or a handler
+    # (function, line, fault) for a bare int(, bool( or str( call in a decoder, or a handler
     # there that catches anything but _MALFORMED; ValueError may stand
     # beside it, to re-type a bad value as PathFormatError
     faults = []
     for node in filter(_is_decoder, ast.walk(tree)):
         for inner in ast.walk(node):
-            if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name) and inner.func.id == "int":
-                faults.append((node.name, inner.lineno, "int("))
+            if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name) and inner.func.id in _COERCIONS:
+                faults.append((node.name, inner.lineno, f"{inner.func.id}("))
             if isinstance(inner, ast.ExceptHandler):
                 caught = [] if inner.type is None else getattr(inner.type, "elts", [inner.type])
                 names = {ast.unparse(c) for c in caught}
@@ -194,7 +196,7 @@ def test_the_decoder_detector_sees_int_calls_and_private_exception_lists():
     tree = ast.parse(
         "def x_from_dict(d):\n"
         "    try:\n"
-        "        return int(d['a'])\n"
+        "        return int(d['a']), bool(d['b']), str(d['c'])\n"
         "    except (KeyError, TypeError):\n"
         "        pass\n"
         "    except _MALFORMED:\n"
@@ -207,7 +209,9 @@ def test_the_decoder_detector_sees_int_calls_and_private_exception_lists():
         "    return int(d)\n"
     )
     assert _decoder_faults(tree) == [
+        ("x_from_dict", 3, "bool("),
         ("x_from_dict", 3, "int("),
+        ("x_from_dict", 3, "str("),
         ("x_from_dict", 4, "KeyError, TypeError"),
         ("x_from_dict", 10, "ValueError"),
     ]

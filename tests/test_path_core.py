@@ -31,6 +31,29 @@ from helpers import (
 )
 
 
+def _small_corpus():
+    """Paths for the scalar routes of reduce and one_variation_distance.
+
+    0-4-segment paths at d 1-3, plain and with a zero segment, a mirrored
+    and a collinear (same or opposite direction) neighbour.  Then, in d = 2,
+    neighbours of 4 + 4, 4 + 5, 5 + 0, 0 + 8, 8 + 0, 0 + 7, 7 + 1 and 1 + 7
+    segments, on each side of the cap (an empty path counts as one segment),
+    and a pair at d = 7 (scalar route) and at d = 8 (numpy route).
+    """
+    rng = np.random.default_rng(16)
+    paths = []
+    for d in (1, 2, 3):
+        for m in range(5):
+            segs = rng.normal(size=(m, d))
+            variants = [segs]
+            for second in (0.0, -1.0, 2.5, -0.5):
+                if m >= 2:
+                    variants.append(np.concatenate([segs[:1], second * segs[:1], segs[2:]]))
+            paths += [sp.PiecewiseLinearPath(d, v) for v in variants]
+    paths += [sp.PiecewiseLinearPath(2, rng.normal(size=(m, 2))) for m in (4, 4, 5, 0, 8, 0, 7, 1, 7)]
+    return paths + [sp.PiecewiseLinearPath(d, rng.normal(size=(2, d))) for d in (7, 7, 8, 8)]
+
+
 def _bitwise_corpus():
     rng = np.random.default_rng(11)
     edge = [
@@ -41,7 +64,7 @@ def _bitwise_corpus():
         sp.PiecewiseLinearPath(1, [[1.0], [-1.0], [0.0], [2.0], [0.5], [-0.25]]),
         sp.PiecewiseLinearPath(2, [[0.0, -0.0], [1.0, 0.0], [-1.0, -0.0], [0.0, 1.0]]),
     ]
-    return edge + mixed_path_corpus(rng, 300)
+    return edge + _small_corpus() + mixed_path_corpus(rng, 300)
 
 
 def test_linear_path_and_origin():
@@ -305,6 +328,82 @@ def test_distances_are_bitwise_the_reference():
         assert got.segments.tobytes() == want.segments.tobytes()
         ra, rb = reference_reduce(a), reference_reduce(b)
         assert sp.metric_d(a, b) == reference_one_variation_distance(ra, rb)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e200])
+def test_scalar_routes_are_bitwise_the_numpy_routes(monkeypatch, scale):
+    # the loop references lose their squares at these scales, so the scalar
+    # routes are checked against the numpy routes, forced by a cap of 0
+    paths = [sp.PiecewiseLinearPath(p.dim, p.segments * scale) for p in _small_corpus()]
+    pairs = [(a, b) for a, b in zip(paths, paths[1:]) if a.dim == b.dim]
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reduced = [sp.reduce(p).segments for p in paths]
+            return [r.tobytes() for r in reduced], [r.shape for r in reduced], [
+                sp.one_variation_distance(a, b) for a, b in pairs
+            ] + [sp.metric_d(a, b) for a, b in pairs]
+
+    scalar = run()
+    monkeypatch.setattr(sp.path_core, "_IN_ORDER_TERMS", 0)
+    assert run() == scalar
+    assert all(math.isfinite(x) and x > 0.0 for x in scalar[2][: len(pairs)])
+
+
+def test_one_variation_distance_takes_the_scalar_route_below_the_caps(monkeypatch):
+    rng = np.random.default_rng(17)
+
+    def path(d, m):
+        return sp.PiecewiseLinearPath(d, rng.normal(size=(m, d)))
+
+    scalar = [(path(2, 4), path(2, 4)), (path(2, 0), path(2, 7)), (path(2, 1), path(2, 7)), (path(7, 3), path(7, 2))]
+    numpy = [(path(2, 4), path(2, 5)), (path(2, 0), path(2, 8)), (path(8, 1), path(8, 1))]
+    want = [reference_one_variation_distance(a, b) for a, b in scalar + numpy]
+
+    def refuse(*args):
+        raise AssertionError("wrong route")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sp.path_core, "_difference", refuse)
+        assert [sp.one_variation_distance(a, b) for a, b in scalar] == want[: len(scalar)]
+    with monkeypatch.context() as patch:
+        patch.setattr(sp.path_core, "_scalar_one_variation_distance", refuse)
+        assert [sp.one_variation_distance(a, b) for a, b in numpy] == want[len(scalar) :]
+
+
+def test_scalar_route_hands_an_overflow_to_the_numpy_route(monkeypatch):
+    # a step norm or a length beyond float range: math.ldexp raises where
+    # np.ldexp returns inf, so these pairs end on the numpy route
+    pairs = [
+        ([[1.7e308, 1.7e308]], []),
+        ([[1e308, 0.0], [0.0, 1e308]], [[1.0, 0.0]]),
+        ([[1e308, 0.0], [-1e308, 0.0]], [[0.0, 1e308], [0.0, 1e308]]),
+    ]
+    paths = [(sp.PiecewiseLinearPath(2, a), sp.PiecewiseLinearPath(2, b)) for a, b in pairs]
+    with np.errstate(all="ignore"):
+        got = [repr(sp.one_variation_distance(a, b)) for a, b in paths]
+        monkeypatch.setattr(sp.path_core, "_IN_ORDER_TERMS", 0)
+        assert got == [repr(sp.one_variation_distance(a, b)) for a, b in paths]
+
+
+def test_reduce_excises_mirrors_before_merging():
+    # merging 0.1 and 0.2 first and then -0.2 would leave 0.10000000000000003
+    for segs, want in (
+        ([[0.1], [0.2], [-0.2]], [[0.1]]),
+        ([[0.1, 0.0], [0.2, 0.0], [-0.2, -0.0]], [[0.1, 0.0]]),
+    ):
+        red = sp.reduce(sp.PiecewiseLinearPath(len(want[0]), segs))
+        assert red.segments.tobytes() == np.array(want).tobytes()
+
+
+def test_reduce_refuses_a_merge_that_overflows():
+    # the merged 2e308 is no finite segment, on either route of reduce
+    huge = [[1e308, 0.0], [1e308, 0.0]]
+    turns = [[0.0, 1.0], [1.0, 0.0]] * 4
+    for segs in (huge, turns + huge):
+        with pytest.raises(ValueError, match="non-finite"):
+            sp.reduce(sp.PiecewiseLinearPath(2, segs))
 
 
 def test_p_variation_is_bitwise_the_reference_up_to_d7():

@@ -75,6 +75,11 @@ def test_predict_matches_per_path():
     batched = f.predict(ds.features)
     single = np.stack([f.predict_path(p) for p in ds.paths])
     assert np.allclose(batched, single, atol=1e-13)
+    # predict_path reads the signature's levels without a GroupTensor, bit for bit
+    via_tensor = np.stack([f.evaluate(sp.signature(p, f.depth)) for p in ds.paths])
+    assert single.tobytes() == via_tensor.tobytes()
+    with pytest.raises(ValueError):
+        f.predict_path(sp.linear_path([1.0, 2.0, 3.0]))
 
 
 def test_generate_dataset_reproducible():
@@ -316,9 +321,14 @@ DATASET_RECORD = dataset_to_dict(
 )
 
 
-@pytest.mark.parametrize("text", malformed_record_params(FUNCTIONAL_RECORD, ("dim", "depth"), [("weights",)]))
+@pytest.mark.parametrize(
+    "text",
+    malformed_record_params(FUNCTIONAL_RECORD, ("dim", "depth"), [("weights",)])
+    + bad_value_params(FUNCTIONAL_RECORD, "rank_deficient", ('"false"', "0", "1", "null")),
+)
 def test_functional_record_with_a_bad_value_is_a_value_error(text):
-    # a 400-digit depth is refused before 2**(depth + 1) is formed
+    # a 400-digit depth is refused before 2**(depth + 1) is formed, and
+    # rank_deficient must be a JSON boolean: "false" is no longer True
     functional_from_dict(FUNCTIONAL_RECORD)
     with pytest.raises(ValueError):
         functional_from_dict(json.loads(text))

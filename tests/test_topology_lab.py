@@ -377,6 +377,20 @@ def test_report_seed_must_be_a_json_integer(bad):
         ExperimentReport.from_json(with_value(doc, "seed", bad))
 
 
+@pytest.mark.parametrize(
+    "key, bad",
+    [("name", bad) for bad in ("5", "true", "null")]
+    + [("verdict", bad) for bad in ('"false"', "0", "1", "null")]
+    + [("series", bad) for bad in ('{"a": ["x"]}', '{"a": [true]}', '{"a": [null]}', '{"a": [1e400]}')],
+)
+def test_report_values_must_have_their_json_types(key, bad):
+    # a bad value fails at decode time, not later in to_dict
+    doc = ExperimentReport("x", [1], {"a": [1.0]}, True).to_dict()
+    assert ExperimentReport.from_dict(doc).to_dict() == doc
+    with pytest.raises(ValueError, match=key):
+        ExperimentReport.from_json(with_value(doc, key, bad))
+
+
 def test_report_from_json_rejects_invalid_json_with_value_error():
     with pytest.raises(ValueError):
         ExperimentReport.from_json("{not json")
