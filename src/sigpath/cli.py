@@ -17,7 +17,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .signature_engine import signature
 from .sig_regression import demo_field, evaluate, fit, generate_dataset
 from .tensor_algebra import _MALFORMED, _json_float, _json_int, tensor_to_json
 
-__all__ = ["Config", "main", "entry"]
+__all__ = ["main", "entry"]
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -36,12 +35,10 @@ EXIT_INPUT = 2
 EXIT_USAGE = 3
 EXIT_NUMERIC = 4
 
-
-@dataclass
-class Config:
-    depth: int = 4
-    seed: int = 0
-    format: str = "text"
+# defaults of --depth and --N, of the seed, and of --format
+_DEFAULT_DEPTH = 4
+_DEFAULT_SEED = 0
+_DEFAULT_FORMAT = "text"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,11 +50,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(args, environ) -> int:
+    # --seed, else SIGPATH_SEED, else the default; read only by the commands that draw
     if args.seed is not None:
         return args.seed
     raw = environ.get("SIGPATH_SEED")
     if raw is None:
-        return Config.seed
+        return _DEFAULT_SEED
     try:
         return int(raw)
     except ValueError:
@@ -66,7 +64,7 @@ def _resolve_seed(args, environ) -> int:
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None, help="random seed (default: SIGPATH_SEED or 0)")
-    parser.add_argument("--format", choices=("text", "json"), default=Config.format)
+    parser.add_argument("--format", choices=("text", "json"), default=_DEFAULT_FORMAT)
 
 
 @functools.cache
@@ -78,7 +76,7 @@ def _build_parser() -> _Parser:
 
     p_sig = sub.add_parser("signature", help="signature of a CSV path")
     p_sig.add_argument("path_csv")
-    p_sig.add_argument("--depth", type=int, default=Config.depth)
+    p_sig.add_argument("--depth", type=int, default=_DEFAULT_DEPTH)
     _add_common(p_sig)
 
     p_exp = sub.add_parser("experiment", help="run a named experiment")
@@ -93,7 +91,7 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("field_json")
     p_solve.add_argument("path_csv")
     p_solve.add_argument("--y0", required=True, help="comma-separated initial state")
-    p_solve.add_argument("--N", type=int, default=Config.depth, help="truncation level")
+    p_solve.add_argument("--N", type=int, default=_DEFAULT_DEPTH, help="truncation level")
     _add_common(p_solve)
 
     p_reg = sub.add_parser("regress", help="seeded regression demo")
@@ -113,7 +111,7 @@ def _emit(args, text_render, payload) -> None:
     print(doc if args.format == "json" else text_render())
 
 
-def _cmd_signature(args, seed) -> int:
+def _cmd_signature(args, environ) -> int:
     path = read_csv(args.path_csv)
     sig = signature(path, args.depth)
     if args.format == "json":
@@ -129,7 +127,7 @@ def _default_staircase():
     return concat(linear_path([1.0, 0.0]), linear_path([0.0, 1.0]))
 
 
-def _cmd_experiment(args, seed) -> int:
+def _cmd_experiment(args, environ) -> int:
     name = args.name
     if name == "product-vs-metric":
         report = topology_lab.experiment_product_vs_metric(args.k_max, depth=args.depth)
@@ -138,7 +136,7 @@ def _cmd_experiment(args, seed) -> int:
     elif name == "incompleteness":
         report = topology_lab.experiment_incompleteness(
             args.n_max if args.n_max is not None else 10,
-            depth=args.depth if args.depth is not None else Config.depth,
+            depth=args.depth if args.depth is not None else _DEFAULT_DEPTH,
         )
     elif name == "group-discontinuity":
         report = topology_lab.experiment_group_discontinuity(
@@ -147,13 +145,13 @@ def _cmd_experiment(args, seed) -> int:
     else:
         path = read_csv(args.path) if args.path else _default_staircase()
         report = topology_lab.length_lower_bound(
-            path, n_max=args.n_max if args.n_max is not None else 4, seed=seed
+            path, n_max=args.n_max if args.n_max is not None else 4, seed=_resolve_seed(args, environ)
         )
     _emit(args, report.render_text, report.to_dict())
     return EXIT_OK if report.verdict else EXIT_VERDICT
 
 
-def _cmd_solve(args, seed) -> int:
+def _cmd_solve(args, environ) -> int:
     with open(args.field_json, "r", encoding="utf-8") as fh:
         field = field_from_json(fh.read())
     path = read_csv(args.path_csv)
@@ -192,7 +190,7 @@ _REGRESS_DEFAULTS = {
 }
 
 
-def _cmd_regress(args, seed) -> int:
+def _cmd_regress(args, environ) -> int:
     config = dict(_REGRESS_DEFAULTS)
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -207,8 +205,7 @@ def _cmd_regress(args, seed) -> int:
         config.update(overrides)
     # check every value once, so a wrongly typed config is malformed input
     try:
-        if config["seed"] is not None:
-            seed = _json_int("config key 'seed'", config["seed"])
+        seed = _resolve_seed(args, environ) if config["seed"] is None else _json_int("config key 'seed'", config["seed"])
         if config["field"] is not None:
             field = field_from_dict(config["field"])
             if config["y0"] is None:
@@ -272,8 +269,7 @@ def main(argv=None, environ=None) -> int:
         "regress": _cmd_regress,
     }[args.command]
     try:
-        seed = _resolve_seed(args, environ)
-        return handler(args, seed)
+        return handler(args, environ)
     except FloatingPointError as exc:
         print(f"sigpath: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -147,6 +147,12 @@ def reverse(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
     return PiecewiseLinearPath(a.dim, -a.segments[::-1])
 
 
+def _scaled_rows(rows: np.ndarray) -> tuple:
+    # (rows / 2**e, e) with e per row from np.frexp of its largest |component|
+    exps = np.frexp(np.abs(rows).max(axis=1))[1]
+    return np.ldexp(rows, -exps[:, None]), exps
+
+
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of a 2-D array, at any magnitude.
 
@@ -155,8 +161,7 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     summed as np.linalg.norm sums them.  The scaling is exact in the normal
     range, where the result is therefore bit-identical to np.linalg.norm.
     """
-    exps = np.frexp(np.abs(rows).max(axis=1))[1]
-    scaled = np.ldexp(rows, -exps[:, None])
+    scaled, exps = _scaled_rows(rows)
     return np.ldexp(np.sqrt(np.add.reduce(scaled * scaled, axis=1)), exps)
 
 
@@ -181,8 +186,7 @@ def _pair_tests(segs: np.ndarray) -> np.ndarray:
     most tol * |w|.  Rows are computed independently, coordinate by
     coordinate, so a pair's verdict is _merge_collinear's on that pair.
     """
-    exps = np.frexp(np.abs(segs).max(axis=1))[1]
-    scaled = np.ldexp(segs, -exps[:, None])
+    scaled = _scaled_rows(segs)[0]
     sq = _row_dot(scaled, scaled)
     u, w = scaled[:-1], scaled[1:]
     resid = w - (_row_dot(u, w) / sq[:-1])[:, None] * u
@@ -198,8 +202,8 @@ def _dot(x: list, y: list) -> float:
 
 
 def _scaled_row(row: list) -> tuple:
-    # (row, s, |s|**2, e) with s = row / 2**e, scaled as _row_norms and
-    # _pair_tests scale it
+    # (row, s, |s|**2, e) with s = row / 2**e, scaled as _scaled_rows
+    # scales it
     exp = math.frexp(max(map(abs, row)))[1]
     scaled = [math.ldexp(c, -exp) for c in row]
     return row, scaled, _dot(scaled, scaled), exp
@@ -298,19 +302,13 @@ def constant_speed(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
 
 def _grid(a: PiecewiseLinearPath):
     """Strictly increasing constant-speed times with vertex positions."""
-    lens, segs = a.segment_lengths, a.segments
+    lens = a.segment_lengths
     mask = lens > 0.0
-    kept = np.count_nonzero(mask)
-    if not kept:
+    if not mask.any():
         return np.array([0.0, 1.0]), np.zeros((2, a.dim))
-    if kept < len(lens):
-        lens, segs = lens[mask], segs[mask]
-    cum = lens.cumsum()
-    times = np.zeros(kept + 1)
-    np.divide(cum, cum[-1], out=times[1:])
-    pts = np.zeros((kept + 1, a.dim))
-    segs.cumsum(axis=0, out=pts[1:])
-    return times, pts
+    cum = np.cumsum(lens[mask])
+    times = np.concatenate([[0.0], cum / cum[-1]])
+    return times, np.concatenate([np.zeros((1, a.dim)), np.cumsum(a.segments[mask], axis=0)])
 
 
 def positions_at(a: PiecewiseLinearPath, ts) -> np.ndarray:
@@ -344,14 +342,10 @@ def _difference(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> np.ndarray:
     _check_dim(a, b)
     ta, pa = _grid(a)
     tb, pb = _grid(b)
-    # the sorted union of the two grids, as np.union1d forms it
-    times = np.concatenate([ta, tb])
-    times.sort()
-    times = times[np.concatenate([[True], times[1:] != times[:-1]])]
-    out = np.empty((len(times), a.dim))
-    for j in range(a.dim):
-        out[:, j] = np.interp(times, ta, pa[:, j]) - np.interp(times, tb, pb[:, j])
-    return out
+    times = np.union1d(ta, tb)
+    return np.column_stack(
+        [np.interp(times, ta, pa[:, j]) - np.interp(times, tb, pb[:, j]) for j in range(a.dim)]
+    )
 
 
 def one_variation_distance(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:

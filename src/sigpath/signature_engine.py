@@ -56,8 +56,8 @@ _MAX_COEFFICIENTS = 2**25
 
 
 def _check_budget(copies: int, d: int, depth: int, what: str) -> None:
-    # for d >= 2, d**26 alone is over budget: the sum stops there, so any depth is quick
-    per_copy = depth + 1 if d == 1 else sum(d**k for k in range(min(depth, 26) + 1))
+    # for d >= 2, d**26 alone is over budget: the count stops there, so any depth is quick
+    per_copy = feature_count(d, depth if d == 1 else min(depth, 26))
     if copies * per_copy > _MAX_COEFFICIENTS:
         raise ValueError(
             f"depth {depth} over {what} exceeds the limit of {_MAX_COEFFICIENTS} coefficients"

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -352,25 +351,29 @@ def word_index(word, dim: int) -> int:
     return idx
 
 
-@lru_cache(maxsize=None)
-def _shuffle_cached(u, w):
-    if not u:
-        return ((w, 1),)
-    if not w:
-        return ((u, 1),)
-    out = {}
-    for word, m in _shuffle_cached(u[:-1], w):
-        key = word + (u[-1],)
-        out[key] = out.get(key, 0) + m
-    for word, m in _shuffle_cached(u, w[:-1]):
-        key = word + (w[-1],)
-        out[key] = out.get(key, 0) + m
-    return tuple(out.items())
+def _shuffle(u: tuple, w: tuple) -> dict:
+    # u shuffle w as word -> multiplicity, by the recurrence
+    # (ua) sh (wb) = ((u sh wb) a) + ((ua sh w) b) over the prefixes of this
+    # call only: row[j] holds u[:i] sh w[:j], so nothing outlives the call
+    row = [{w[:j]: 1} for j in range(len(w) + 1)]
+    for i in range(1, len(u) + 1):
+        new = [{u[:i]: 1}]
+        for j in range(1, len(w) + 1):
+            out = {}
+            for word, m in row[j].items():
+                key = word + (u[i - 1],)
+                out[key] = out.get(key, 0) + m
+            for word, m in new[j - 1].items():
+                key = word + (w[j - 1],)
+                out[key] = out.get(key, 0) + m
+            new.append(out)
+        row = new
+    return row[-1]
 
 
 def shuffle_words(u, w) -> dict:
     """Shuffle product of two words as a dict word -> multiplicity."""
-    return dict(_shuffle_cached(tuple(int(a) for a in u), tuple(int(a) for a in w)))
+    return _shuffle(tuple(int(a) for a in u), tuple(int(a) for a in w))
 
 
 def shuffle_pairing(x: TruncatedTensor, u, w):
@@ -385,7 +388,7 @@ def shuffle_pairing(x: TruncatedTensor, u, w):
     if len(u) + len(w) > x.depth:
         raise ValueError(f"combined word length {len(u) + len(w)} exceeds depth {x.depth}")
     lhs = 0.0
-    for word, m in _shuffle_cached(u, w):
+    for word, m in _shuffle(u, w).items():
         lhs += m * x.coefficient(word)
     rhs = x.coefficient(u) * x.coefficient(w)
     return float(lhs), float(rhs)

@@ -34,7 +34,7 @@ from .path_core import (
     one_variation_distance,
     reduce,
 )
-from .signature_engine import _check_budget, _signature_levels, exact_signature, signature
+from .signature_engine import _check_budget, _signature_levels, exact_signature, feature_count, signature
 from .tensor_algebra import (
     _MALFORMED,
     GroupTensor,
@@ -89,9 +89,11 @@ class ExperimentReport:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentReport":
         try:
-            return cls(
+            if not isinstance(data["indices"], list):
+                raise ValueError(f"report key 'indices' must be a list, got {data['indices']!r}")
+            report = cls(
                 name=_json_str("report key 'name'", data["name"]),
-                indices=list(data["indices"]),
+                indices=[_json_int("report index", i) for i in data["indices"]],
                 series={
                     k: [_json_float(f"report series {k!r}", v) for v in vals]
                     for k, vals in data["series"].items()
@@ -99,8 +101,11 @@ class ExperimentReport:
                 verdict=_json_bool("report key 'verdict'", data["verdict"]),
                 seed=None if data.get("seed") is None else _json_int("report key 'seed'", data["seed"]),
             )
-        except _MALFORMED as exc:
+            if any(len(vals) != len(report.indices) for vals in report.series.values()):
+                raise ValueError("every report series must hold one value per index")
+        except (ValueError, *_MALFORMED) as exc:
             raise ValueError(f"malformed experiment report: {exc}") from None
+        return report
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
@@ -191,11 +196,8 @@ def _check_incompleteness(indices, series) -> bool:
 def _check_group_discontinuity(indices, series) -> bool:
     ok = all(
         d <= 3.0 / n + _EXACT_SLACK
-        for d, n in zip(series["d_rho_to_limit"], indices)
-    )
-    ok = ok and all(
-        d <= 3.0 / n + _EXACT_SLACK
-        for d, n in zip(series["d_sigma_to_limit"], indices)
+        for key in ("d_rho_to_limit", "d_sigma_to_limit")
+        for d, n in zip(series[key], indices)
     )
     ok = ok and all(d >= 2.0 - _EXACT_SLACK for d in series["d_product_to_origin"])
     return ok
@@ -239,6 +241,11 @@ def recheck_verdict(report: ExperimentReport) -> bool:
     return check(report.indices, report.series)
 
 
+def _report(name: str, indices: list, series: dict, seed: int | None = None) -> ExperimentReport:
+    # every experiment's report, its verdict from the _CHECKS registry
+    return ExperimentReport(name, indices, series, _CHECKS[name](indices, series), seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -279,8 +286,7 @@ def experiment_product_vs_metric(k_max: int = 5, depth: int | None = None) -> Ex
         "metric_d_to_origin": dm,
         "max_low_level_coeff": low,
     }
-    verdict = _check_product_vs_metric(indices, series)
-    return ExperimentReport("product-vs-metric", indices, series, verdict, seed=None)
+    return _report("product-vs-metric", indices, series)
 
 
 def _thin_rectangle(eps: float) -> PiecewiseLinearPath:
@@ -308,8 +314,7 @@ def experiment_quotient_vs_metric(eps_list=(1e-1, 1e-2, 1e-3)) -> ExperimentRepo
         var.append(one_variation_distance(rect, base))
         dm.append(metric_d(base, rect))
     series = {"epsilon": eps_list, "variation_distance": var, "metric_d": dm}
-    verdict = _check_quotient_vs_metric(indices, series)
-    return ExperimentReport("quotient-vs-metric", indices, series, verdict, seed=None)
+    return _report("quotient-vs-metric", indices, series)
 
 
 # Segment-exponential coefficients experiment_incompleteness batches into one
@@ -351,7 +356,7 @@ def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentRepo
     # from depth 14 each call takes one rectangle, so deep runs accept the
     # depths signature(rect) does and need no more memory
     segs = np.stack([rect.segments for rect in rects])
-    per_call = max(1, _BATCH_COEFFICIENTS // (4 * (2 ** (depth + 1) - 1)))
+    per_call = max(1, _BATCH_COEFFICIENTS // (4 * feature_count(2, depth)))
     for start in range(0, n_max, per_call):
         levels = _signature_levels(segs[start : start + per_call], depth)
         for row in range(levels[0].shape[0]):
@@ -368,8 +373,7 @@ def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentRepo
     }
     for k in range(1, 5):
         series[f"sig_max_level_{k}"] = level_max[k]
-    verdict = _check_incompleteness(indices, series)
-    return ExperimentReport("incompleteness", indices, series, verdict, seed=None)
+    return _report("incompleteness", indices, series)
 
 
 def experiment_group_discontinuity(n_max: int = 10) -> ExperimentReport:
@@ -401,8 +405,7 @@ def experiment_group_discontinuity(n_max: int = 10) -> ExperimentReport:
         "d_product_to_origin": d_prod,
         "bound_3_over_n": [3.0 / n for n in indices],
     }
-    verdict = _check_group_discontinuity(indices, series)
-    return ExperimentReport("group-discontinuity", indices, series, verdict, seed=None)
+    return _report("group-discontinuity", indices, series)
 
 
 # length_lower_bound's Monte Carlo finds the segment of a time u in [0, 1)
@@ -592,5 +595,4 @@ def length_lower_bound(
         "mc_se": mc_ses,
         "length": [L] * n_max,
     }
-    verdict = _check_length_bound(indices, series)
-    return ExperimentReport("length-bound", indices, series, verdict, seed=seed)
+    return _report("length-bound", indices, series, seed)

@@ -371,6 +371,18 @@ def reference_inverse_psi(x):
     return acc
 
 
+def reference_shuffle_words(u, w):
+    """u shuffle w by listing every interleaving: each choice of the slots
+    that u's letters take among len(u) + len(w) gives one word."""
+    n = len(u) + len(w)
+    out = {}
+    for slots in itertools.combinations(range(n), len(u)):
+        from_u, from_w = iter(u), iter(w)
+        word = tuple(next(from_u) if k in slots else next(from_w) for k in range(n))
+        out[word] = out.get(word, 0) + 1
+    return out
+
+
 def reference_pairs(dim, depth, sample=200, seed=0):
     """Word pairs for the shuffle relations, drawn one scalar rng call at a
     time: every pair of combined length at most min(depth, 4) in word order,

@@ -117,6 +117,27 @@ def test_seed_resolution(capsys, staircase_csv):
     assert "SIGPATH_SEED" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["signature"], ["regress", "--config"]]
+    + [["experiment", name] for name in topology_lab.EXPERIMENT_NAMES if name != "length-bound"],
+    ids=lambda argv: argv[-1] if argv[0] == "experiment" else argv[0],
+)
+def test_a_command_that_draws_nothing_never_reads_the_seed(capsys, tmp_path, staircase_csv, argv):
+    # signature and these experiments draw nothing, and a config seed
+    # overrides the environment, so a bad SIGPATH_SEED must not fail them
+    if argv[0] == "signature":
+        argv = argv + [staircase_csv]
+    if argv[0] == "regress":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_paths": 12, "heldout_paths": 6, "depths": [1, 2], "seed": 4}))
+        argv = argv + [str(cfg)]
+    for fmt in ("text", "json"):
+        plain = run_main(capsys, argv + ["--format", fmt], environ={})
+        assert plain[0] == 0 and plain[1]
+        assert run_main(capsys, argv + ["--format", fmt], environ={"SIGPATH_SEED": "pi"}) == plain
+
+
 def test_solve_matches_library(capsys, tmp_path, staircase_csv):
     A = np.zeros((2, 2, 2))
     A[0] = [[0.0, 1.0], [0.0, 0.0]]

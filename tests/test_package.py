@@ -215,3 +215,44 @@ def test_the_decoder_detector_sees_int_calls_and_private_exception_lists():
         ("x_from_dict", 4, "KeyError, TypeError"),
         ("x_from_dict", 10, "ValueError"),
     ]
+
+
+def _report_constructors(tree):
+    # (enclosing function, line) of each ExperimentReport(...) call, the
+    # function "<module>" outside any
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "ExperimentReport":
+                found.append((where, child.lineno))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_every_report_takes_its_verdict_from_the_registry():
+    # an experiment that built its own ExperimentReport could pair its name
+    # with a verdict other than _CHECKS[name]; _report is the one builder,
+    # and from_dict decodes a stored verdict for recheck_verdict to audit
+    where = {
+        (source.name, function)
+        for source in SOURCES
+        for function, _ in _report_constructors(ast.parse(source.read_text(encoding="utf-8")))
+    }
+    assert ("topology_lab.py", "_report") in where
+    assert where <= {("topology_lab.py", "_report"), ("topology_lab.py", "from_dict")}
+
+
+def test_the_report_detector_sees_every_enclosing_function():
+    tree = ast.parse(
+        "r = ExperimentReport('a', [], {}, True)\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        return ExperimentReport('b', [], {}, True)\n"
+        "    return [ExperimentReport('c', [], {}, True)]\n"
+        "def other(x):\n"
+        "    return x.ExperimentReport('d')\n"
+    )
+    assert sorted(_report_constructors(tree)) == [("<module>", 1), ("inner", 4), ("outer", 5)]

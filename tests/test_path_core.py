@@ -317,6 +317,20 @@ def test_reduce_is_bitwise_the_loop_reference():
         assert got.segments.tobytes() == want.segments.tobytes()
 
 
+@pytest.mark.parametrize("cap", [None, 0], ids=["default-routes", "screen-always"])
+def test_reduce_is_idempotent(monkeypatch, cap):
+    # reduce returns a path marked reduced as it is, which is sound only if
+    # reducing its segment list again changes no bit; a cap of 0 runs the
+    # numpy screen on every path
+    if cap is not None:
+        monkeypatch.setattr(sp.path_core, "_IN_ORDER_TERMS", cap)
+    for p in _bitwise_corpus():
+        once = sp.reduce(p)
+        twice = sp.reduce(sp.PiecewiseLinearPath(p.dim, once.segments))
+        assert twice.segments.shape == once.segments.shape
+        assert twice.segments.tobytes() == once.segments.tobytes()
+
+
 def test_distances_are_bitwise_the_reference():
     corpus = _bitwise_corpus()
     pairs = [(a, b) for a, b in zip(corpus, corpus[1:] + corpus[:1]) if a.dim == b.dim]

@@ -264,6 +264,17 @@ def test_generate_dataset_checks_the_budget_before_drawing(monkeypatch, n_paths,
     assert time.perf_counter() - start < 1.0
 
 
+def test_generate_dataset_refuses_a_negative_depth_before_drawing(monkeypatch):
+    # the budget counts coefficients with feature_count, which takes no depth below 0
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator created before the depth check")
+
+    monkeypatch.setattr(sp.sig_regression.np.random, "default_rng", refuse)
+    field, y0 = sp.demo_field()
+    with pytest.raises(ValueError, match="depth >= 0"):
+        sp.generate_dataset(field, y0, n_paths=4, segment_count=3, r=1.0, noise_scale=0.0, seed=0, depth=-1)
+
+
 @pytest.mark.parametrize(
     "r, noise_scale, name",
     [

@@ -12,7 +12,9 @@ from helpers import (
     reference_exp,
     reference_inverse_psi,
     reference_log,
+    reference_shuffle_words,
     same_bits,
+    traced_peak_bytes,
 )
 
 
@@ -236,6 +238,33 @@ def test_shuffle_words_leibniz_count():
     assert sorted(terms.items()) == [((1, 2), 1), ((2, 1), 1)]
     terms = sp.shuffle_words((1, 2), (3,))
     assert sum(terms.values()) == 3
+
+
+def _random_words(rng, d, total):
+    lu = int(rng.integers(0, total + 1))
+    lw = int(rng.integers(0, total - lu + 1))
+    return tuple(int(a) for a in rng.integers(1, d + 1, lu)), tuple(int(a) for a in rng.integers(1, d + 1, lw))
+
+
+def test_shuffle_words_is_the_sum_over_interleavings():
+    rng = np.random.default_rng(13)
+    assert sp.shuffle_words((), ()) == {(): 1}
+    for _ in range(300):
+        u, w = _random_words(rng, int(rng.integers(1, 4)), 8)
+        assert sp.shuffle_words(u, w) == reference_shuffle_words(u, w)
+
+
+def test_shuffle_expansion_holds_no_memory_across_calls():
+    # each call expands its own words; a cache keyed on the caller's words
+    # peaked at over 11 MiB on these calls and never shrank
+    x = sp.unit(3, 8)
+
+    def many_pairings(calls):
+        rng = np.random.default_rng(14)
+        for _ in range(calls):
+            sp.shuffle_pairing(x, *_random_words(rng, 3, 8))
+
+    assert traced_peak_bytes(many_pairings, 5000) < 4 * 2**20
 
 
 def test_shuffle_pairing_trivial_cases():

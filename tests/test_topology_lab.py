@@ -356,6 +356,8 @@ def test_incompleteness_memory_is_one_rectangle_at_a_time_when_deep():
         {"name": "x", "indices": [1], "series": [], "verdict": True},
         {"name": "x", "indices": [1], "series": {"a": 5}, "verdict": True},
         {"name": "x", "indices": [1], "series": {}},
+        {"name": "x", "indices": "ab", "series": {}, "verdict": True},
+        {"name": "x", "indices": [1], "series": {"a": [1.0, 2.0, 3.0]}, "verdict": True},
         [1, 2],
         None,
         3,
