@@ -10,9 +10,14 @@ involved.
 One kernel does the float work for signature, exp_segment and the
 regression features: it runs on plain per-level arrays with a batch axis,
 forms every segment exponential in one pass and folds them in a balanced
-tree, one vectorised product per round.  Its output is bit-identical to
-folding the same pairs one product at a time.  exact_signature runs the
-same fold with an exact multiply on scaled Python integers.
+tree, one vectorised product per round.  Every factor's level 0 is one, so
+the fold never forms the unit products: level k of a product starts at the
+right factor's level k, adds the middle terms and ends with the left
+factor's.  Products and an odd carried factor share one array per level
+and round, and each outer product runs numpy's inner loop over its longer
+factor.  The output is bit-identical to folding the same pairs one
+tensor_algebra product at a time.  exact_signature runs the same fold on
+scaled Python integers.
 
 A LinearFunctional pairs truncated signatures with one weight per
 coefficient; it is both the fitted regression model and the evaluator of
@@ -33,7 +38,6 @@ from .tensor_algebra import (
     GroupTensor,
     TruncatedTensor,
     _log_levels,
-    _mul_levels,
     _readonly,
     log,
 )
@@ -50,8 +54,12 @@ __all__ = [
 ]
 
 
-# Coefficients the batched kernel or word_coefficients may hold at once
-# (2**25 float64 values, 256 MiB), checked before anything is allocated.
+# Limit on the coefficients a call counts (2**25 float64 values, 256 MiB),
+# checked before anything is allocated: N * m * feature_count(d, depth) for
+# the batched kernel, w * feature_count(d, depth) for word_coefficients.
+# The count is not the kernel's peak: on the long-path and batched
+# regression shapes its traced peak measured 1.6-1.85 times the counted
+# bytes (the factors, the first round's products and the scratch array).
 _MAX_COEFFICIENTS = 2**25
 
 
@@ -64,22 +72,79 @@ def _check_budget(copies: int, d: int, depth: int, what: str) -> None:
         )
 
 
-def _fold(levels, mul) -> list:
-    """Balanced-tree product of the m factors in levels[k], shape (N, m, d**k):
-    each round multiplies the pairs (0, 1), (2, 3), ... in one call of mul,
-    an odd last factor carries over.  Returns levels of shape (N, d**k)."""
-    while levels[0].shape[1] > 1:
-        count = levels[0].shape[1]
-        paired = mul(
-            [lvl[:, 0 : count - 1 : 2] for lvl in levels],
-            [lvl[:, 1:count:2] for lvl in levels],
-        )
-        if count % 2:
-            paired = [
-                np.concatenate([p, lvl[:, -1:]], axis=1)
-                for p, lvl in zip(paired, levels)
-            ]
-        levels = paired
+def _outer(x, y, out):
+    """x (x) y on the last axis into out, shape (..., x.shape[-1], y.shape[-1]).
+
+    numpy's inner loop runs over the last axis it writes, so a short y
+    would make it short: then the product is taken one column of y at a
+    time, each one strided multiply over all of x, and otherwise in one
+    broadcast.  Either way every coefficient is the one product x[a] y[b]."""
+    if y.shape[-1] < x.shape[-1]:
+        for c in range(y.shape[-1]):
+            np.multiply(x, y[..., c : c + 1], out=out[..., c])
+    else:
+        np.multiply(x[..., :, None], y[..., None, :], out=out)
+    return out
+
+
+def _segment_levels(v, depth: int, divide: bool = True) -> list:
+    """Segment exponentials of the rows of v, shape (N, m, d), as levels
+    0..depth: level 0 is one (N, 1, 1) array of ones that stands for every
+    factor's unit, level 1 is v itself, and level k is level k-1 (x) v,
+    formed by _outer into a new array and divided by k in place.  With
+    divide False the levels are the powers v^(x)k (exact_signature)."""
+    n, m, d = v.shape
+    levels = [np.ones((n, 1, 1), dtype=v.dtype), v][: depth + 1]
+    for k in range(2, depth + 1):
+        lvl = _outer(levels[-1], v, np.empty((n, m, d ** (k - 1), d), dtype=v.dtype))
+        lvl = lvl.reshape(n, m, d**k)
+        if divide:
+            lvl /= k
+        levels.append(lvl)
+    return levels
+
+
+def _fold(levels, binomial: bool = False) -> list:
+    """Balanced-tree product of the m factors in levels[k], shape (N, m, d**k)
+    for k >= 1; levels[0] is not read and comes back as levels[0][:, 0].
+    Each round multiplies the pairs (0, 1), (2, 3), ... in one pass over
+    the levels, and an odd last factor carries into the last slot of the
+    round's arrays.  Returns levels of shape (N, d**k).
+
+    The factors' level 0 is one, so the unit products x_0 y_k = y_k and
+    x_k y_0 = x_k are not formed: level k of x y starts at y_k + 0, adds
+    x_i (x) y_(k-i) for i = 1..k-1 in that order, each formed by _outer
+    into one reused scratch array, and then adds x_k.  On floats these are
+    the bits of _mul_levels, which sums the same terms from zero: adding 0
+    turns -0.0 into +0.0 as 0 + y_k does.  With binomial set the levels
+    hold exact_signature's integers T_k and term i is weighted by C(k, i).
+
+    The levels go from the top down, and each round's array replaces the
+    last round's in the list as soon as it is complete, so the caller's
+    factors are freed as the first round goes.
+    """
+    n, count = levels[-1].shape[:2]
+    depth = len(levels) - 1
+    scratch_size = n * (count // 2) * levels[-1].shape[-1] if depth >= 2 else 0
+    scratch = np.empty(scratch_size, dtype=levels[-1].dtype)
+    while count > 1:
+        pairs = count // 2
+        for k in range(depth, 0, -1):
+            out = np.empty((n, count - pairs, levels[k].shape[-1]), dtype=levels[k].dtype)
+            acc = out[:, :pairs]
+            np.add(levels[k][:, 1:count:2], 0, out=acc)
+            for i in range(1, k):
+                x, y = levels[i][:, 0 : count - 1 : 2], levels[k - i][:, 1:count:2]
+                term = scratch[: acc.size].reshape(acc.shape[:2] + (x.shape[-1], y.shape[-1]))
+                _outer(x, y, term)
+                if binomial:
+                    term *= math.comb(k, i)
+                acc += term.reshape(acc.shape)
+            acc += levels[k][:, 0 : count - 1 : 2]
+            if count % 2:
+                out[:, -1] = levels[k][:, -1]
+            levels[k] = out
+        count -= pairs
     return [lvl[:, 0] for lvl in levels]
 
 
@@ -90,8 +155,8 @@ def _signature_levels(segments, depth: int) -> list:
     array of shape (N, d**k) per level k = 0..depth.  All N*m segment
     exponentials are formed in one pass, then multiplied by _fold.  Every
     product runs the same arithmetic in the same order as a pairwise fold of
-    single paths, so the result does not depend on the batch.  Finiteness
-    is checked once, on the result.
+    single paths with _mul_levels, so the result does not depend on the
+    batch.  Finiteness is checked once, on the result.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
@@ -101,11 +166,7 @@ def _signature_levels(segments, depth: int) -> list:
         # the exponential of a zero segment is exactly the unit
         segments = np.zeros((n, 1, d))
     with np.errstate(over="ignore", invalid="ignore"):
-        levels = [np.ones(segments.shape[:2] + (1,))]
-        for k in range(1, depth + 1):
-            outer = levels[-1][..., :, None] * segments[..., None, :]
-            levels.append(outer.reshape(segments.shape[:2] + (d**k,)) / k)
-        levels = _fold(levels, _mul_levels)
+        levels = _fold(_segment_levels(segments, depth))
     for k, lvl in enumerate(levels):
         if not np.all(np.isfinite(lvl)):
             raise FloatingPointError(f"signature level {k} overflowed to non-finite values")
@@ -221,18 +282,6 @@ class LinearFunctional:
         return features[..., :expected] @ self.weights
 
 
-def _mul_scaled(x, y):
-    # Chen product on T_k = k! 2**(s k) S_k: T_k = sum_i C(k, i) X_i (x) Y_(k-i)
-    out = []
-    for k in range(len(x)):
-        acc = 0
-        for i in range(k + 1):
-            outer = (x[i][..., :, None] * y[k - i][..., None, :]).reshape(x[k].shape)
-            acc = acc + math.comb(k, i) * outer
-        out.append(acc)
-    return out
-
-
 def exact_signature(path: PiecewiseLinearPath, depth: int) -> GroupTensor:
     """Signature in exact integer arithmetic, rounded once at the end.
 
@@ -256,11 +305,7 @@ def exact_signature(path: PiecewiseLinearPath, depth: int) -> GroupTensor:
     ratios = [float(c).as_integer_ratio() for c in segments.flat]
     scale = max(q for _, q in ratios)  # 2**s: every denominator divides it
     v = np.array([p * (scale // q) for p, q in ratios], dtype=object).reshape(1, *segments.shape)
-    levels = [np.ones(v.shape[:2] + (1,), dtype=object)]
-    for k in range(1, depth + 1):
-        outer = levels[-1][..., :, None] * v[..., None, :]
-        levels.append(outer.reshape(v.shape[:2] + (path.dim**k,)))
-    levels = _fold(levels, _mul_scaled)
+    levels = _fold(_segment_levels(v, depth, divide=False), binomial=True)
     for k, lvl in enumerate(levels):
         levels[k] = (lvl[0] / (math.factorial(k) * scale**k)).astype(float)
     return GroupTensor(path.dim, depth, levels)

@@ -233,12 +233,21 @@ EXPERIMENT_NAMES = tuple(_CHECKS)
 
 
 def recheck_verdict(report: ExperimentReport) -> bool:
-    """Recompute the verdict from the stored series alone."""
+    """Recompute the verdict from the stored series alone.
+
+    A report that lacks a series its check reads, or whose series are
+    shorter than the check reads (empty, say), is malformed: ValueError,
+    as from_dict raises for the records it refuses."""
     try:
         check = _CHECKS[report.name]
     except KeyError:
         raise ValueError(f"unknown experiment name: {report.name}") from None
-    return check(report.indices, report.series)
+    try:
+        return check(report.indices, report.series)
+    except KeyError as exc:
+        raise ValueError(f"malformed experiment report: {report.name} needs series {exc}") from None
+    except IndexError:
+        raise ValueError(f"malformed experiment report: a {report.name} series is too short") from None
 
 
 def _report(name: str, indices: list, series: dict, seed: int | None = None) -> ExperimentReport:

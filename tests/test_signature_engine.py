@@ -17,8 +17,15 @@ from helpers import (
     reference_signature,
     resplit,
     same_bits,
+    traced_peak_bytes,
 )
-from sigpath.signature_engine import _lie_residual, _log_majorant, _pair_gaps, _right_bracketing
+from sigpath.signature_engine import (
+    _lie_residual,
+    _log_majorant,
+    _pair_gaps,
+    _right_bracketing,
+    _signature_levels,
+)
 
 
 def test_exp_segment_levels():
@@ -160,6 +167,85 @@ def test_signature_is_bitwise_the_pairwise_fold():
             x = sp.signature(random_path(rng, dim=d), depth)
             y = sp.exp_segment(rng.normal(size=d), depth)
             assert same_bits(sp.mul(x, y).levels, reference_mul(x.levels, y.levels))
+
+
+def _kernel_outcome(segments, depth):
+    try:
+        return _signature_levels(segments, depth)
+    except FloatingPointError:
+        return "overflow"
+
+
+def test_batched_kernel_is_bitwise_the_reference_fold():
+    # d 1-5 and depth 0-8 put both _outer routes (d**j < d**i and not) in
+    # the fold and in the segment exponentials; the top level is capped at
+    # 5**6 coefficients so the loop reference stays quick
+    rng = np.random.default_rng(14)
+    overflowed = 0
+    for d in range(1, 6):
+        for depth in range(9):
+            if d**depth > 5**6:
+                continue
+            for m in (0, 1, 2, 3, 5, 7, 40):
+                n = int(rng.integers(1, 4))
+                segments = rng.normal(size=(n, m, d))
+                segments[rng.random(size=segments.shape) < 0.15] = 0.0
+                segments[rng.random(size=segments.shape) < 0.15] = -0.0
+                batches = [segments]
+                if m:
+                    big = segments.copy()
+                    big[int(rng.integers(0, n)), int(rng.integers(0, m))] *= 1e200
+                    batches.append(big)
+                for batch in batches:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        want = [reference_signature(row, depth) for row in batch]
+                    got = _kernel_outcome(batch, depth)
+                    if any(not np.all(np.isfinite(lvl)) for w in want for lvl in w):
+                        overflowed += 1
+                        assert got == "overflow", (d, depth, m)
+                        continue
+                    assert got != "overflow", (d, depth, m)
+                    for row, w in enumerate(want):
+                        assert same_bits([lvl[row] for lvl in got], w), (d, depth, m, row)
+    assert overflowed > 0
+
+
+def test_kernel_peak_memory_is_about_twice_the_budgeted_coefficients():
+    # the long-path benchmark's signature shapes and a batched regression shape
+    rng = np.random.default_rng(15)
+    for n, m, d, depth in ((1, 400, 5, 4), (1, 330, 3, 6), (1, 340, 2, 8), (130, 4, 3, 5)):
+        segments = rng.normal(size=(n, m, d)) * 0.1
+        budgeted = 8 * n * m * sp.feature_count(d, depth)
+        assert traced_peak_bytes(_signature_levels, segments, depth) <= 2.1 * budgeted, (m, d)
+
+
+def test_every_signature_goes_through_the_one_fold(monkeypatch):
+    calls = []
+    fold = sp.signature_engine._fold
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fold(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel multiplied through tensor_algebra")
+
+    monkeypatch.setattr(sp.signature_engine, "_fold", counting)
+    monkeypatch.setattr(sp.tensor_algebra, "_mul_levels", refuse)
+    monkeypatch.setattr(sp.signature_engine, "_mul_levels", refuse, raising=False)
+    monkeypatch.setattr(sp.tensor_algebra, "mul", refuse)
+    path = sp.PiecewiseLinearPath(2, [[1.0, 0.5], [-0.25, 2.0], [0.5, 0.5]])
+    field, y0 = sp.demo_field()
+    runs = (
+        lambda: sp.signature(path, 4),
+        lambda: sp.exp_segment([1.0, -2.0], 4),
+        lambda: sp.generate_dataset(field, y0, 4, 3, 1.0, 0.0, seed=0, depth=3),
+        lambda: sp.exact_signature(path, 4),
+    )
+    for run in runs:
+        before = len(calls)
+        run()
+        assert len(calls) == before + 1
 
 
 def test_signature_accuracy_on_dyadic_path():

@@ -110,6 +110,25 @@ def test_recheck_catches_tampering():
         sp.recheck_verdict(unknown)
 
 
+def test_recheck_refuses_reports_missing_what_the_check_reads():
+    records = [
+        {"name": "quotient-vs-metric", "indices": [1], "series": {}, "verdict": True},
+        {"name": "incompleteness", "indices": [], "series": {}, "verdict": True},
+    ]
+    # every series of a real report present but empty, with no index
+    stair = sp.PiecewiseLinearPath(2, STAIRCASE)
+    for rep in (
+        sp.experiment_incompleteness(n_max=3),
+        sp.length_lower_bound(stair, n_max=2, mc_samples=100),
+    ):
+        series = {k: [] for k in rep.series}
+        records.append({"name": rep.name, "indices": [], "series": series, "verdict": True})
+    for record in records:
+        report = ExperimentReport.from_dict(record)
+        with pytest.raises(ValueError, match="malformed experiment report"):
+            sp.recheck_verdict(report)
+
+
 def test_experiments_deterministic():
     a = sp.experiment_incompleteness(n_max=6)
     b = sp.experiment_incompleteness(n_max=6)
