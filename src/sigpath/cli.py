@@ -223,7 +223,7 @@ def _cmd_regress(args, environ) -> int:
     except _MALFORMED as exc:
         raise ValueError(f"malformed config: {exc}") from None
     if not depths or any(k < 0 for k in depths):
-        raise ValueError(f"depths must be nonnegative, got {config['depths']}")
+        raise ValueError(f"depths must be a nonempty list of nonnegative integers, got {config['depths']}")
     top = max(depths)
     train = generate_dataset(
         field, y0, n_paths, segment_count, r, noise_scale, seed, depth=top

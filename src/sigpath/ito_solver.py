@@ -146,6 +146,15 @@ def _check_y0(field: LinearVectorField, y0) -> np.ndarray:
     return y0
 
 
+def _check_drive(field: LinearVectorField, path: PiecewiseLinearPath, y0) -> np.ndarray:
+    # a path and start point the field can take; returns y0 as _check_y0 does
+    if path.dim != field.input_dim:
+        raise ValueError(
+            f"path dim {path.dim} does not match field input dim {field.input_dim}"
+        )
+    return _check_y0(field, y0)
+
+
 def word_coefficients(field: LinearVectorField, y0, depth: int) -> list[np.ndarray]:
     """Per-level coefficient arrays c_k of shape (d**k, w).
 
@@ -154,8 +163,6 @@ def word_coefficients(field: LinearVectorField, y0, depth: int) -> list[np.ndarr
     sum_k signature_level_k @ c_k (the k = 0 row is y0 itself).
     """
     y0 = _check_y0(field, y0)
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
     d, w = field.input_dim, field.state_dim
     _check_budget(w, d, depth, f"a field of input dimension {d} and state dimension {w}")
     coeffs = [y0.reshape(1, w)]
@@ -230,11 +237,7 @@ def ito_series(
     truncation).  error_bound is series_error_bound for the 1-variation
     length of the path as given and |y0|.
     """
-    if path.dim != field.input_dim:
-        raise ValueError(
-            f"path dim {path.dim} does not match field input dim {field.input_dim}"
-        )
-    y0 = _check_y0(field, y0)
+    y0 = _check_drive(field, path, y0)
     functional = truncated_functional_LN(field, y0, truncation)
     return SeriesSolution(
         value=functional.evaluate(signature(path, truncation)),
@@ -383,11 +386,7 @@ def oracle_solve(field: LinearVectorField, path: PiecewiseLinearPath, y0) -> np.
     signature series.  A solution beyond float range, or a segment whose
     flow matrix is not finite, raises FloatingPointError.
     """
-    if path.dim != field.input_dim:
-        raise ValueError(
-            f"path dim {path.dim} does not match field input dim {field.input_dim}"
-        )
-    y0 = _check_y0(field, y0)
+    y0 = _check_drive(field, path, y0)
     return _flow_end_states(path.segments[None], field, y0)[0]
 
 

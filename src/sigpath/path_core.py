@@ -463,15 +463,22 @@ def p_variation(a: PiecewiseLinearPath, p: float) -> float:
     at most 1 MiB whatever the segment count m, up to m = 2**17.  For
     d <= 7 the result is bit-identical to summing each row with
     np.linalg.norm; above that numpy sums pairwise and the two differ by
-    about 1 ulp.
+    about 1 ulp.  A path whose largest coordinate is about 2**e with
+    max(p, 2) |e| > 500 runs scaled by 2**-e, exactly, and the result is
+    scaled back, so no cost under- or overflows at any magnitude.
     """
     p = float(p)
-    if p < 1.0:
-        raise ValueError(f"p must be at least 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be finite and at least 1, got {p}")
     m = a.segment_count
     if m == 0:
         return 0.0
     coords = np.ascontiguousarray(a.points.T)
+    # the norm is 1-homogeneous: where squares or p-th powers would leave
+    # the normal range, the programme runs on the points scaled by 2**-e
+    e = int(np.frexp(np.abs(coords).max())[1])
+    e = e if max(p, 2.0) * abs(e) > 500 else 0
+    coords = np.ldexp(coords, -e)
     best = np.zeros(m + 1)
     block = max(1, _PVAR_BLOCK_COEFFICIENTS // (m + 1))
     for lo in range(1, m + 1, block):
@@ -486,7 +493,7 @@ def p_variation(a: PiecewiseLinearPath, p: float) -> float:
         best[lo] = earlier[0]
         for j in range(lo + 1, hi):
             best[j] = max(earlier[j - lo], (best[lo:j] + cost[j - lo, lo:j]).max())
-    return float(best[m] ** (1.0 / p))
+    return float(np.ldexp(best[m] ** (1.0 / p), e))
 
 
 def axis_rho_sigma(n: int):

@@ -33,7 +33,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .path_core import PiecewiseLinearPath
+from .path_core import PiecewiseLinearPath, linear_path
 from .tensor_algebra import (
     GroupTensor,
     TruncatedTensor,
@@ -158,8 +158,6 @@ def _signature_levels(segments, depth: int) -> list:
     single paths with _mul_levels, so the result does not depend on the
     batch.  Finiteness is checked once, on the result.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
     n, m, d = segments.shape
     _check_budget(n * max(m, 1), d, depth, f"{n} x {m} segments of dimension {d}")
     if m == 0:
@@ -175,11 +173,7 @@ def _signature_levels(segments, depth: int) -> list:
 
 def exp_segment(v, depth: int) -> GroupTensor:
     """Signature of the straight segment v truncated at `depth`."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("segment contains non-finite entries")
-    levels = _signature_levels(v.reshape(1, 1, -1), depth)
-    return GroupTensor(v.size, depth, [lvl[0] for lvl in levels])
+    return signature(linear_path(v), depth)
 
 
 def signature(path: PiecewiseLinearPath, depth: int) -> GroupTensor:
@@ -339,36 +333,37 @@ def _right_bracketing(p, k: int, d: int):
     return p.reshape(-1, d**k)
 
 
+def _one_letter_series(z, term) -> np.ndarray:
+    """z + sum_n term(z**n, n) over n = 2..len(z) - 1, for a power series z
+    in one letter held as its coefficients; an overflow is left in place."""
+    power, total = z, z.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(2, len(z)):
+            power = np.convolve(power, z)[: len(z)]
+            total += term(power, n)
+    return total
+
+
 def _lie_residual(levels, d: int) -> float:
     # max_k |r(l_k)/k - l_k| over the levels l_k of log x; zero at k <= 1
-    worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         if d == 1:
             # every bracket of degree >= 2 vanishes, so the residual is
             # max_k |l_k|, and log x is a power series in one letter
             z = np.array([0.0] + [float(lvl[0]) for lvl in levels[1:]])
-            power, total = z, z.copy()
-            for n in range(2, len(levels)):
-                power = np.convolve(power, z)[: len(levels)]
-                total += (-1.0) ** (n + 1) / n * power
-            gap = np.abs(total[2:]).max(initial=0.0)
-            return math.inf if np.isnan(gap) else float(gap)
-        for k, lvl in enumerate(_log_levels(levels, d)[2:], start=2):
-            gap = np.abs(_right_bracketing(lvl, k, d)[0] / k - lvl).max()
-            # a level that overflows counts as an infinite residual
-            worst = max(worst, math.inf if np.isnan(gap) else float(gap))
-    return worst
+            gaps = np.abs(_one_letter_series(z, lambda p, n: (-1.0) ** (n + 1) / n * p)[2:])
+        else:
+            logs = _log_levels(levels, d)
+            gaps = [np.abs(_right_bracketing(logs[k], k, d)[0] / k - logs[k]).max() for k in range(2, len(logs))]
+        gap = np.max(gaps, initial=0.0)
+    # a level that overflows counts as an infinite residual
+    return math.inf if np.isnan(gap) else float(gap)
 
 
 def _log_majorant(levels) -> float:
     # max_k mu_k, mu = -log(1 - m) on the power series m(t) = sum_j max|x_j| t**j
     m = np.array([0.0] + [float(np.abs(lvl).max()) for lvl in levels[1:]])
-    power, total = m, m.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(2, len(levels)):
-            power = np.convolve(power, m)[: len(levels)]
-            total += power / n
-    return float(total.max())
+    return float(_one_letter_series(m, lambda p, n: p / n).max())
 
 
 @lru_cache(maxsize=64)

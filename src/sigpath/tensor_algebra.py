@@ -245,17 +245,20 @@ def exp(x: TruncatedTensor) -> TruncatedTensor:
     return TruncatedTensor(x.dim, x.depth, acc)
 
 
-def _log_levels(x, dim):
-    """Truncated logarithm series on plain level arrays whose level 0 is 1."""
-    one = _unit_levels(dim, len(x) - 1)
-    z = [a - e for a, e in zip(x, one)]
-    acc = z
-    p = z
-    for n in range(2, len(x)):
+def _power_sum(start, z, coefficients):
+    """start + c_1 start z + c_2 start z**2 + ..., one term per coefficient,
+    each power one _mul_levels further along than the last."""
+    acc = p = start
+    for c in coefficients:
         p = _mul_levels(p, z)
-        c = (-1.0) ** (n + 1) / n
         acc = [a + c * b for a, b in zip(acc, p)]
     return acc
+
+
+def _log_levels(x, dim):
+    """Truncated logarithm series on plain level arrays whose level 0 is 1."""
+    z = [a - e for a, e in zip(x, _unit_levels(dim, len(x) - 1))]
+    return _power_sum(z, z, [(-1.0) ** (n + 1) / n for n in range(2, len(x))])
 
 
 def log(x: TruncatedTensor) -> TruncatedTensor:
@@ -277,12 +280,8 @@ def inverse_psi(x: TruncatedTensor) -> TruncatedTensor:
         raise ValueError("inverse requires level-0 coefficient exactly 1")
     one = _unit_levels(x.dim, x.depth)
     z = [e - a for e, a in zip(one, x.levels)]
-    acc = one
-    p = one
-    for _ in range(x.depth):
-        p = _mul_levels(p, z)
-        acc = [a + b for a, b in zip(acc, p)]
-    return TruncatedTensor(x.dim, x.depth, acc)
+    # a + 1.0 * b is a + b bit for bit
+    return TruncatedTensor(x.dim, x.depth, _power_sum(one, z, [1.0] * x.depth))
 
 
 def project(x: TruncatedTensor, n: int):
@@ -294,9 +293,7 @@ def project(x: TruncatedTensor, n: int):
 
 def level_norm(x: TruncatedTensor, k: int) -> float:
     """Euclidean (Hilbert-Schmidt) norm of level k."""
-    if not 0 <= k <= x.depth:
-        raise ValueError(f"level {k} outside 0..{x.depth}")
-    return float(np.linalg.norm(x.levels[k]))
+    return float(np.linalg.norm(x.level(k)))
 
 
 def product_metric(x: TruncatedTensor, y: TruncatedTensor) -> float:
@@ -317,17 +314,11 @@ def phi_contraction(x: TruncatedTensor, n: int) -> float:
 
     Pairs (1,2), (3,4), ..., (2n-1, 2n) are each contracted with the identity
     matrix, i.e. the word coefficient at (i1, ..., i_2n) contributes when
-    i1=i2, i3=i4, and so on.  Linear in x; requires 2n <= depth.
+    i1=i2, i3=i4, and so on.  Linear in x; requires 0 <= 2n <= depth.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if 2 * n > x.depth:
-        raise ValueError(f"level {2 * n} outside 0..{x.depth}")
-    if n == 0:
-        return x.scalar
+    arr = x.level(2 * n)
     d = x.dim
     pair_trace = np.eye(d).reshape(-1)
-    arr = x.levels[2 * n]
     for _ in range(n):
         # leading index pair varies slowest in row-major order
         arr = pair_trace @ arr.reshape(d * d, -1)

@@ -277,7 +277,6 @@ def experiment_product_vs_metric(k_max: int = 5, depth: int | None = None) -> Ex
     if depth is None:
         depth = k_max + 1
     origin = constant_path(2)
-    _check_budget(1, 2, depth, "one tensor of dimension 2")
     indices = list(range(1, k_max + 1))
     loops = [gamma_loop(k) for k in indices]
     # exact_signature rejects the depths it cannot afford before unit() allocates
@@ -287,9 +286,8 @@ def experiment_product_vs_metric(k_max: int = 5, depth: int | None = None) -> Ex
     for k, loop, sig in zip(indices, loops, sigs):
         pm.append(product_metric(sig, one))
         dm.append(metric_d(origin, loop))
-        low.append(
-            max(float(np.max(np.abs(sig.levels[m]))) for m in range(1, min(k, depth) + 1))
-        )
+        low_levels = range(1, min(k, depth) + 1)
+        low.append(max((float(np.max(np.abs(sig.levels[m]))) for m in low_levels), default=0.0))
     series = {
         "product_metric_to_unit": pm,
         "metric_d_to_origin": dm,
@@ -313,6 +311,8 @@ def experiment_quotient_vs_metric(eps_list=(1e-1, 1e-2, 1e-3)) -> ExperimentRepo
     metric-far.
     """
     eps_list = [float(e) for e in eps_list]
+    if not eps_list:
+        raise ValueError("eps_list must not be empty")
     if any(e < 0.0 for e in eps_list):
         raise ValueError("epsilon values must be nonnegative")
     base = concat(linear_path([1.0, 0.0]), linear_path([-1.0, 0.0]))

@@ -208,6 +208,11 @@ def test_regress_config_validation(capsys, tmp_path):
     cfg.write_text(json.dumps({"paths": 10}))
     assert run_main(capsys, ["regress", "--config", str(cfg)])[0] == 2
 
+    cfg.write_text(json.dumps({"depths": []}))
+    code, _, err = run_main(capsys, ["regress", "--config", str(cfg)])
+    assert code == 2
+    assert "nonempty list of nonnegative integers" in err
+
     cfg.write_text("not json")
     assert run_main(capsys, ["regress", "--config", str(cfg)])[0] == 2
 
@@ -324,6 +329,13 @@ def test_product_vs_metric_rejects_depth_before_the_unit_tensor(capsys, monkeypa
     monkeypatch.setattr(topology_lab, "unit", no_unit)
     code, out, err = run_main(capsys, ["experiment", "product-vs-metric", "--depth", "24", "--format", fmt])
     assert code == 2 and out == "" and err.startswith("sigpath: error:")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_product_vs_metric_at_depth_zero_reports_and_fails(capsys, fmt):
+    code, out, err = run_main(capsys, ["experiment", "product-vs-metric", "--depth", "0", "--format", fmt])
+    assert code == 1 and out and err == ""
+    assert "FAIL" in out if fmt == "text" else json.loads(out)["verdict"] is False
 
 
 def test_incompleteness_accepts_every_depth_one_rectangle_fits(capsys):
@@ -549,5 +561,53 @@ def test_experiment_payload_is_pinned(capsys, tmp_path, name, flags, digest):
         write_csv(sp.PiecewiseLinearPath(2, STAIRCASE), stair)
         flags = ["--path", str(stair), *flags]
     code, out, _ = run_main(capsys, ["experiment", name, *flags, "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _dyadic_path_csv(tmp_path, seed, d, m):
+    # a seeded path of m steps in multiples of 1/16, like the benchmark's
+    steps = np.random.default_rng(seed).integers(-16, 17, size=(m, d)) / 16
+    f = tmp_path / f"path_{seed}_{d}.csv"
+    write_csv(sp.PiecewiseLinearPath(d, steps), f)
+    return str(f)
+
+
+@pytest.mark.parametrize(
+    "d, depth, digest",
+    [
+        # the benchmark's long-path shapes, and one path in one letter
+        (5, 4, "bace57ca82587b3a0078db7493d01778c8c131edb7a69d20f0e372acf859f5db"),
+        (3, 6, "f31a30ff2dbaa4098f2fc77c404723b24f3601cc503f8ed4e1fe9f8f638fcdef"),
+        (2, 8, "b3eb8161f42bd98698b317b6cb6b80bf907e9537f2054dacb5fe73bbcedc70b4"),
+        (1, 12, "e80b64dedd6ad3a8cc376ae5246a4ea9a99ba817a02bf52c746d0a632f639fd9"),
+    ],
+)
+def test_signature_payload_is_pinned(capsys, tmp_path, d, depth, digest):
+    # any change that moves a bit of the signature payload fails here
+    path_csv = _dyadic_path_csv(tmp_path, 11 + d, d, 48)
+    code, out, _ = run_main(capsys, ["signature", path_csv, "--depth", str(depth), "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "offsets, truncation, digest",
+    [
+        (GOLDEN_FIELD["b"], 0, "b1b2e0f2f165404bc6023dd8b0644bc6055a2e14338615e3555ce6ec21467680"),
+        (GOLDEN_FIELD["b"], 8, "7fdede40f15bc51fce779b18f95c8e331791508a0b959851c90e6102871aa0b1"),
+        ([[0.125, -0.5], [0.25, 0.375]], 0, "10de04e3d59e8f29723aab92e803c88341d0c3c5a0f69cb0080156d47e71ceb7"),
+        ([[0.125, -0.5], [0.25, 0.375]], 8, "d4f122ef040af3a8e3441667d8f4954675509ee17bffe09b380dacb433a4268b"),
+    ],
+)
+def test_solve_payload_is_pinned(capsys, tmp_path, offsets, truncation, digest):
+    # any change that moves a bit of the solve payload fails here; the
+    # oracle's np.linalg.solve runs in LAPACK, so another LAPACK build may
+    # round differently and need these digests re-recorded
+    fjson = tmp_path / "field.json"
+    fjson.write_text(json.dumps({**GOLDEN_FIELD, "b": offsets}))
+    path_csv = _dyadic_path_csv(tmp_path, 5, 2, 40)
+    argv = ["solve", str(fjson), path_csv, "--y0", "0.5,-0.75", "--N", str(truncation), "--format", "json"]
+    code, out, _ = run_main(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

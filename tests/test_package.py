@@ -217,19 +217,27 @@ def test_the_decoder_detector_sees_int_calls_and_private_exception_lists():
     ]
 
 
-def _report_constructors(tree):
-    # (enclosing function, line) of each ExperimentReport(...) call, the
+def _sites(tree, hit):
+    # (enclosing function, line) of each node that hit accepts, the
     # function "<module>" outside any
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "ExperimentReport":
+            if hit(child):
                 found.append((where, child.lineno))
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
 
     visit(tree, "<module>")
     return found
+
+
+def _report_constructors(tree):
+    # each ExperimentReport(...) call
+    return _sites(
+        tree,
+        lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "ExperimentReport",
+    )
 
 
 def test_every_report_takes_its_verdict_from_the_registry():
@@ -256,3 +264,49 @@ def test_the_report_detector_sees_every_enclosing_function():
         "    return x.ExperimentReport('d')\n"
     )
     assert sorted(_report_constructors(tree)) == [("<module>", 1), ("inner", 4), ("outer", 5)]
+
+
+def _calls(name):
+    # a call of name, bare or as an attribute (np.convolve)
+    return lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) == name
+
+
+def _mentions(text):
+    # a string literal, or a literal part of an f-string, that contains text
+    return lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str) and text in n.value
+
+
+# each truncated series and each shared input check, with the one function
+# that may hold it: the one-letter power series, the tensor products the
+# power sums build on, and the path-against-field check
+_OWNERS = {
+    "np.convolve": (_calls("convolve"), {("signature_engine.py", "_one_letter_series")}),
+    "_mul_levels": (_calls("_mul_levels"), {("tensor_algebra.py", f) for f in ("mul", "exp", "_power_sum")}),
+    "path vs field": (_mentions("does not match field input dim"), {("ito_solver.py", "_check_drive")}),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_OWNERS))
+def test_each_series_and_input_check_has_one_owner(what):
+    hit, owners = _OWNERS[what]
+    where = {
+        (source.name, function)
+        for source in SOURCES
+        for function, _ in _sites(ast.parse(source.read_text(encoding="utf-8")), hit)
+    }
+    assert where == owners
+
+
+def test_the_owner_detector_sees_calls_and_messages_in_every_function():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "a = np.convolve([1], [1])\n"
+        "def f(x):\n"
+        "    g = lambda y: _mul_levels(x, y)\n"
+        "    raise ValueError(f'path dim {x} does not match field input dim {x}')\n"
+        "def h(x):\n"
+        "    return x._mul_levels, 'field input dim'\n"
+    )
+    assert _sites(tree, _calls("convolve")) == [("<module>", 2)]
+    assert _sites(tree, _calls("_mul_levels")) == [("f", 4)]
+    assert _sites(tree, _mentions("does not match field input dim")) == [("f", 5)]

@@ -178,6 +178,9 @@ def test_variation_norms():
         assert sp.p_variation(single, q) == pytest.approx(5.0, abs=1e-12)
     with pytest.raises(ValueError):
         sp.p_variation(p, 0.5)
+    for q in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sp.p_variation(p, q)
 
 
 def test_p_variation_monotone_in_p():
@@ -482,6 +485,13 @@ def test_distances_at_extreme_scales(scale):
         assert sp.sup_distance(loop, origin) == pytest.approx(math.sqrt(2) * scale, rel=1e-15)
         assert np.array_equal(loop.breakpoints, [0.0, 0.25, 0.5, 0.75, 1.0])
         assert np.array_equal(sp.difference_path(loop, origin).segments, square)
+        # p-variation is 1-homogeneous, so it scales with the loop; abs=0,
+        # as approx's default absolute margin would pass 0.0 at 1e-170
+        assert sp.p_variation(loop, 1.0) == pytest.approx(4 * scale, rel=1e-15, abs=0)
+        unit_loop = sp.PiecewiseLinearPath(2, square / scale)
+        for q in (2.0, 2.5):
+            want = scale * sp.p_variation(unit_loop, q)
+            assert sp.p_variation(loop, q) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_segment_lengths_are_bitwise_numpy_norms():

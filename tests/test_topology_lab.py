@@ -45,6 +45,12 @@ def test_product_vs_metric_report():
         sp.experiment_product_vs_metric(k_max=0)
     with pytest.raises(ValueError):
         sp.experiment_product_vs_metric(k_max=7)
+    # at depth 0 no level is low, so the maximum is 0.0 and the verdict
+    # fails as at depth 1, where the product metric cannot decrease
+    for depth in (0, 1):
+        rep = sp.experiment_product_vs_metric(k_max=4, depth=depth)
+        assert not rep.verdict
+        assert rep.series["max_low_level_coeff"] == [0.0] * 4
 
 
 def test_quotient_vs_metric_report():
@@ -58,6 +64,9 @@ def test_quotient_vs_metric_report():
         assert abs(dist - (2 + 2 * eps)) <= 1e-12
     with pytest.raises(ValueError):
         sp.experiment_quotient_vs_metric((-0.1,))
+    # an empty range checks nothing, so it is refused like the others
+    with pytest.raises(ValueError, match="empty"):
+        sp.experiment_quotient_vs_metric(())
 
 
 def test_incompleteness_report():
