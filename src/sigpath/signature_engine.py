@@ -17,7 +17,8 @@ factor's.  Products and an odd carried factor share one array per level
 and round, and each outer product runs numpy's inner loop over its longer
 factor.  The output is bit-identical to folding the same pairs one
 tensor_algebra product at a time.  exact_signature runs the same fold on
-scaled Python integers.
+integer-scaled steps, in int64 where an a-priori bound shows that every
+value fits and on Python integers otherwise.
 
 A LinearFunctional pairs truncated signatures with one weight per
 coefficient; it is both the fitted regression model and the evaluator of
@@ -280,14 +281,28 @@ def exact_signature(path: PiecewiseLinearPath, depth: int) -> GroupTensor:
     """Signature in exact integer arithmetic, rounded once at the end.
 
     Float coordinates are dyadic, so v * 2**s is an integer vector for one
-    common s.  Level k is held as T_k = k! 2**(s k) S_k in Python integers:
-    a segment gives T_k = (v 2**s)^(x)k, the Chen product T_k = sum_i
-    C(k, i) X_i (x) Y_(k-i), folded like signature.  One correctly rounded
-    integer division per coefficient gives the same bits as exact rational
+    common s.  Level k is held as T_k = k! 2**(s k) S_k in integers: a
+    segment gives T_k = w^(x)k with w = v 2**s, the Chen product T_k =
+    sum_i C(k, i) X_i (x) Y_(k-i), folded like signature.  Each
+    coefficient is divided by k! 2**(s k) once, as Python ints, which
+    round correctly at any size (an int64 is never made a float64 first,
+    which would round twice).  That gives the same bits as exact rational
     arithmetic, so the witness loops' cancellations are literal zeros; a
     coefficient beyond float range raises OverflowError.  Meant for small
     witness paths: dim**depth may be at most 5000 (depth 12 at dim 2), and
     depth at most 100 at dim 1, where the work per segment is comparable.
+
+    The fold runs on int64 when L**max(depth, 1) < 2**63, L = max(2, sum
+    of |w|_1 over the segments), and on Python ints otherwise (the steps
+    are converted even at depth 0).  The bound holds every int64 value:
+    the product over segments S has T_k = sum over i_1 + ... + i_n = k of
+    k! / (i_1! ... i_n!) w_1^(x)i_1 (x) ..., whose coefficients' absolute
+    values sum to at most L_S**k, L_S the sum of |w|_1 over S.  So each
+    entry of a factor, each binomial term C(k, i) X_i (x) Y_(k-i) and
+    each partial sum of them is at most (L_X + L_Y)**k <= L**depth, and so
+    is the weight C(k, i) <= 2**k.  numpy's int64 wraps without a warning,
+    so this a-priori check is the only guard.  The witness loops of
+    product-vs-metric stay within 2**36.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
@@ -298,10 +313,14 @@ def exact_signature(path: PiecewiseLinearPath, depth: int) -> GroupTensor:
     segments = path.segments if len(path.segments) else np.zeros((1, path.dim))
     ratios = [float(c).as_integer_ratio() for c in segments.flat]
     scale = max(q for _, q in ratios)  # 2**s: every denominator divides it
-    v = np.array([p * (scale // q) for p, q in ratios], dtype=object).reshape(1, *segments.shape)
+    ints = [p * (scale // q) for p, q in ratios]
+    fits = max(2, sum(map(abs, ints))) ** max(depth, 1) < 2**63
+    v = np.array(ints, dtype=np.int64 if fits else object).reshape(1, *segments.shape)
     levels = _fold(_segment_levels(v, depth, divide=False), binomial=True)
     for k, lvl in enumerate(levels):
-        levels[k] = (lvl[0] / (math.factorial(k) * scale**k)).astype(float)
+        # Python ints divide with one correct rounding, at any size
+        den = math.factorial(k) * scale**k
+        levels[k] = np.array([c / den for c in lvl[0].tolist()], dtype=float)
     return GroupTensor(path.dim, depth, levels)
 
 

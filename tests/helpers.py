@@ -338,6 +338,36 @@ def reference_p_variation(a, p):
     return float(best[m] ** (1.0 / p))
 
 
+def reference_blocked_p_variation(a, p):
+    """Unpruned blocked reference for p_variation, which must give its
+    bits: every candidate of a block of B = max(1, 2**17 // (m + 1))
+    vertices as one (B, i) array of costs, squares summed in coordinate
+    order, and the block's own recurrence one numpy call per vertex."""
+    p = float(p)
+    m = a.segment_count
+    if m == 0:
+        return 0.0
+    coords = np.ascontiguousarray(a.points.T)
+    e = int(np.frexp(np.abs(coords).max())[1])
+    e = e if max(p, 2.0) * abs(e) > 500 else 0
+    coords = np.ldexp(coords, -e)
+    best = np.zeros(m + 1)
+    block = max(1, 2**17 // (m + 1))
+    for lo in range(1, m + 1, block):
+        hi = min(lo + block, m + 1)
+        steps = (x[:hi] - x[lo:hi, None] for x in coords)
+        cost = next(steps) ** 2
+        for step in steps:
+            cost += step**2
+        np.sqrt(cost, out=cost)
+        cost **= p
+        earlier = (best[:lo] + cost[:, :lo]).max(axis=1)
+        best[lo] = earlier[0]
+        for j in range(lo + 1, hi):
+            best[j] = max(earlier[j - lo], (best[lo:j] + cost[j - lo, lo:j]).max())
+    return float(np.ldexp(best[m] ** (1.0 / p), e))
+
+
 def reference_exp(x):
     """Exponential series on TruncatedTensor values, one validated tensor per step."""
     one = TruncatedTensor(x.dim, x.depth, unit(x.dim, x.depth).levels)

@@ -278,11 +278,20 @@ def _mentions(text):
 
 # each truncated series and each shared input check, with the one function
 # that may hold it: the one-letter power series, the tensor products the
-# power sums build on, and the path-against-field check
+# power sums build on, the path-against-field check, and the one fold: the
+# float kernel and exact_signature, on either integer type, form segment
+# exponentials and fold them through the same two functions, and only those
+# two form outer products
 _OWNERS = {
     "np.convolve": (_calls("convolve"), {("signature_engine.py", "_one_letter_series")}),
     "_mul_levels": (_calls("_mul_levels"), {("tensor_algebra.py", f) for f in ("mul", "exp", "_power_sum")}),
     "path vs field": (_mentions("does not match field input dim"), {("ito_solver.py", "_check_drive")}),
+    "_segment_levels": (
+        _calls("_segment_levels"),
+        {("signature_engine.py", f) for f in ("_signature_levels", "exact_signature")},
+    ),
+    "_fold": (_calls("_fold"), {("signature_engine.py", f) for f in ("_signature_levels", "exact_signature")}),
+    "_outer": (_calls("_outer"), {("signature_engine.py", f) for f in ("_segment_levels", "_fold")}),
 }
 
 
@@ -295,6 +304,14 @@ def test_each_series_and_input_check_has_one_owner(what):
         for function, _ in _sites(ast.parse(source.read_text(encoding="utf-8")), hit)
     }
     assert where == owners
+
+
+def test_exact_signature_folds_once_for_both_integer_types():
+    # int64 and Python ints differ only in the array's dtype: one call of
+    # _segment_levels and one of _fold serve both
+    tree = ast.parse(pathlib.Path(sp.signature_engine.__file__).read_text(encoding="utf-8"))
+    for name in ("_segment_levels", "_fold"):
+        assert [f for f, _ in _sites(tree, _calls(name))].count("exact_signature") == 1
 
 
 def test_the_owner_detector_sees_calls_and_messages_in_every_function():

@@ -21,6 +21,7 @@ from helpers import (
     malformed_record_params,
     mixed_path_corpus,
     random_path,
+    reference_blocked_p_variation,
     reference_difference_path,
     reference_one_variation_distance,
     reference_p_variation,
@@ -455,6 +456,82 @@ def test_p_variation_spans_several_blocks(monkeypatch):
         assert sp.p_variation(p, 1.5) == want
 
 
+def test_p_variation_is_bitwise_the_blocked_programme():
+    # pruning skips only candidates that cannot reach the max, so at every
+    # d, pairwise-summed rows (d >= 8) included, the bits are the unpruned
+    # programme's
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3, 7, 8, 9, 16, 64):
+        for drift in (0.0, 0.3):
+            path = sp.PiecewiseLinearPath(d, rng.normal(size=(150, d)) + drift)
+            for q in (1.0, 1.5, 2.0, 3.0):
+                assert sp.p_variation(path, q) == reference_blocked_p_variation(path, q)
+
+
+def test_p_variation_pruning_on_random_cases(monkeypatch):
+    # walks, drifting walks and smooth paths at scales 1e-3 to 1e3, with a
+    # random block size
+    rng = np.random.default_rng(18)
+    for case in range(600):
+        d, m = int(rng.integers(1, 4)), int(rng.integers(1, 300))
+        segs = rng.normal(size=(m, d))
+        segs = (segs, segs + 0.3, np.cumsum(segs, axis=0) / 10)[case % 3]
+        path = sp.PiecewiseLinearPath(d, segs * 10.0 ** rng.uniform(-3, 3))
+        q = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+        monkeypatch.setattr(sp.path_core, "_PVAR_BLOCK", int(rng.integers(1, 70)))
+        assert sp.p_variation(path, q) == reference_blocked_p_variation(path, q)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e200])
+def test_p_variation_pruning_worst_cases(scale):
+    # on a circle every block is in reach of the far side, and a zig-zag's
+    # boxes are as wide as the path; 1e-170 and 1e200 run scaled
+    angles = np.linspace(0.0, 2.0 * np.pi, 2001)
+    circle = np.diff(np.column_stack([np.cos(angles), np.sin(angles)]), axis=0)
+    zigzag = np.array([[1.0, 0.01], [-1.0, 0.01]] * 1000)
+    for segs in (circle, zigzag):
+        path = sp.PiecewiseLinearPath(2, segs * scale)
+        for q in (1.0, 2.0, 3.0):
+            assert sp.p_variation(path, q) == reference_blocked_p_variation(path, q)
+
+
+def test_p_variation_prunes_a_random_walk(monkeypatch):
+    # the costs formed for 2000 planar steps, bounds included, are under a
+    # quarter of the m**2 / 2 pairs that the unpruned programme forms
+    formed, costs = [], sp.path_core._pvar_costs
+
+    def counting(steps, p):
+        cost = costs(steps, p)
+        formed.append(cost.size)
+        return cost
+
+    monkeypatch.setattr(sp.path_core, "_pvar_costs", counting)
+    path = sp.PiecewiseLinearPath(2, np.random.default_rng(19).normal(size=(2000, 2)))
+    sp.p_variation(path, 2.0)
+    assert sum(formed) < 0.25 * 2000**2 / 2
+
+
+def test_p_variation_bounds_overflow_quietly():
+    # p = 1000 on a circle of radius 0.99 about the origin: every cost is
+    # at most 1.98**1000 < 2**1024, but the boxes' far corners are 2.8
+    # apart, so the bound overflows, and it must do so without a warning
+    angles = np.linspace(0.0, 12.0 * np.pi, 49)
+    pts = np.concatenate([[[0.0, 0.0]], 0.99 * np.column_stack([np.cos(angles), np.sin(angles)])])
+    path = sp.PiecewiseLinearPath(2, np.diff(pts, axis=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sp.p_variation(path, 1000.0) == reference_blocked_p_variation(path, 1000.0)
+
+
+def test_p_variation_of_an_overflowing_path_is_infinite():
+    # finite segments whose running sum overflows: |a_j - a_0| exceeds every double
+    for m in (2, 400):
+        segs = np.ones((m, 1))
+        segs[:2] = 1e308
+        with np.errstate(over="ignore"):
+            assert sp.p_variation(sp.PiecewiseLinearPath(1, segs), 2.0) == math.inf
+
+
 @pytest.mark.parametrize("scale", [1e155, 1e200, 1e-170])
 def test_reduce_keeps_shapes_at_extreme_scales(scale):
     square = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]) * scale
@@ -473,20 +550,21 @@ def test_reduce_keeps_shapes_at_extreme_scales(scale):
 
 @pytest.mark.parametrize("scale", [1e-170, 1e155, 1e200])
 def test_distances_at_extreme_scales(scale):
-    # no length or step norm under- or overflows: the square loop is 4s long
+    # no length or step norm under- or overflows: the square loop is 4s long;
+    # abs=0 everywhere, as approx's default absolute margin would pass 0.0
+    # at 1e-170
     square = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]) * scale
     loop, origin = sp.PiecewiseLinearPath(2, square), sp.constant_path(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.array_equal(loop.segment_lengths, [scale] * 4)
-        assert loop.length == pytest.approx(4 * scale, rel=1e-15)
-        assert sp.metric_d(loop, origin) == pytest.approx(4 * scale, rel=1e-15)
-        assert sp.one_variation_distance(loop, origin) == pytest.approx(4 * scale, rel=1e-15)
-        assert sp.sup_distance(loop, origin) == pytest.approx(math.sqrt(2) * scale, rel=1e-15)
+        assert loop.length == pytest.approx(4 * scale, rel=1e-15, abs=0)
+        assert sp.metric_d(loop, origin) == pytest.approx(4 * scale, rel=1e-15, abs=0)
+        assert sp.one_variation_distance(loop, origin) == pytest.approx(4 * scale, rel=1e-15, abs=0)
+        assert sp.sup_distance(loop, origin) == pytest.approx(math.sqrt(2) * scale, rel=1e-15, abs=0)
         assert np.array_equal(loop.breakpoints, [0.0, 0.25, 0.5, 0.75, 1.0])
         assert np.array_equal(sp.difference_path(loop, origin).segments, square)
-        # p-variation is 1-homogeneous, so it scales with the loop; abs=0,
-        # as approx's default absolute margin would pass 0.0 at 1e-170
+        # p-variation is 1-homogeneous, so it scales with the loop
         assert sp.p_variation(loop, 1.0) == pytest.approx(4 * scale, rel=1e-15, abs=0)
         unit_loop = sp.PiecewiseLinearPath(2, square / scale)
         for q in (2.0, 2.5):

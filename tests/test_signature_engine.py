@@ -317,6 +317,77 @@ def test_exact_signature_is_bitwise_the_rational_fold():
         sp.exact_signature(sp.PiecewiseLinearPath(2, [[1e300, 1e300], [-1e300, 0.5]]), 2)
 
 
+def _fold_dtypes(monkeypatch):
+    # the integer type of every fold exact_signature or the kernel runs
+    seen = []
+    fold = sp.signature_engine._fold
+
+    def recording(levels, binomial=False):
+        seen.append(levels[-1].dtype)
+        return fold(levels, binomial)
+
+    monkeypatch.setattr(sp.signature_engine, "_fold", recording)
+    return seen
+
+
+def _int64_threshold(depth):
+    # the largest L with L**depth < 2**63
+    top = int(2 ** (63 / depth))
+    while top**depth >= 2**63:
+        top -= 1
+    while (top + 1) ** depth < 2**63:
+        top += 1
+    return top
+
+
+def _split(rng, total, n):
+    # n nonnegative integers that sum to total, the first one odd
+    parts = np.diff(np.concatenate([[0], np.sort(rng.integers(0, total + 1, size=n - 1)), [total]]))
+    if parts[0] % 2 == 0:
+        donor = 1 + int(np.argmax(parts[1:]))
+        parts[0] += 1
+        parts[donor] -= 1
+    return parts
+
+
+def test_exact_signature_int64_switch_is_bitwise(monkeypatch):
+    # L = sum of |w|_1 over the integer-scaled steps w: at the largest L
+    # with L**depth < 2**63 the fold runs on int64, one above it on Python
+    # ints, and both give the rational fold's bits.  Steps along one axis
+    # put a coefficient of level depth at L**depth itself; an odd entry
+    # makes the integer scaling of w / scale exactly scale
+    seen = _fold_dtypes(monkeypatch)
+    rng = np.random.default_rng(21)
+    for depth, scale in ((2, 2), (3, 1), (3, 16), (5, 4)):
+        below = _int64_threshold(depth)
+        for total, dtype in ((below, np.int64), (below + 1, object)):
+            mixed = (_split(rng, total, 8) * rng.choice([-1, 1], size=8)).reshape(4, 2)
+            axis = np.column_stack([_split(rng, total, 4), np.zeros(4, dtype=np.int64)])
+            for w in (mixed, axis):
+                path = sp.PiecewiseLinearPath(2, w / scale)
+                got = sp.exact_signature(path, depth)
+                assert seen[-1] == np.dtype(dtype)
+                assert same_bits(got.levels, reference_exact_signature(path, depth)), (w, depth)
+
+
+def test_exact_signature_in_one_dimension(monkeypatch):
+    # d = 1: depth 20 with L = 7 folds on int64, depth 100 on Python ints
+    seen = _fold_dtypes(monkeypatch)
+    path = sp.PiecewiseLinearPath(1, [[0.5], [0.25], [-1.0], [0.0]])
+    for depth, dtype in ((20, np.int64), (100, object)):
+        got = sp.exact_signature(path, depth)
+        assert seen[-1] == np.dtype(dtype)
+        assert same_bits(got.levels, reference_exact_signature(path, depth))
+
+
+def test_witness_loops_fold_on_int64(monkeypatch):
+    # product-vs-metric's loops Gamma_1..Gamma_5 at depth 6 stay within
+    # 64**6 = 2**36, so a fall back to Python ints is a slowdown and a fault
+    seen = _fold_dtypes(monkeypatch)
+    assert sp.experiment_product_vs_metric(5).verdict
+    assert [dt for dt in seen if dt != np.float64] == [np.dtype(np.int64)] * 5
+
+
 def test_overflow_is_a_floating_point_error():
     p = sp.PiecewiseLinearPath(2, [[1e100, 1e100], [-1e100, 2e100]])
     with pytest.raises(FloatingPointError):
