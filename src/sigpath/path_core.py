@@ -264,18 +264,16 @@ def reduce(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
 
 
 def _merge_collinear(rows: list) -> list:
-    # the stack loop over the top pair: an exact mirror is excised, a
-    # collinear pair merged (_pair_tests' arithmetic on that one pair), and
-    # the merge dropped if |u + w| <= tol * (|u| + |w|), all three at the
-    # larger scale of the pair
+    # the stack loop over the top pair: a collinear pair is merged
+    # (_pair_tests' arithmetic on that one pair) and the merge dropped if
+    # |u + w| <= tol * (|u| + |w|), both at the larger scale of the pair.
+    # reduce's pass 1 left no adjacent mirror, and one that a merge forms
+    # has lam = -1 exactly and merges to an exact zero, which is dropped
     out: list[tuple] = []
     for v in rows:
         out.append(_scaled_row(v))
         while len(out) >= 2:
             (u, su, squ, eu), (w, sw, sqw, ew) = out[-2:]
-            if u == [-c for c in w]:
-                del out[-2:]
-                continue
             lam = _dot(su, sw) / squ
             resid = [q - lam * p for p, q in zip(su, sw)]
             if not math.sqrt(_dot(resid, resid)) <= COLLINEAR_TOL * math.sqrt(sqw):
@@ -315,7 +313,7 @@ def _grid(a: PiecewiseLinearPath):
 def positions_at(a: PiecewiseLinearPath, ts) -> np.ndarray:
     """Positions at an array of times in [0, 1] (constant-speed clock)."""
     ts = np.asarray(ts, dtype=float)
-    if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
+    if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
         raise ValueError("times must lie in [0, 1]")
     times, pts = _grid(a)
     return np.column_stack([np.interp(ts, times, pts[:, j]) for j in range(a.dim)])

@@ -135,7 +135,7 @@ def metric_d(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
 
 def ball_br_membership(a: PiecewiseLinearPath, r: float) -> bool:
     """Whether the reduced representative has length at most r (no slack)."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
     return reduce(a).length <= r
 
@@ -419,14 +419,9 @@ def experiment_group_discontinuity(n_max: int = 10) -> ExperimentReport:
 
 # length_lower_bound's Monte Carlo finds the segment of a time u in [0, 1)
 # in a table of _MC_BUCKETS equal buckets (a power of two, so u * _MC_BUCKETS
-# is exact) and draws its times _MC_BLOCK rows at a time.  The sign vectors
-# are enumerated _SIGN_BLOCK rows at a time: with a multiple of four rows,
-# the row group of the BLAS matrix-vector kernel, every row's dot product
-# has the bits of one call over all 2**m rows (blocks of three rows change
-# the last bit of some).
+# is exact) and draws its times _MC_BLOCK rows at a time.
 _MC_BUCKETS = 4096
 _MC_BLOCK = 16384
-_SIGN_BLOCK = 4096
 
 
 @lru_cache(maxsize=None)
@@ -474,17 +469,18 @@ def _pair_products(gram, edges, n: int, samples: int, rng) -> np.ndarray:
     return x
 
 
-def _sign_dots(pfrac) -> np.ndarray:
-    """<eps, pfrac> for every sign vector eps in {-1, 1}**m, eps_i = +1 iff
-    bit i of the row number is set."""
-    m = pfrac.size
-    bits = np.arange(m)
-    sdot = np.empty(2**m)
-    for first in range(0, 2**m, _SIGN_BLOCK):
-        ints = np.arange(first, min(first + _SIGN_BLOCK, 2**m))
-        signs = (((ints[:, None] >> bits) & 1) * 2 - 1).astype(np.int8)
-        sdot[first : first + ints.size] = signs @ pfrac
-    return sdot
+def _even_moments(pfrac, n_max: int) -> list:
+    """E[(sum_i eps_i p_i)**2n] over independent fair signs eps_i, that is
+    (2n)! [t**2n] prod_i cosh(p_i t), for n = 1..n_max.  With p_i = a_i / q,
+    q a common power of two, e[j] = q**2j E[(...)**2j] is folded over the
+    segments on Python ints and divided once, one correct rounding each."""
+    ratios = [float(p).as_integer_ratio() for p in pfrac]
+    scale = max(q for _, q in ratios)
+    e = [1] + [0] * n_max
+    for p, q in ratios:
+        a2 = (p * (scale // q)) ** 2
+        e = [sum(math.comb(2 * j, 2 * c) * a2**c * e[j - c] for c in range(j + 1)) for j in range(n_max + 1)]
+    return [e[n] / scale ** (2 * n) for n in range(1, n_max + 1)]
 
 
 def length_lower_bound(
@@ -503,9 +499,10 @@ def length_lower_bound(
 
         (2n)! phi(S_2n)  >=  L**2n * (P(all counts even) - P(some segment empty))
 
-    with P(all even) computed exactly as the Rademacher average
-    E[(sum_i eps_i |v_i| / L)**2n] over all 2**m sign vectors, and the empty
-    event bounded by m (1 - r)**2n, r the smallest segment time fraction.
+    with P(all even) the Rademacher average E[(sum_i eps_i |v_i| / L)**2n]
+    over independent fair signs eps_i, computed in exact dyadic arithmetic
+    and rounded once (_even_moments), and the empty event bounded by
+    m (1 - r)**2n, r the smallest segment time fraction.
     The report also carries the growth root ((2n)! phi)**(1/2n), which
     approaches the length L from below, plus a Monte Carlo estimate of
     E[X_n] with its standard error as an independent cross-check.  The Monte
@@ -530,8 +527,8 @@ def length_lower_bound(
       order, so the times are those of one (mc_samples, 2n) draw; mean and
       standard error are taken over the whole array of X_n as before.
 
-    The sign vectors are likewise formed _SIGN_BLOCK rows at a time, so
-    m = 20 holds 2**20 dot products rather than a (2**20, 20) sign array.
+    The segment indices are int16, and so is the pair index a * m + b, so a
+    path may have at most 181 nonzero segments (m * m <= 2**15).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -546,8 +543,8 @@ def length_lower_bound(
     m = segs.shape[0]
     if m == 0:
         raise ValueError("path has no nonzero segment")
-    if m > 20:
-        raise ValueError(f"sign-vector enumeration capped at 20 segments, got {m}")
+    if m * m > 2**15:
+        raise ValueError(f"the int16 pair index a * m + b caps the path at 181 segments, got {m}")
     for i in range(m - 1):
         inner = abs(float(np.dot(segs[i], segs[i + 1])))
         if inner > 1e-12 * lens[i] * lens[i + 1]:
@@ -556,8 +553,7 @@ def length_lower_bound(
     pfrac = lens / L
     r = float(pfrac.min())
     sig = signature(path, 2 * n_max)
-
-    sdot = _sign_dots(pfrac)
+    p_evens = _even_moments(pfrac, n_max)
 
     unit_dirs = segs / lens[:, None]
     # L**2 <v_i, v_j> / (|v_i| |v_j|) for every pair of segments, by the same
@@ -577,7 +573,7 @@ def length_lower_bound(
     growth_vals, mc_means, mc_ses = [], [], []
     for n in indices:
         phi = math.factorial(2 * n) * phi_contraction(sig, n)
-        p_even = float(np.mean(sdot ** (2 * n)))
+        p_even = p_evens[n - 1]
         p_empty_bound = m * (1.0 - r) ** (2 * n)
         lower = L ** (2 * n) * (p_even - p_empty_bound)
         growth = phi ** (1.0 / (2 * n)) if phi > 0.0 else 0.0

@@ -475,7 +475,7 @@ def reference_right_bracketing(coeffs, dim, k):
 
 def reference_sign_dots(pfrac):
     """<eps, pfrac> for all 2**m sign vectors in one (2**m, m) array, as
-    length_lower_bound formed them before the row blocks."""
+    length_lower_bound once enumerated them for P(all counts even)."""
     m = len(pfrac)
     ints = np.arange(2**m)
     signs = (((ints[:, None] >> np.arange(m)) & 1) * 2 - 1).astype(np.int8)

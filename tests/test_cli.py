@@ -550,7 +550,7 @@ STAIRCASE = np.array([[1, 0], [0, 2], [3, 0], [0, 1], [2, 0], [0, 3]] * 2, dtype
         ("quotient-vs-metric", [], "64de23ad65d7f5d127aae117b19b95f0f17dfae75994fdaf1c030dd57edae783"),
         ("incompleteness", ["--n-max", "80"], "d9f088c926fb4b3dc6a3293db43595ad73b72e881ad5a744e940813146f6eb7b"),
         ("group-discontinuity", ["--n-max", "120"], "931b00bd52135c1d9352c46bd5fb8a1daa78d2ddceacfccd00d9e0a029922ddc"),
-        ("length-bound", ["--n-max", "5", "--seed", "0"], "d3dd892ac907baaaefe3117e06a49e81d4b338260dd7da46937dbc3607dc9f24"),
+        ("length-bound", ["--n-max", "5", "--seed", "0"], "644c3d53b3dc98beae1fb06b022ccaf6a3dc38e16caddf05b69e2ea49fe5e8c0"),
     ],
 )
 def test_experiment_payload_is_pinned(capsys, tmp_path, name, flags, digest):
@@ -563,6 +563,15 @@ def test_experiment_payload_is_pinned(capsys, tmp_path, name, flags, digest):
     code, out, _ = run_main(capsys, ["experiment", name, *flags, "--format", "json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_length_bound_over_181_segments_exits_2(capsys, tmp_path):
+    # 182 alternating axis steps overflow the Monte Carlo's int16 pair index
+    path = tmp_path / "long.csv"
+    write_csv(sp.PiecewiseLinearPath(2, np.tile(np.eye(2), (91, 1))), path)
+    code, _, err = run_main(capsys, ["experiment", "length-bound", "--path", str(path), "--n-max", "1"])
+    assert code == 2
+    assert "pair index" in err
 
 
 def _dyadic_path_csv(tmp_path, seed, d, m):

@@ -281,7 +281,9 @@ def _mentions(text):
 # power sums build on, the path-against-field check, and the one fold: the
 # float kernel and exact_signature, on either integer type, form segment
 # exponentials and fold them through the same two functions, and only those
-# two form outer products
+# two form outer products; exact dyadic arithmetic (floats as integers over
+# a common power of two, rounded once) lives in exact_signature and the
+# length bound's even moments
 _OWNERS = {
     "np.convolve": (_calls("convolve"), {("signature_engine.py", "_one_letter_series")}),
     "_mul_levels": (_calls("_mul_levels"), {("tensor_algebra.py", f) for f in ("mul", "exp", "_power_sum")}),
@@ -292,6 +294,10 @@ _OWNERS = {
     ),
     "_fold": (_calls("_fold"), {("signature_engine.py", f) for f in ("_signature_levels", "exact_signature")}),
     "_outer": (_calls("_outer"), {("signature_engine.py", f) for f in ("_segment_levels", "_fold")}),
+    "as_integer_ratio": (
+        _calls("as_integer_ratio"),
+        {("signature_engine.py", "exact_signature"), ("topology_lab.py", "_even_moments")},
+    ),
 }
 
 

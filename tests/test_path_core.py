@@ -64,6 +64,9 @@ def _bitwise_corpus():
         sp.linear_path([-2.0]),
         sp.PiecewiseLinearPath(1, [[1.0], [-1.0], [0.0], [2.0], [0.5], [-0.25]]),
         sp.PiecewiseLinearPath(2, [[0.0, -0.0], [1.0, 0.0], [-1.0, -0.0], [0.0, 1.0]]),
+        # mirrors that only a merge forms, so the cancellation test drops them
+        sp.PiecewiseLinearPath(1, [[1.0], [1.0], [-2.0]]),
+        sp.PiecewiseLinearPath(2, [[0.5, 0.0], [0.5, 0.0], [-1.0, -0.0], [0.0, 1.0]]),
     ]
     return edge + _small_corpus() + mixed_path_corpus(rng, 300)
 
@@ -87,6 +90,18 @@ def test_evaluate_midpoints_constant_speed():
     assert np.allclose(evaluate(p, 0.75), [1.0, 0.5])
     with pytest.raises(ValueError):
         evaluate(p, 1.5)
+
+
+@pytest.mark.parametrize("ts", [[np.nan], [0.5, np.nan], [np.nan, 0.5], [-np.inf], [0.0, np.inf]])
+def test_positions_at_refuses_times_outside_the_clock(ts):
+    # nan compares false both ways, so the range check must not let it
+    # through; evaluate refuses the same times
+    p = sp.PiecewiseLinearPath(2, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="times must lie in"):
+        positions_at(p, ts)
+    bad = next(t for t in ts if not 0.0 <= t <= 1.0)
+    with pytest.raises(ValueError, match="outside"):
+        evaluate(p, bad)
 
 
 def test_concat_reverse():
@@ -247,8 +262,9 @@ def test_ball_membership():
     assert sp.ball_br_membership(loop, 0.5)
     assert sp.ball_br_membership(a, 1.0)
     assert not sp.ball_br_membership(a, 0.5)
-    with pytest.raises(ValueError):
-        sp.ball_br_membership(a, 0.0)
+    for bad in (0.0, -1.0, np.nan, -np.inf):
+        with pytest.raises(ValueError, match="radius"):
+            sp.ball_br_membership(a, bad)
 
 
 def test_resplit_same_trajectory():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ def test_length_bound_preconditions():
         sp.length_lower_bound(slanted, n_max=2)
 
     rng = np.random.default_rng(0)
-    toomany = sp.PiecewiseLinearPath(21, np.diag(np.ones(21))[:21])
+    toomany = sp.PiecewiseLinearPath(182, np.diag(np.ones(182)))
     with pytest.raises(ValueError):
         sp.length_lower_bound(toomany, n_max=1)
 
@@ -313,22 +314,72 @@ def test_sorting_network_sorts_every_zero_one_row():
         assert np.array_equal(np.stack(cols, axis=1), np.sort(rows, axis=1))
 
 
+def _enumerated_moment(fracs, n):
+    # the exact average of (sum_i eps_i p_i)**2n over all 2**m sign vectors
+    m = len(fracs)
+    total = sum(sum(f if row >> i & 1 else -f for i, f in enumerate(fracs)) ** (2 * n) for row in range(2**m))
+    return total / 2**m
+
+
 @pytest.mark.parametrize("m", [1, 5, 12, 17])
-def test_sign_dots_are_bitwise_the_one_shot_enumeration(monkeypatch, m):
+def test_even_moments_are_the_sign_enumeration_rounded_once(m):
+    # up to m = 10 the exact rational average, rounded once, is met bit for
+    # bit.  At every m the old programme's float enumeration agrees within
+    # its own error: each dot product is off by at most about (m - 1) u
+    # (sum p = 1), which the power 2n multiplies by 2n |s|**(2n - 1), and
+    # the pairwise mean adds about (m + 8) u relative.  It is 7 ulps off at
+    # m = 5, n = 5, where the exact value is met.
     pfrac = np.random.default_rng(m).uniform(0.2, 2.0, size=m)
     pfrac /= pfrac.sum()
-    want = reference_sign_dots(pfrac)
-    assert np.array_equal(sp.topology_lab._sign_dots(pfrac), want)
-    for block in (4, 64):
-        monkeypatch.setattr(sp.topology_lab, "_SIGN_BLOCK", block)
-        assert np.array_equal(sp.topology_lab._sign_dots(pfrac), want)
+    got = sp.topology_lab._even_moments(pfrac, 5)
+    sdot = reference_sign_dots(pfrac)
+    u = 2.0**-53
+    for n, value in enumerate(got, 1):
+        want = np.mean(sdot ** (2 * n))
+        tol = 2 * n * m * u * np.mean(np.abs(sdot) ** (2 * n - 1)) + (m + 9) * u * want
+        assert abs(value - want) <= tol
+        if m <= 10:
+            assert value == float(_enumerated_moment([Fraction(p) for p in pfrac], n))
+
+
+def test_even_moments_are_exact_across_scales():
+    # fractions from 1e-5 to 1e5 need not sum to 1: every value is the
+    # exact rational average rounded once
+    rng = np.random.default_rng(28)
+    for m in range(1, 9):
+        for _ in range(6):
+            pfrac = 10.0 ** rng.uniform(-5, 5, size=m)
+            got = sp.topology_lab._even_moments(pfrac, 5)
+            fracs = [Fraction(p) for p in pfrac]
+            assert got == [float(_enumerated_moment(fracs, n)) for n in range(1, 6)]
+
+
+def test_length_bound_p_all_even_is_exact_on_the_staircase():
+    rep = sp.length_lower_bound(sp.PiecewiseLinearPath(2, STAIRCASE), n_max=5, mc_samples=1)
+    # axis steps: each length is the step's one nonzero entry, L = 6 exactly
+    lens = np.abs(STAIRCASE).sum(axis=1)
+    fracs = [Fraction(p) for p in lens / lens.sum()]
+    assert rep.series["p_all_even"] == [float(_enumerated_moment(fracs, n)) for n in range(1, 6)]
+
+
+def test_length_bound_runs_up_to_181_segments():
+    # the int16 pair index a * m + b reaches 181 * 181 - 1 = 32760 < 2**15;
+    # one segment more would wrap it, so 182 are refused
+    lengths = np.random.default_rng(29).uniform(0.2, 2.0, size=182)
+    path = _axis_path(*lengths[:181])
+    rep = sp.length_lower_bound(path, n_max=2, mc_samples=3000, seed=4)
+    means, ses = _einsum_monte_carlo(path, 2, 3000, 4)
+    assert rep.series["mc_mean"] == means
+    assert rep.series["mc_se"] == ses
+    with pytest.raises(ValueError, match="pair index"):
+        sp.length_lower_bound(_axis_path(*lengths), n_max=1, mc_samples=10)
 
 
 def test_length_bound_sign_enumeration_is_bounded_at_twenty_segments():
-    # the one-shot (2**20, 20) int64 sign array took 196 MiB; now the peak
-    # is sdot and one power of it, 8 MiB each
+    # the one-shot (2**20, 20) int64 sign array took 196 MiB and the blocked
+    # enumeration 16 MiB; the moments fold on m Python ints per level
     path = _axis_path(*np.random.default_rng(27).uniform(0.2, 2.0, size=20))
-    assert traced_peak_bytes(sp.length_lower_bound, path, n_max=1, mc_samples=10) < 20 * 2**20
+    assert traced_peak_bytes(sp.length_lower_bound, path, n_max=1, mc_samples=10) < 2**20
 
 
 def test_length_bound_rejects_too_few_samples():
