@@ -25,7 +25,7 @@ from .ito_solver import field_from_dict, field_from_json, solve_and_certify
 from .path_core import concat, linear_path, read_csv
 from .signature_engine import signature
 from .sig_regression import demo_field, evaluate, fit, generate_dataset
-from .tensor_algebra import _MALFORMED, _json_float, _json_int, tensor_to_json
+from .tensor_algebra import _MALFORMED, _json_float, _json_floats, _json_int, tensor_to_json
 
 __all__ = ["main", "entry"]
 
@@ -210,7 +210,7 @@ def _cmd_regress(args, environ) -> int:
             field = field_from_dict(config["field"])
             if config["y0"] is None:
                 raise ValueError("config with an explicit field must also set y0")
-            y0 = np.asarray(config["y0"], dtype=float)
+            y0 = _json_floats("config key 'y0'", config["y0"])
         else:
             field, y0 = demo_field()
         if not isinstance(config["depths"], list):

@@ -28,7 +28,7 @@ import numpy as np
 from . import signature_engine
 from .path_core import PiecewiseLinearPath
 from .signature_engine import LinearFunctional, _check_budget, signature
-from .tensor_algebra import _MALFORMED, _json_int, _readonly
+from .tensor_algebra import _MALFORMED, _count, _json_floats, _json_int, _readonly
 
 __all__ = [
     "LinearVectorField",
@@ -213,8 +213,7 @@ def series_error_bound(
     bound, for every field, path and start point.  A bound beyond float
     range raises FloatingPointError.
     """
-    if truncation < 0:
-        raise ValueError(f"truncation must be nonnegative, got {truncation}")
+    truncation = _count("truncation", truncation, 0)
     cl = field._raw_growth * path_length
     if cl == 0.0:
         return 0.0
@@ -276,6 +275,19 @@ def _scaling_powers(norms: np.ndarray) -> np.ndarray:
     return s
 
 
+def _pade_half(c, a2, a4, a6, ident) -> np.ndarray:
+    # a6 (c0 a6 + c1 a4 + c2 a2) + c3 a6 + c4 a4 + c5 a2 + c6 I, one half
+    # of the [13/13] Pade approximant: U = a _pade_half(b13, b11, ..., b1)
+    # and V = _pade_half(b12, b10, ..., b0), in Higham's order of operations
+    inner = c[0] * a6
+    for coef, power in zip(c[1:3], (a4, a2)):
+        inner += coef * power
+    out = a6 @ inner
+    for coef, power in zip(c[3:], (a6, a4, a2, ident)):
+        out += coef * power
+    return out
+
+
 def _expm(mats: np.ndarray) -> np.ndarray:
     """Exponentials of a stack of square matrices, shape (K, n, n).
 
@@ -296,25 +308,9 @@ def _expm(mats: np.ndarray) -> np.ndarray:
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    inner = b[13] * a6
-    inner += b[11] * a4
-    inner += b[9] * a2
-    odd = a6 @ inner
-    odd += b[7] * a6
-    odd += b[5] * a4
-    odd += b[3] * a2
-    odd += b[1] * ident
-    u = a @ odd
-    del a, odd
-    np.multiply(b[12], a6, out=inner)
-    inner += b[10] * a4
-    inner += b[8] * a2
-    v = a6 @ inner
-    del inner
-    v += b[6] * a6
-    v += b[4] * a4
-    v += b[2] * a2
-    v += b[0] * ident
+    u = a @ _pade_half(b[13::-2], a2, a4, a6, ident)
+    del a
+    v = _pade_half(b[12::-2], a2, a4, a6, ident)
     del a2, a4, a6
     # (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U: the identity is added
     # exactly, so small matrices keep their last bits and zero gives I
@@ -430,8 +426,8 @@ def field_to_dict(field: LinearVectorField) -> dict:
 def field_from_dict(data: dict) -> LinearVectorField:
     try:
         d, w = (_json_int(f"field key {key!r}", data[key]) for key in ("d", "w"))
-        mats = np.asarray(data["A"], dtype=float)
-        offs = np.asarray(data["b"], dtype=float)
+        mats = _json_floats("field key 'A'", data["A"])
+        offs = _json_floats("field key 'b'", data["b"])
     except _MALFORMED as exc:
         raise ValueError(f"malformed field specification: {exc}") from None
     field = LinearVectorField(matrices=mats, offsets=offs)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_algebra import _MALFORMED, _json_int
+from .tensor_algebra import _MALFORMED, _count, _json_floats, _json_int
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -67,13 +67,12 @@ class PathFormatError(ValueError):
 class PiecewiseLinearPath:
     """Piecewise-linear path given by segment displacements, from the origin.
 
-    `reduced` marks a path already put through reduce(): no zero segment and
-    no adjacent collinear pair remains.
+    Whether a path is reduced is a property of its segments alone, which
+    reduce() derives on every call; nothing on the path records it.
     """
 
     dim: int
     segments: np.ndarray
-    reduced: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -129,7 +128,7 @@ def linear_path(v) -> PiecewiseLinearPath:
 
 def constant_path(dim: int) -> PiecewiseLinearPath:
     """The trivial path that stays at the origin."""
-    return PiecewiseLinearPath(dim, np.zeros((0, dim)), reduced=True)
+    return PiecewiseLinearPath(dim, np.zeros((0, dim)))
 
 
 def _check_dim(a: PiecewiseLinearPath, b: PiecewiseLinearPath):
@@ -166,16 +165,6 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(np.add.reduce(scaled * scaled, axis=1)), exps)
 
 
-def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # row-wise inner products summed coordinate by coordinate, in order, so
-    # that a row's value does not depend on the other rows
-    prod = x * y
-    acc = prod[:, 0]
-    for k in range(1, prod.shape[1]):
-        acc = acc + prod[:, k]
-    return acc
-
-
 def _pair_tests(segs: np.ndarray) -> np.ndarray:
     """Whether each adjacent pair of the nonzero rows segs passes reduce()'s
     collinearity test, evaluated on all pairs at once.
@@ -187,15 +176,17 @@ def _pair_tests(segs: np.ndarray) -> np.ndarray:
     most tol * |w|.  Rows are computed independently, coordinate by
     coordinate, so a pair's verdict is _merge_collinear's on that pair.
     """
-    scaled = _scaled_rows(segs)[0]
-    sq = _row_dot(scaled, scaled)
-    u, w = scaled[:-1], scaled[1:]
-    resid = w - (_row_dot(u, w) / sq[:-1])[:, None] * u
-    return np.sqrt(_row_dot(resid, resid)) <= COLLINEAR_TOL * np.sqrt(sq[1:])
+    cols = _scaled_rows(segs)[0].T
+    sq = _dot(cols, cols)
+    u, w = cols[:, :-1], cols[:, 1:]
+    resid = w - _dot(u, w) / sq[:-1] * u
+    return np.sqrt(_dot(resid, resid)) <= COLLINEAR_TOL * np.sqrt(sq[1:])
 
 
-def _dot(x: list, y: list) -> float:
-    # _row_dot on one pair of rows given as lists
+def _dot(x, y):
+    # inner product summed coordinate by coordinate, in order: of two rows
+    # given as lists, or row by row of two (d, n) coordinate arrays, so that
+    # a row's value does not depend on the other rows
     acc = x[0] * y[0]
     for i in range(1, len(x)):
         acc += x[i] * y[i]
@@ -237,8 +228,11 @@ def reduce(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
     numpy's per-call cost exceeds the arithmetic.  Both forms of the test
     sum coordinate by coordinate in order, so they agree on every pair and
     the two routes give the same bits.
+
+    Every call reduces its path afresh, except that a path with no
+    segments, already reduced, is returned as it is.
     """
-    if a.reduced:
+    if not a.segment_count:
         return a
     segs = a.segments
     # pass 1: excise exactly mirrored adjacent pairs without any arithmetic,
@@ -259,8 +253,8 @@ def reduce(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
     if len(stack) > _IN_ORDER_TERMS:
         kept = segs[stack]
         if not _pair_tests(kept).any():
-            return PiecewiseLinearPath(a.dim, kept, reduced=True)
-    return PiecewiseLinearPath(a.dim, _merge_collinear([rows[i] for i in stack]), reduced=True)
+            return PiecewiseLinearPath(a.dim, kept)
+    return PiecewiseLinearPath(a.dim, _merge_collinear([rows[i] for i in stack]))
 
 
 def _merge_collinear(rows: list) -> list:
@@ -315,8 +309,13 @@ def positions_at(a: PiecewiseLinearPath, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
         raise ValueError("times must lie in [0, 1]")
-    times, pts = _grid(a)
-    return np.column_stack([np.interp(ts, times, pts[:, j]) for j in range(a.dim)])
+    return _interp(ts, *_grid(a))
+
+
+def _interp(ts, times, pts) -> np.ndarray:
+    # positions at ts of the path through the vertices pts at the times,
+    # one np.interp per coordinate
+    return np.column_stack([np.interp(ts, times, pts[:, j]) for j in range(pts.shape[1])])
 
 
 def evaluate(a: PiecewiseLinearPath, t: float) -> np.ndarray:
@@ -342,9 +341,7 @@ def _difference(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> np.ndarray:
     ta, pa = _grid(a)
     tb, pb = _grid(b)
     times = np.union1d(ta, tb)
-    return np.column_stack(
-        [np.interp(times, ta, pa[:, j]) - np.interp(times, tb, pb[:, j]) for j in range(a.dim)]
-    )
+    return _interp(times, ta, pa) - _interp(times, tb, pb)
 
 
 def one_variation_distance(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
@@ -568,8 +565,7 @@ def axis_rho_sigma(n: int):
     The two paths at stage n share all signature levels up to n while their
     level n+1 differs.
     """
-    if n < 1:
-        raise ValueError(f"stage must be at least 1, got {n}")
+    n = _count("stage", n, 1)
     e1 = (1.0, 0.0)
     e2 = (0.0, 1.0)
     rho = [e1, e2]
@@ -661,6 +657,6 @@ def path_from_dict(data: dict) -> PiecewiseLinearPath:
     # every failure, a bad value included, is re-typed as PathFormatError
     try:
         dim = _json_int("path key 'dim'", data["dim"])
-        return PiecewiseLinearPath(dim, np.array(data["segments"], dtype=float))
+        return PiecewiseLinearPath(dim, _json_floats("path segments", data["segments"]))
     except (ValueError, *_MALFORMED) as err:
         raise PathFormatError(f"malformed path record: {err}") from None

@@ -31,7 +31,7 @@ from .signature_engine import (
     _signature_levels,
     feature_count,
 )
-from .tensor_algebra import _MALFORMED, _json_bool, _json_float, _json_int, _readonly
+from .tensor_algebra import _MALFORMED, _count, _json_bool, _json_float, _json_floats, _json_int, _readonly
 
 __all__ = [
     "RegressionDataset",
@@ -126,8 +126,8 @@ def generate_dataset(
     then act on the whole (n_paths, m, d) block, which both kernels take
     as it is.
     """
-    if n_paths < 1 or segment_count < 1:
-        raise ValueError("need at least one path and one segment")
+    n_paths = _count("n_paths", n_paths, 1)
+    segment_count = _count("segment_count", segment_count, 1)
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"length budget r must be finite and positive, got {r}")
     if not (math.isfinite(noise_scale) and noise_scale >= 0):
@@ -259,7 +259,7 @@ def functional_from_dict(data: dict) -> LinearFunctional:
         return LinearFunctional(
             dim=_json_int("functional key 'dim'", data["dim"]),
             depth=_json_int("functional key 'depth'", data["depth"]),
-            weights=np.asarray(data["weights"], dtype=float),
+            weights=_json_floats("functional key 'weights'", data["weights"]),
             rank_deficient=_json_bool("functional key 'rank_deficient'", data.get("rank_deficient", False)),
         )
     except _MALFORMED as exc:
@@ -281,8 +281,8 @@ def dataset_from_dict(data: dict) -> RegressionDataset:
     try:
         return RegressionDataset(
             segments=np.stack([path_from_dict(p).segments for p in data["paths"]]),
-            features=np.asarray(data["features"], dtype=float),
-            responses=np.asarray(data["responses"], dtype=float),
+            features=_json_floats("dataset key 'features'", data["features"]),
+            responses=_json_floats("dataset key 'responses'", data["responses"]),
             depth=_json_int("dataset key 'depth'", data["depth"]),
             noise_scale=_json_float("dataset key 'noise_scale'", data["noise_scale"]),
             seed=None if data.get("seed") is None else _json_int("dataset key 'seed'", data["seed"]),

@@ -28,6 +28,7 @@ the signature series of a controlled ODE.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -38,6 +39,7 @@ from .path_core import PiecewiseLinearPath, linear_path
 from .tensor_algebra import (
     GroupTensor,
     TruncatedTensor,
+    _count,
     _log_levels,
     _readonly,
     log,
@@ -198,8 +200,11 @@ def log_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedTensor:
 
 def feature_count(dim: int, depth: int) -> int:
     """Number of tensor coefficients across levels 0..depth."""
+    # a plain comparison rather than _count, as this runs in every kernel
+    # call's budget check; operator.index still refuses a depth such as 2.5
     if dim < 1 or depth < 0:
         raise ValueError(f"need dim >= 1 and depth >= 0, got {dim}, {depth}")
+    depth = operator.index(depth)
     if dim == 1:
         return depth + 1
     return (dim ** (depth + 1) - 1) // (dim - 1)
@@ -277,6 +282,15 @@ class LinearFunctional:
         return features[..., :expected] @ self.weights
 
 
+def _dyadic(values) -> tuple:
+    """(ints, q): the floats values written exactly as ints[i] / q over
+    one power of two q, the largest of their denominators, which every
+    other divides.  values must not be empty."""
+    ratios = [float(c).as_integer_ratio() for c in values]
+    scale = max(q for _, q in ratios)
+    return [p * (scale // q) for p, q in ratios], scale
+
+
 def exact_signature(path: PiecewiseLinearPath, depth: int) -> GroupTensor:
     """Signature in exact integer arithmetic, rounded once at the end.
 
@@ -304,16 +318,13 @@ def exact_signature(path: PiecewiseLinearPath, depth: int) -> GroupTensor:
     so this a-priori check is the only guard.  The witness loops of
     product-vs-metric stay within 2**36.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
+    depth = _count("depth", depth, 0)
     # dim**13 > 5000 for every dim >= 2, so the power stays small
     too_deep = depth > 100 if path.dim == 1 else path.dim ** min(depth, 13) > 5000
     if too_deep:
         raise ValueError("exact arithmetic is limited to dim**depth <= 5000, or depth <= 100 at dim 1")
     segments = path.segments if len(path.segments) else np.zeros((1, path.dim))
-    ratios = [float(c).as_integer_ratio() for c in segments.flat]
-    scale = max(q for _, q in ratios)  # 2**s: every denominator divides it
-    ints = [p * (scale // q) for p, q in ratios]
+    ints, scale = _dyadic(segments.flat)
     fits = max(2, sum(map(abs, ints))) ** max(depth, 1) < 2**63
     v = np.array(ints, dtype=np.int64 if fits else object).reshape(1, *segments.shape)
     levels = _fold(_segment_levels(v, depth, divide=False), binomial=True)
@@ -485,10 +496,11 @@ def check_group_like(
     them to, so an infinite lie_tolerance fails.
 
     passed requires max(max_discrepancy, lie_residual) <= lie_tolerance <
-    inf.
+    inf.  sample must be an integer >= 0.
     """
     if x.scalar != 1.0:
         raise ValueError("group-likeness requires level-0 coefficient exactly 1")
+    sample = _count("sample", sample, 0)
     d, depth, levels = x.dim, x.depth, x.levels
     worst, worst_pair, count = 0.0, ((), ()), 0
 

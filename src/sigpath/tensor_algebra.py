@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,12 +71,38 @@ def _json_int(what, value) -> int:
     return value
 
 
+def _count(what, value, low, high=None) -> int:
+    # a size argument: an integer through operator.index (numpy's too, no
+    # bool) in low..high, or at least low when high is None
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < low or (high is not None and n > high):
+        bounds = f"{what} >= {low}" if high is None else f"{low} <= {what} <= {high}"
+        raise ValueError(f"need an integer {bounds}, got {value!r}")
+    return n
+
+
 def _json_float(what, value) -> float:
     # a finite JSON number; math.isfinite of an integer beyond float range
     # raises OverflowError
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _json_floats(what, value) -> np.ndarray:
+    # nested JSON lists of finite numbers, as a float array: _json_float
+    # takes each entry, so no boolean, string or null gets through
+    stack = [value]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, list):
+            stack.extend(node)
+        else:
+            _json_float(what, node)
+    return np.array(value, dtype=float)
 
 
 def _json_bool(what, value) -> bool:
@@ -392,7 +419,7 @@ def tensor_to_dict(x: TruncatedTensor) -> dict:
 def tensor_from_dict(data: dict) -> TruncatedTensor:
     try:
         dim, depth = (_json_int(f"tensor key {key!r}", data[key]) for key in ("dim", "depth"))
-        return TruncatedTensor(dim, depth, data["levels"])
+        return TruncatedTensor(dim, depth, [_json_floats("tensor levels", lvl) for lvl in data["levels"]])
     except _MALFORMED as err:
         raise ValueError(f"malformed tensor record: {err}") from None
 

@@ -34,10 +34,11 @@ from .path_core import (
     one_variation_distance,
     reduce,
 )
-from .signature_engine import _check_budget, _signature_levels, exact_signature, feature_count, signature
+from .signature_engine import _check_budget, _dyadic, _signature_levels, exact_signature, feature_count, signature
 from .tensor_algebra import (
     _MALFORMED,
     GroupTensor,
+    _count,
     _json_bool,
     _json_float,
     _json_int,
@@ -272,8 +273,7 @@ def experiment_product_vs_metric(k_max: int = 5, depth: int | None = None) -> Ex
     integer arithmetic: the vanishing of the low levels is then literal
     rather than obscured by float cancellation noise.
     """
-    if not 1 <= k_max <= 6:
-        raise ValueError(f"k_max must be between 1 and 6, got {k_max}")
+    k_max = _count("k_max", k_max, 1, 6)
     if depth is None:
         depth = k_max + 1
     origin = constant_path(2)
@@ -345,8 +345,7 @@ def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentRepo
     zero, yet each rho_n keeps metric_d distance 2 + 2/n >= 2 from the
     trivial path, so no reduced limit can exist.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
+    n_max = _count("n_max", n_max, 2)
     origin = constant_path(2)
     _check_budget(1, 2, depth, "one tensor of dimension 2")
     one = unit(2, depth)
@@ -395,8 +394,7 @@ def experiment_group_discontinuity(n_max: int = 10) -> ExperimentReport:
     length 2 + 2/n, so the product stays at metric_d distance at least 2
     from the trivial path.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    n_max = _count("n_max", n_max, 1)
     origin = constant_path(2)
     limit_rho = linear_path([1.0, 0.0])
     limit_sigma = linear_path([-1.0, 0.0])
@@ -474,11 +472,10 @@ def _even_moments(pfrac, n_max: int) -> list:
     (2n)! [t**2n] prod_i cosh(p_i t), for n = 1..n_max.  With p_i = a_i / q,
     q a common power of two, e[j] = q**2j E[(...)**2j] is folded over the
     segments on Python ints and divided once, one correct rounding each."""
-    ratios = [float(p).as_integer_ratio() for p in pfrac]
-    scale = max(q for _, q in ratios)
+    ints, scale = _dyadic(pfrac)
     e = [1] + [0] * n_max
-    for p, q in ratios:
-        a2 = (p * (scale // q)) ** 2
+    for a in ints:
+        a2 = a**2
         e = [sum(math.comb(2 * j, 2 * c) * a2**c * e[j - c] for c in range(j + 1)) for j in range(n_max + 1)]
     return [e[n] / scale ** (2 * n) for n in range(1, n_max + 1)]
 
@@ -530,12 +527,9 @@ def length_lower_bound(
     The segment indices are int16, and so is the pair index a * m + b, so a
     path may have at most 181 nonzero segments (m * m <= 2**15).
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    if 2 * n_max > 10:
-        raise ValueError("contraction level 2n is capped at 10")
-    if mc_samples < 1:
-        raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
+    # the contraction level 2n is capped at 10
+    n_max = _count("n_max", n_max, 1, 5)
+    mc_samples = _count("mc_samples", mc_samples, 1)
     lens_all = path.segment_lengths
     mask = lens_all > 0.0
     segs = path.segments[mask]

@@ -295,7 +295,7 @@ def reference_reduce(a, tol=COLLINEAR_TOL):
             if np.linalg.norm(merged) > tol * (math.sqrt(uu) + norm_w):
                 out.append(merged)
     segs = np.array(out) if out else np.zeros((0, a.dim))
-    return PiecewiseLinearPath(a.dim, segs, reduced=True)
+    return PiecewiseLinearPath(a.dim, segs)
 
 
 def _reference_grid_times(a):
@@ -561,9 +561,14 @@ def with_value(record, key, text):
     return json.dumps({**record, key: "@"}).replace('"@"', text)
 
 
-def with_big_entry(record, *where):
+# Bad entries for a record's number arrays, as JSON text: a number beyond
+# float range, a string and a boolean
+BAD_ENTRIES = (BIG_INT, '"2"', "true")
+
+
+def with_entry(record, where, text):
     """JSON text of record with the first number of the array at the key
-    path `where` replaced by a 400-digit integer."""
+    path `where` replaced by the raw JSON text given."""
     doc = json.loads(json.dumps(record))
     node = doc
     for step in where:
@@ -571,7 +576,7 @@ def with_big_entry(record, *where):
     while isinstance(node[0], list):
         node = node[0]
     node[0] = "@"
-    return json.dumps(doc).replace('"@"', BIG_INT)
+    return json.dumps(doc).replace('"@"', text)
 
 
 def bad_value_params(record, key, bads=BAD_INTEGERS):
@@ -584,11 +589,15 @@ def bad_value_params(record, key, bads=BAD_INTEGERS):
 
 def malformed_record_params(record, int_keys, arrays):
     """One JSON text per defect, as pytest params: each integer key given
-    each of BAD_INTEGERS, a 400-digit integer in each array, and every
+    each of BAD_INTEGERS, each of BAD_ENTRIES in each array, and every
     NOT_OBJECTS text in place of the record."""
     params = [param for key in int_keys for param in bad_value_params(record, key)]
     params += [
-        pytest.param(with_big_entry(record, *where), id=f"400-digit-in-{'/'.join(map(str, where))}")
+        pytest.param(
+            with_entry(record, where, bad),
+            id=f"{'400-digit' if bad == BIG_INT else bad}-in-{'/'.join(map(str, where))}",
+        )
         for where in arrays
+        for bad in BAD_ENTRIES
     ]
     return params + [pytest.param(text, id=f"record={text}") for text in NOT_OBJECTS]

@@ -222,6 +222,22 @@ def test_regress_config_validation(capsys, tmp_path):
     assert "y0" in err
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"field": {"d": 1, "w": 2, "A": [[["0.5", 0.0], [0.1, -0.2]]], "b": [[0.1, 0.0]]}, "y0": [0.5, 0.1]},
+        {"field": {"d": 1, "w": 2, "A": [[[0.5, 0.0], [0.1, -0.2]]], "b": [[0.1, 0.0]]}, "y0": ["0.5", True]},
+    ],
+    ids=["string-in-A", "string-and-boolean-in-y0"],
+)
+def test_regress_config_arrays_must_hold_numbers(capsys, tmp_path, config):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**config, "n_paths": 8, "heldout_paths": 4, "depths": [1]}))
+    code, out, err = run_main(capsys, ["regress", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert "must be a finite number" in err
+
+
 def test_console_entry_point(staircase_csv):
     # the child imports the same sigpath as this process, installed or not
     src = os.path.dirname(os.path.dirname(sp.__file__))

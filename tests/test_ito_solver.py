@@ -267,6 +267,22 @@ def test_field_record_with_a_bad_value_is_a_value_error(text):
         field_from_json(text)
 
 
+def test_series_error_bound_truncation_must_be_an_integer():
+    f = sp.LinearVectorField([[[1.0]]], [[0.0]])
+    # 2.5 used to give a bound (0.0054) for no truncation that exists
+    for bad in (2.5, -1, float("nan")):
+        with pytest.raises(ValueError, match="need an integer truncation >= 0"):
+            sp.series_error_bound(f, 1.0, bad, 1.0)
+    assert sp.series_error_bound(f, 1.0, np.int64(3), 1.0) == sp.series_error_bound(f, 1.0, 3, 1.0)
+
+
+@pytest.mark.parametrize("y0", [[float("nan"), 0.0], [0.0, float("inf")]])
+def test_oracle_refuses_a_non_finite_start(y0):
+    f = sp.LinearVectorField([[[0.5, 0.0], [0.1, -0.2]]], [[0.1, 0.0]])
+    with pytest.raises(ValueError, match="y0 must be finite"):
+        sp.oracle_solve(f, sp.linear_path([1.0]), y0)
+
+
 def test_oracle_overflow_is_numerical_failure():
     # exp(800) is beyond float range: the flow must not return a finite value
     for offset in (0.0, 1.0):

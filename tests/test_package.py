@@ -141,7 +141,7 @@ print(json.dumps(seen))
 
 
 # the shared decoding policy and the cli helpers it replaced
-_POLICY = {"_json_int", "_json_float", "_json_bool", "_json_str", "_MALFORMED"}
+_POLICY = {"_json_int", "_json_float", "_json_floats", "_json_bool", "_json_str", "_MALFORMED"}
 _RETIRED = {"_config_int", "_config_float"}
 # builtins that accept any JSON value and coerce it silently ("false" is truthy)
 _COERCIONS = {"int", "bool", "str"}
@@ -281,9 +281,10 @@ def _mentions(text):
 # power sums build on, the path-against-field check, and the one fold: the
 # float kernel and exact_signature, on either integer type, form segment
 # exponentials and fold them through the same two functions, and only those
-# two form outer products; exact dyadic arithmetic (floats as integers over
-# a common power of two, rounded once) lives in exact_signature and the
-# length bound's even moments
+# two form outer products; floats become integers over a common power of two
+# (the exact dyadic arithmetic of exact_signature and the length bound's even
+# moments) in one function; one function interpolates a path on a time grid;
+# and one function refuses a size argument that is not an integer in range
 _OWNERS = {
     "np.convolve": (_calls("convolve"), {("signature_engine.py", "_one_letter_series")}),
     "_mul_levels": (_calls("_mul_levels"), {("tensor_algebra.py", f) for f in ("mul", "exp", "_power_sum")}),
@@ -294,10 +295,9 @@ _OWNERS = {
     ),
     "_fold": (_calls("_fold"), {("signature_engine.py", f) for f in ("_signature_levels", "exact_signature")}),
     "_outer": (_calls("_outer"), {("signature_engine.py", f) for f in ("_segment_levels", "_fold")}),
-    "as_integer_ratio": (
-        _calls("as_integer_ratio"),
-        {("signature_engine.py", "exact_signature"), ("topology_lab.py", "_even_moments")},
-    ),
+    "as_integer_ratio": (_calls("as_integer_ratio"), {("signature_engine.py", "_dyadic")}),
+    "np.interp": (_calls("interp"), {("path_core.py", "_interp")}),
+    "size argument": (_mentions("need an integer"), {("tensor_algebra.py", "_count")}),
 }
 
 

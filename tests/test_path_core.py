@@ -8,7 +8,10 @@ import pytest
 
 import sigpath as sp
 from sigpath.path_core import (
+    COLLINEAR_TOL,
     PathFormatError,
+    _merge_collinear,
+    _pair_tests,
     evaluate,
     path_from_dict,
     path_to_dict,
@@ -299,6 +302,21 @@ def test_csv_malformed():
     with pytest.raises(PathFormatError) as err:
         read_csv(io.StringIO("# dim=2\n1.0,2.0\nx,3.0\n"))
     assert "3" in str(err.value)  # failing line is named
+    for text, message in [
+        ("1.0,2.0\n", "line 1: data before '# dim=<d>' header"),
+        ("# dim=2\n1.0\n", "line 2: expected 2 components, got 1"),
+        ("# dim=2\n1.0,x\n", "line 2: non-numeric component"),
+        ("# foo\n", "line 1: expected header"),
+        ("# dim=0\n", "line 1: dim must be at least 1"),
+        ("# dim=2\n1,nan\n", "line 2: non-finite component"),
+        ("# dim=2\n1,inf\n", "line 2: non-finite component"),
+        ("", "missing '# dim=<d>' header"),
+    ]:
+        with pytest.raises(PathFormatError) as err:
+            read_csv(io.StringIO(text))
+        assert message in str(err.value)
+    # a comment after the header is skipped
+    assert read_csv(io.StringIO("# dim=2\n# note\n1,2\n")).segments.tolist() == [[1.0, 2.0]]
 
 
 def test_path_json_round_trip():
@@ -320,6 +338,15 @@ def test_path_record_with_a_bad_value_is_a_path_format_error(text):
         path_from_dict(json.loads(text))
 
 
+def test_axis_stage_must_be_an_integer():
+    with pytest.raises(ValueError, match="need an integer stage >= 1"):
+        sp.axis_rho_sigma(1.5)
+    with pytest.raises(ValueError, match="stage"):
+        sp.axis_rho_sigma(0)
+    rho, sigma = sp.axis_rho_sigma(np.int64(3))
+    assert rho.segment_count == sigma.segment_count == 8
+
+
 def test_path_validation():
     with pytest.raises(ValueError):
         sp.PiecewiseLinearPath(0, np.zeros((1, 0)))
@@ -332,16 +359,30 @@ def test_path_validation():
 def test_reduce_is_bitwise_the_loop_reference():
     for p in _bitwise_corpus():
         got, want = sp.reduce(p), reference_reduce(p)
-        assert got.reduced
         assert got.segments.shape == want.segments.shape
         assert got.segments.tobytes() == want.segments.tobytes()
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_pair_tests_agree_with_the_merge_loop_on_borderline_pairs(d):
+    # w = lam u plus a part orthogonal to u within 0.1% of tol * |w|, so
+    # about half the pairs merge and a pair's verdict turns on its last
+    # bits: the numpy screen and the loop must round alike
+    rng = np.random.default_rng(5)
+    for _ in range(700):
+        u = rng.standard_normal(d)
+        perp = rng.standard_normal(d)
+        perp -= perp @ u / (u @ u) * u
+        w = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0) * u
+        w += perp / np.linalg.norm(perp) * COLLINEAR_TOL * np.linalg.norm(w) * (1 + rng.uniform(-1e-3, 1e-3))
+        merged = len(_merge_collinear([u.tolist(), w.tolist()])) < 2
+        assert bool(_pair_tests(np.array([u, w]))[0]) == merged
+
+
 @pytest.mark.parametrize("cap", [None, 0], ids=["default-routes", "screen-always"])
 def test_reduce_is_idempotent(monkeypatch, cap):
-    # reduce returns a path marked reduced as it is, which is sound only if
-    # reducing its segment list again changes no bit; a cap of 0 runs the
-    # numpy screen on every path
+    # reducing a reduced segment list again changes no bit; a cap of 0 runs
+    # the numpy screen on every path
     if cap is not None:
         monkeypatch.setattr(sp.path_core, "_IN_ORDER_TERMS", cap)
     for p in _bitwise_corpus():

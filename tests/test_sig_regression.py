@@ -82,6 +82,20 @@ def test_predict_matches_per_path():
         f.predict_path(sp.linear_path([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("n_paths, segment_count, name", [(2.5, 3, "n_paths"), (4, 0, "segment_count"), (True, 3, "n_paths")])
+def test_generate_dataset_sizes_must_be_integers(n_paths, segment_count, name):
+    field, y0 = sp.demo_field()
+    with pytest.raises(ValueError, match=f"need an integer {name} >= 1"):
+        sp.generate_dataset(field, y0, n_paths=n_paths, segment_count=segment_count, r=1.0, noise_scale=0.0, seed=0)
+
+
+def test_generate_dataset_takes_numpy_integer_sizes():
+    field, y0 = sp.demo_field()
+    a = sp.generate_dataset(field, y0, n_paths=np.int64(4), segment_count=np.int64(3), r=1.0, noise_scale=0.0, seed=5)
+    b = sp.generate_dataset(field, y0, n_paths=4, segment_count=3, r=1.0, noise_scale=0.0, seed=5)
+    assert dataset_to_json(a) == dataset_to_json(b)
+
+
 def test_generate_dataset_reproducible():
     field, y0 = sp.demo_field()
     a = sp.generate_dataset(field, y0, n_paths=8, segment_count=3, r=1.0,

@@ -123,6 +123,29 @@ def test_exact_signature_exact_cancellations():
         sp.exact_signature(random_path(np.random.default_rng(7), dim=3), 9)
 
 
+@pytest.mark.parametrize("sample", [-5, 2.5, True, "200"])
+def test_check_group_like_refuses_a_bad_sample(sample):
+    # a negative sample used to check no sampled pair and pass
+    with pytest.raises(ValueError, match="need an integer sample >= 0"):
+        sp.check_group_like(sp.unit(2, 3), sample=sample)
+
+
+def test_size_arguments_of_the_signature_layer():
+    path = sp.linear_path([1.0, 0.5])
+    with pytest.raises(ValueError, match="need an integer depth >= 0"):
+        sp.exact_signature(path, 2.5)
+    with pytest.raises(ValueError, match="depth"):
+        sp.exact_signature(path, -1)
+    # feature_count keeps its own comparison, but no longer returns 10.0
+    with pytest.raises(TypeError):
+        sp.feature_count(2, 2.5)
+    assert sp.feature_count(2, np.int64(2)) == 7
+    want = sp.exact_signature(path, 3)
+    assert same_bits(sp.exact_signature(path, np.int64(3)).levels, want.levels)
+    x = sp.signature(path, 4)
+    assert sp.check_group_like(x, sample=np.int64(50)) == sp.check_group_like(x, sample=50)
+
+
 def test_check_group_like_pass_and_fail():
     rng = np.random.default_rng(8)
     for _ in range(10):

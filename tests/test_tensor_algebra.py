@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sigpath as sp
-from sigpath.tensor_algebra import tensor_from_dict, tensor_from_json, tensor_to_json
+from sigpath.tensor_algebra import _count, _json_floats, tensor_from_dict, tensor_from_json, tensor_to_json
 
 from helpers import (
     malformed_record_params,
@@ -312,6 +312,24 @@ def test_tensor_json_round_trip():
     assert y.dim == x.dim and y.depth == x.depth
     for a, b in zip(x.levels, y.levels):
         assert np.array_equal(a, b)
+
+
+def test_count_takes_integers_in_range_only():
+    assert _count("n", 3, 1) == 3
+    assert _count("n", np.int64(5), 1, 5) == 5
+    assert type(_count("n", np.int32(2), 0)) is int
+    for bad in (2.5, float("nan"), True, np.bool_(True), "3", None, 0, 6, np.float64(3.0)):
+        with pytest.raises(ValueError, match=r"need an integer 1 <= n <= 5"):
+            _count("n", bad, 1, 5)
+    with pytest.raises(ValueError, match="need an integer n >= 1, got 2.5"):
+        _count("n", 2.5, 1)
+
+
+def test_json_floats_takes_nested_lists_of_finite_numbers():
+    assert _json_floats("x", [[1, 2.5], [-0.0, 3]]).tolist() == [[1.0, 2.5], [-0.0, 3.0]]
+    for bad in ([[1.0], ["2"]], [[True], [False]], [1.0, None], [1.0, float("nan")], [[1.0, [float("inf")]]]):
+        with pytest.raises(ValueError, match="x must be a finite number"):
+            _json_floats("x", bad)
 
 
 def test_tensor_json_malformed():

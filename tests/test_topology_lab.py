@@ -68,6 +68,10 @@ def test_quotient_vs_metric_report():
     # an empty range checks nothing, so it is refused like the others
     with pytest.raises(ValueError, match="empty"):
         sp.experiment_quotient_vs_metric(())
+    # the rectangle of width 0 reduces to the trivial path, as the
+    # out-and-back does, so its metric_d is exactly 0
+    rep = sp.experiment_quotient_vs_metric((0.0, 1e-2))
+    assert rep.verdict and rep.series["metric_d"][0] == 0.0
 
 
 def test_incompleteness_report():
@@ -187,6 +191,10 @@ def test_length_bound_preconditions():
     with pytest.raises(ValueError):
         sp.length_lower_bound(sp.linear_path([1.0, 0.0]), n_max=6)
 
+    for empty in (sp.constant_path(2), sp.PiecewiseLinearPath(2, np.zeros((3, 2)))):
+        with pytest.raises(ValueError, match="no nonzero segment"):
+            sp.length_lower_bound(empty, n_max=1, mc_samples=10)
+
 
 def test_length_bound_zero_segments_filtered():
     padded = sp.PiecewiseLinearPath(
@@ -213,6 +221,55 @@ def test_metric_d_loop_hand_values():
     o = sp.constant_path(2)
     for k in (1, 2, 3, 4, 5):
         assert sp.metric_d(o, sp.gamma_loop(k)) == 2.0 ** (k + 1)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: sp.length_lower_bound(sp.linear_path([1.0]), n_max=2.5), "n_max", id="length-n_max=2.5"),
+        pytest.param(
+            lambda: sp.length_lower_bound(sp.linear_path([1.0]), mc_samples=float("nan")), "mc_samples",
+            id="length-mc_samples=nan",
+        ),
+        pytest.param(lambda: sp.length_lower_bound(sp.linear_path([1.0]), n_max=True), "n_max", id="length-n_max=True"),
+        pytest.param(lambda: sp.experiment_incompleteness(n_max=float("nan")), "n_max", id="incompleteness-n_max=nan"),
+        pytest.param(lambda: sp.experiment_incompleteness(n_max=1), "n_max", id="incompleteness-n_max=1"),
+        pytest.param(lambda: sp.experiment_product_vs_metric(2.0), "k_max", id="product-k_max=2.0"),
+        pytest.param(lambda: sp.experiment_product_vs_metric(7), "k_max", id="product-k_max=7"),
+        pytest.param(lambda: sp.experiment_group_discontinuity("3"), "n_max", id="group-n_max='3'"),
+    ],
+)
+def test_size_arguments_must_be_integers_in_range(call, name):
+    # refused at the boundary with a ValueError naming the argument, not a
+    # TypeError from deep inside
+    with pytest.raises(ValueError, match=f"need an integer .*{name}"):
+        call()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    stair = sp.concat(sp.linear_path([1.0, 0.0]), sp.linear_path([0.0, 1.0]))
+    pairs = [
+        (sp.experiment_product_vs_metric(np.int64(2)), sp.experiment_product_vs_metric(2)),
+        (sp.experiment_incompleteness(np.int32(3)), sp.experiment_incompleteness(3)),
+        (sp.experiment_group_discontinuity(np.int64(3)), sp.experiment_group_discontinuity(3)),
+        (
+            sp.length_lower_bound(stair, n_max=np.int64(2), mc_samples=np.int64(100)),
+            sp.length_lower_bound(stair, n_max=2, mc_samples=100),
+        ),
+    ]
+    for got, want in pairs:
+        assert got.to_json() == want.to_json()
+
+
+def test_reducedness_is_derived_not_declared():
+    # a caller can no longer mark an unreduced path reduced: e1 (-e1) e2
+    # reduces to e2, so the metric between them is zero
+    segs = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(TypeError):
+        sp.PiecewiseLinearPath(2, segs, reduced=True)
+    assert sp.metric_d(sp.PiecewiseLinearPath(2, segs), sp.linear_path([0.0, 1.0])) == 0.0
+    origin = sp.constant_path(2)
+    assert sp.reduce(origin) is origin
 
 
 def test_ball_membership_examples():
