@@ -25,7 +25,7 @@ from .ito_solver import field_from_dict, field_from_json, solve_and_certify
 from .path_core import concat, linear_path, read_csv
 from .signature_engine import signature
 from .sig_regression import demo_field, evaluate, fit, generate_dataset
-from .tensor_algebra import _MALFORMED, _json_float, _json_floats, _json_int, tensor_to_json
+from .tensor_algebra import _MALFORMED, _count, _json_float, _json_floats, _json_int, tensor_to_json
 
 __all__ = ["main", "entry"]
 
@@ -211,18 +211,22 @@ def _cmd_regress(args, environ) -> int:
             if config["y0"] is None:
                 raise ValueError("config with an explicit field must also set y0")
             y0 = _json_floats("config key 'y0'", config["y0"])
+        elif config["y0"] is not None:
+            raise ValueError("config with an explicit y0 must also set field")
         else:
             field, y0 = demo_field()
         if not isinstance(config["depths"], list):
             raise ValueError(f"config key 'depths' must be a list of integers, got {config['depths']!r}")
-        depths = [_json_int("config key 'depths'", k) for k in config["depths"]]
+        depths = [_count("depths", _json_int("config key 'depths'", k), 0) for k in config["depths"]]
+        # the range check names the key: heldout_paths reaches generate_dataset as n_paths
         n_paths, heldout_paths, segment_count = (
-            _json_int(f"config key {key!r}", config[key]) for key in ("n_paths", "heldout_paths", "segment_count")
+            _count(key, _json_int(f"config key {key!r}", config[key]), 1)
+            for key in ("n_paths", "heldout_paths", "segment_count")
         )
         r, noise_scale, ridge = (_json_float(f"config key {key!r}", config[key]) for key in ("r", "noise_scale", "ridge"))
     except _MALFORMED as exc:
         raise ValueError(f"malformed config: {exc}") from None
-    if not depths or any(k < 0 for k in depths):
+    if not depths:
         raise ValueError(f"depths must be a nonempty list of nonnegative integers, got {config['depths']}")
     top = max(depths)
     train = generate_dataset(

@@ -28,7 +28,7 @@ import numpy as np
 from . import signature_engine
 from .path_core import PiecewiseLinearPath
 from .signature_engine import LinearFunctional, _check_budget, signature
-from .tensor_algebra import _MALFORMED, _count, _json_floats, _json_int, _readonly
+from .tensor_algebra import _MALFORMED, _count, _finite, _json_floats, _json_int, _readonly
 
 __all__ = [
     "LinearVectorField",
@@ -59,18 +59,16 @@ class LinearVectorField:
     offsets: np.ndarray
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=float)
+        mats = _finite("field matrices", self.matrices)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"matrices must have shape (d, w, w), got {mats.shape}")
-        offs = np.asarray(self.offsets, dtype=float)
+        offs = _finite("field offsets", self.offsets)
         if offs.shape != mats.shape[:2]:
             raise ValueError(
                 f"offsets shape {offs.shape} does not match matrices {mats.shape}"
             )
-        if not (np.all(np.isfinite(mats)) and np.all(np.isfinite(offs))):
-            raise ValueError("field entries must be finite")
-        object.__setattr__(self, "matrices", _readonly(mats))
-        object.__setattr__(self, "offsets", _readonly(offs))
+        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "offsets", offs)
 
     @property
     def input_dim(self) -> int:
@@ -136,13 +134,11 @@ class SeriesSolution:
 
 
 def _check_y0(field: LinearVectorField, y0) -> np.ndarray:
-    y0 = np.asarray(y0, dtype=float)
+    y0 = _finite("y0", y0)
     if y0.shape != (field.state_dim,):
         raise ValueError(
             f"y0 must have shape ({field.state_dim},), got {y0.shape}"
         )
-    if not np.isfinite(y0).all():
-        raise ValueError("y0 must be finite")
     return y0
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_algebra import _MALFORMED, _count, _json_floats, _json_int
+from .tensor_algebra import _MALFORMED, _count, _finite, _json_floats, _json_int
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -75,13 +75,8 @@ class PiecewiseLinearPath:
     segments: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be at least 1, got {self.dim}")
-        segs = np.array(self.segments, dtype=float).reshape(-1, self.dim)
-        if not np.isfinite(segs).all():
-            raise ValueError("segments contain non-finite entries")
-        segs.setflags(write=False)
-        object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "dim", _count("dim", self.dim, 1))
+        object.__setattr__(self, "segments", _finite("segments", self.segments).reshape(-1, self.dim))
 
     @property
     def segment_count(self) -> int:

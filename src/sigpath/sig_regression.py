@@ -31,7 +31,7 @@ from .signature_engine import (
     _signature_levels,
     feature_count,
 )
-from .tensor_algebra import _MALFORMED, _count, _json_bool, _json_float, _json_floats, _json_int, _readonly
+from .tensor_algebra import _MALFORMED, _count, _finite, _json_bool, _json_float, _json_floats, _json_int, _readonly
 
 __all__ = [
     "RegressionDataset",
@@ -73,15 +73,15 @@ class RegressionDataset:
     seed: int | None = None
 
     def __post_init__(self):
-        segs = np.asarray(self.segments, dtype=float)
+        segs = _finite("segments", self.segments)
         feats = np.asarray(self.features, dtype=float)
         resp = np.atleast_2d(np.asarray(self.responses, dtype=float))
-        if segs.ndim != 3 or not np.isfinite(segs).all():
-            raise ValueError(f"segments must be a finite (n, m, d) block, got shape {segs.shape}")
+        if segs.ndim != 3:
+            raise ValueError(f"segments must be an (n, m, d) block, got shape {segs.shape}")
         if feats.ndim != 2 or not segs.shape[0] == feats.shape[0] == resp.shape[0]:
             raise ValueError("segments, features and responses must align")
         _check_feature_count(feats.shape[1], segs.shape[2], self.depth, "feature columns")
-        object.__setattr__(self, "segments", _readonly(segs))
+        object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "features", _readonly(feats))
         object.__setattr__(self, "responses", _readonly(resp))
 
@@ -175,12 +175,9 @@ def fit(dataset: RegressionDataset, depth: int, ridge: float = 0.0) -> LinearFun
     """
     if dataset.n_samples == 0:
         raise ValueError("dataset is empty")
-    if depth > dataset.depth:
-        raise ValueError(
-            f"requested depth {depth} exceeds dataset feature depth {dataset.depth}"
-        )
-    if ridge < 0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
+    depth = _count("depth", depth, 0, dataset.depth)
+    if not 0.0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
     dim = dataset.dim
     F = feature_count(dim, depth)
     X = dataset.features[:, :F]

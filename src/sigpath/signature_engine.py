@@ -28,7 +28,6 @@ the signature series of a controlled ODE.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -200,11 +199,7 @@ def log_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedTensor:
 
 def feature_count(dim: int, depth: int) -> int:
     """Number of tensor coefficients across levels 0..depth."""
-    # a plain comparison rather than _count, as this runs in every kernel
-    # call's budget check; operator.index still refuses a depth such as 2.5
-    if dim < 1 or depth < 0:
-        raise ValueError(f"need dim >= 1 and depth >= 0, got {dim}, {depth}")
-    depth = operator.index(depth)
+    dim, depth = _count("dim", dim, 1), _count("depth", depth, 0)
     if dim == 1:
         return depth + 1
     return (dim ** (depth + 1) - 1) // (dim - 1)

@@ -59,6 +59,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _finite(what, value) -> np.ndarray:
+    # _readonly of an input array, refusing NaN and inf entries
+    out = _readonly(value)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} must be finite, got non-finite entries")
+    return out
+
+
 # what every *_from_dict turns into its ValueError: a missing key or entry,
 # a value of the wrong JSON type, or an integer beyond float range
 _MALFORMED = (KeyError, IndexError, TypeError, AttributeError, OverflowError)
@@ -120,21 +128,18 @@ def _json_str(what, value) -> str:
 
 
 def _frozen_levels(dim, depth, levels):
-    if dim < 1:
-        raise ValueError(f"dim must be at least 1, got {dim}")
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
+    # (dim, depth, levels) as a tensor holds them: the sizes as ints, each
+    # level a finite read-only copy
+    dim, depth = _count("dim", dim, 1), _count("depth", depth, 0)
     if len(levels) != depth + 1:
         raise ValueError(f"expected {depth + 1} levels, got {len(levels)}")
     out = []
     for k, lvl in enumerate(levels):
-        arr = _readonly(lvl).reshape(-1)
+        arr = _finite(f"level {k}", lvl).reshape(-1)
         if arr.size != dim**k:
             raise ValueError(f"level {k} must hold {dim**k} coefficients, got {arr.size}")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"level {k} contains non-finite coefficients")
         out.append(arr)
-    return tuple(out)
+    return dim, depth, tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +151,8 @@ class TruncatedTensor:
     levels: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", _frozen_levels(self.dim, self.depth, self.levels))
+        for name, value in zip(("dim", "depth", "levels"), _frozen_levels(self.dim, self.depth, self.levels)):
+            object.__setattr__(self, name, value)
 
     @property
     def scalar(self) -> float:
@@ -154,9 +160,7 @@ class TruncatedTensor:
         return float(self.levels[0][0])
 
     def level(self, k: int) -> np.ndarray:
-        if not 0 <= k <= self.depth:
-            raise ValueError(f"level {k} outside 0..{self.depth}")
-        return self.levels[k]
+        return self.levels[_count("level", k, 0, self.depth)]
 
     def coefficient(self, word) -> float:
         """Coefficient of a word, given as an iterable of letters in 1..dim."""
@@ -203,10 +207,12 @@ def _unit_levels(dim, depth):
 
 def unit(dim: int, depth: int) -> GroupTensor:
     """Multiplicative unit: 1 at level 0, zero elsewhere."""
+    dim, depth = _count("dim", dim, 1), _count("depth", depth, 0)
     return GroupTensor(dim, depth, _unit_levels(dim, depth))
 
 
 def zero(dim: int, depth: int) -> TruncatedTensor:
+    dim, depth = _count("dim", dim, 1), _count("depth", depth, 0)
     return TruncatedTensor(dim, depth, [np.zeros(dim**k) for k in range(depth + 1)])
 
 
@@ -313,8 +319,7 @@ def inverse_psi(x: TruncatedTensor) -> TruncatedTensor:
 
 def project(x: TruncatedTensor, n: int):
     """Copy of x truncated at depth n (n at most x.depth)."""
-    if not 0 <= n <= x.depth:
-        raise ValueError(f"projection depth {n} outside 0..{x.depth}")
+    n = _count("projection depth", n, 0, x.depth)
     return type(x)(x.dim, n, x.levels[: n + 1])
 
 

@@ -313,8 +313,8 @@ def experiment_quotient_vs_metric(eps_list=(1e-1, 1e-2, 1e-3)) -> ExperimentRepo
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise ValueError("eps_list must not be empty")
-    if any(e < 0.0 for e in eps_list):
-        raise ValueError("epsilon values must be nonnegative")
+    if not all(0.0 <= e < math.inf for e in eps_list):
+        raise ValueError(f"epsilon values must be finite and nonnegative, got {eps_list}")
     base = concat(linear_path([1.0, 0.0]), linear_path([-1.0, 0.0]))
     indices = list(range(1, len(eps_list) + 1))
     var, dm = [], []
@@ -480,6 +480,9 @@ def _even_moments(pfrac, n_max: int) -> list:
     return [e[n] / scale ** (2 * n) for n in range(1, n_max + 1)]
 
 
+# beyond float range the series turn inf or NaN quietly, and the check at
+# the end refuses them
+@np.errstate(over="ignore", invalid="ignore")
 def length_lower_bound(
     path: PiecewiseLinearPath,
     n_max: int = 5,
@@ -569,7 +572,10 @@ def length_lower_bound(
         phi = math.factorial(2 * n) * phi_contraction(sig, n)
         p_even = p_evens[n - 1]
         p_empty_bound = m * (1.0 - r) ** (2 * n)
-        lower = L ** (2 * n) * (p_even - p_empty_bound)
+        try:
+            lower = L ** (2 * n) * (p_even - p_empty_bound)
+        except OverflowError:
+            lower = math.inf
         growth = phi ** (1.0 / (2 * n)) if phi > 0.0 else 0.0
 
         x = _pair_products(gram, edges, n, mc_samples, rng)
@@ -594,4 +600,6 @@ def length_lower_bound(
         "mc_se": mc_ses,
         "length": [L] * n_max,
     }
+    if not all(math.isfinite(v) for values in series.values() for v in values):
+        raise FloatingPointError("the length-bound series overflowed float range")
     return _report("length-bound", indices, series, seed)

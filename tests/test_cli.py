@@ -590,6 +590,56 @@ def test_length_bound_over_181_segments_exits_2(capsys, tmp_path):
     assert "pair index" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("scale", [2e29, 2e30])
+def test_length_bound_overflow_exits_4(capsys, tmp_path, scale, fmt):
+    # at 2e30 L**10 overflows a Python float (an OverflowError); at 2e29 the
+    # Monte Carlo's variance overflows in numpy (a RuntimeWarning)
+    path = tmp_path / "big.csv"
+    write_csv(sp.PiecewiseLinearPath(2, STAIRCASE * scale), path)
+    argv = ["experiment", "length-bound", "--path", str(path), "--n-max", "5", "--format", fmt]
+    code, out, err = run_main(capsys, argv)
+    assert code == 4 and out == ""
+    assert err == "sigpath: numerical failure: the length-bound series overflowed float range\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_emit_refuses_a_non_finite_payload(capsys, fmt):
+    args = cli._build_parser().parse_args(["regress", "--format", fmt])
+    with pytest.raises(FloatingPointError, match="result is not finite"):
+        cli._emit(args, lambda: "text", {"value": [1.0, float("inf")]})
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_length_bound_defaults_to_the_staircase(capsys, staircase_csv, fmt):
+    flags = ["--n-max", "2", "--format", fmt]
+    code, out, err = run_main(capsys, ["experiment", "length-bound", *flags])
+    assert code == 0 and err == ""
+    assert (code, out) == run_main(capsys, ["experiment", "length-bound", "--path", staircase_csv, *flags])[:2]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        pytest.param("[1, 2]", "config JSON must be an object", id="not-an-object"),
+        pytest.param('{"r": 1%s}' % ("0" * 400), "malformed config", id="400-digit-r"),
+        pytest.param('{"y0": [100.0, 5.0]}', "explicit y0 must also set field", id="y0-without-field"),
+        pytest.param('{"heldout_paths": 0}', "need an integer heldout_paths >= 1, got 0", id="heldout_paths=0"),
+        pytest.param('{"n_paths": 0}', "need an integer n_paths >= 1, got 0", id="n_paths=0"),
+        pytest.param('{"segment_count": 0}', "need an integer segment_count >= 1, got 0", id="segment_count=0"),
+        pytest.param('{"depths": [1, -1]}', "need an integer depths >= 0, got -1", id="depths-negative"),
+    ],
+)
+def test_regress_config_refusals_name_their_cause(capsys, tmp_path, config, message, fmt):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(config)
+    code, out, err = run_main(capsys, ["regress", "--config", str(cfg), "--format", fmt])
+    assert code == 2 and out == ""
+    assert err.startswith("sigpath: error: ") and message in err
+
+
 def _dyadic_path_csv(tmp_path, seed, d, m):
     # a seeded path of m steps in multiples of 1/16, like the benchmark's
     steps = np.random.default_rng(seed).integers(-16, 17, size=(m, d)) / 16

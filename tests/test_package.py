@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sigpath as sp
@@ -284,7 +285,8 @@ def _mentions(text):
 # two form outer products; floats become integers over a common power of two
 # (the exact dyadic arithmetic of exact_signature and the length bound's even
 # moments) in one function; one function interpolates a path on a time grid;
-# and one function refuses a size argument that is not an integer in range
+# one function refuses a size argument that is not an integer in range, and
+# one refuses an input array with a NaN or inf entry
 _OWNERS = {
     "np.convolve": (_calls("convolve"), {("signature_engine.py", "_one_letter_series")}),
     "_mul_levels": (_calls("_mul_levels"), {("tensor_algebra.py", f) for f in ("mul", "exp", "_power_sum")}),
@@ -298,6 +300,7 @@ _OWNERS = {
     "as_integer_ratio": (_calls("as_integer_ratio"), {("signature_engine.py", "_dyadic")}),
     "np.interp": (_calls("interp"), {("path_core.py", "_interp")}),
     "size argument": (_mentions("need an integer"), {("tensor_algebra.py", "_count")}),
+    "finite argument": (_mentions("non-finite entries"), {("tensor_algebra.py", "_finite")}),
 }
 
 
@@ -333,3 +336,102 @@ def test_the_owner_detector_sees_calls_and_messages_in_every_function():
     assert _sites(tree, _calls("convolve")) == [("<module>", 2)]
     assert _sites(tree, _calls("_mul_levels")) == [("f", 4)]
     assert _sites(tree, _mentions("does not match field input dim")) == [("f", 5)]
+
+
+# the objects every boundary case below reaches: a planar path, its depth-4
+# signature, the demo field and a depth-2 dataset of that field
+_PATH = sp.linear_path([1.0, 0.5])
+_SIG = sp.signature(_PATH, 4)
+_FIELD, _Y0 = sig_regression.demo_field()
+_DATA = sig_regression.generate_dataset(_FIELD, _Y0, 8, 3, 1.0, 0.0, 0, depth=2)
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # size arguments, each refused by _count with the argument's name
+        pytest.param(lambda: sp.signature(_PATH, 2.5), "need an integer depth", id="signature-depth"),
+        pytest.param(lambda: sig_regression.featurize(_PATH, 2.5), "need an integer depth", id="featurize-depth"),
+        pytest.param(lambda: sp.experiment_incompleteness(3, depth=2.5), "need an integer depth", id="incompleteness-depth"),
+        pytest.param(lambda: sp.word_coefficients(_FIELD, _Y0, 2.5), "need an integer depth", id="word_coefficients-depth"),
+        pytest.param(
+            lambda: sp.generate_dataset(_FIELD, _Y0, 8, 3, 1.0, 0.0, 0, depth=2.5),
+            "need an integer depth",
+            id="generate_dataset-depth",
+        ),
+        pytest.param(lambda: sp.fit(_DATA, 1.5), "need an integer 0 <= depth <= 2", id="fit-depth=1.5"),
+        pytest.param(lambda: sp.fit(_DATA, 3), "need an integer 0 <= depth <= 2", id="fit-depth=3"),
+        pytest.param(lambda: sp.LinearFunctional(2, 2.5, np.zeros(7)), "need an integer depth", id="functional-depth"),
+        pytest.param(lambda: sp.unit(2, 2.5), "need an integer depth", id="unit-depth"),
+        pytest.param(lambda: sp.unit(2.0, 2), "need an integer dim", id="unit-dim"),
+        pytest.param(lambda: sp.zero(2, 2.5), "need an integer depth", id="zero-depth"),
+        pytest.param(lambda: sp.project(_SIG, 1.5), "need an integer 0 <= projection depth <= 4", id="project"),
+        pytest.param(lambda: sp.PiecewiseLinearPath(2.0, [[1.0, 2.0]]), "need an integer dim", id="path-dim"),
+        pytest.param(lambda: sp.feature_count(2.0, 2), "need an integer dim", id="feature_count-dim"),
+        pytest.param(lambda: sp.feature_count(2, 2.5), "need an integer depth", id="feature_count-depth"),
+        pytest.param(
+            lambda: sp.TruncatedTensor(2, 1.0, [np.ones(1), np.zeros(2)]), "need an integer depth", id="tensor-depth"
+        ),
+        pytest.param(lambda: _SIG.level(1.5), "need an integer 0 <= level <= 4", id="level"),
+        pytest.param(lambda: sp.phi_contraction(_SIG, 1.5), "need an integer 0 <= level <= 4", id="phi_contraction"),
+        # input arrays, each refused by _finite with the array's name
+        pytest.param(lambda: sp.PiecewiseLinearPath(2, [[_NAN, 0.0]]), "segments must be finite", id="path-nan"),
+        pytest.param(
+            lambda: sp.TruncatedTensor(2, 1, [np.ones(1), [0.0, _INF]]), "level 1 must be finite", id="tensor-inf"
+        ),
+        pytest.param(
+            lambda: sp.LinearVectorField(np.full((1, 2, 2), _NAN), np.zeros((1, 2))),
+            "field matrices must be finite",
+            id="field-matrices-nan",
+        ),
+        pytest.param(
+            lambda: sp.LinearVectorField(np.zeros((1, 2, 2)), [[0.0, -_INF]]),
+            "field offsets must be finite",
+            id="field-offsets-inf",
+        ),
+        pytest.param(lambda: sp.oracle_solve(_FIELD, _PATH, [_NAN, 0.0]), "y0 must be finite", id="y0-nan"),
+        pytest.param(
+            lambda: sp.RegressionDataset(np.full((1, 1, 2), _INF), np.ones((1, 1)), np.ones((1, 1)), 0, 0.0),
+            "segments must be finite",
+            id="dataset-segments-inf",
+        ),
+        # floats with a range of their own
+        pytest.param(lambda: sp.experiment_quotient_vs_metric((_NAN,)), "epsilon", id="epsilon-nan"),
+        pytest.param(lambda: sp.experiment_quotient_vs_metric((1e-2, _INF)), "epsilon", id="epsilon-inf"),
+        pytest.param(lambda: sp.fit(_DATA, 1, ridge=_NAN), "ridge", id="ridge-nan"),
+        pytest.param(lambda: sp.fit(_DATA, 1, ridge=_INF), "ridge", id="ridge-inf"),
+    ],
+)
+def test_the_boundary_refuses_bad_arguments_by_name(call, message):
+    # a ValueError that names the argument, not a TypeError or an overflow
+    # from deep inside
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_the_boundary_takes_numpy_integer_sizes():
+    two, three = np.int64(2), np.int32(3)
+    assert sp.feature_count(two, three) == sp.feature_count(2, 3) == 15
+    assert sp.signature(_PATH, three).levels[3].tolist() == sp.signature(_PATH, 3).levels[3].tolist()
+    assert sp.project(_SIG, two).depth == 2 and sp.unit(two, three).depth == 3 and sp.zero(two, two).dim == 2
+    assert _SIG.level(two) is _SIG.levels[2] and sp.phi_contraction(_SIG, np.int64(1)) == sp.phi_contraction(_SIG, 1)
+    assert sp.PiecewiseLinearPath(two, [[1.0, 2.0]]).segments.shape == (1, 2)
+    assert sp.fit(_DATA, np.int64(1)).weights.tolist() == sp.fit(_DATA, 1).weights.tolist()
+    # the values hold the sizes as ints, so their records serialise
+    assert sp.tensor_to_json(sp.signature(_PATH, three)) == sp.tensor_to_json(sp.signature(_PATH, 3))
+    assert json.dumps(sp.path_to_dict(sp.PiecewiseLinearPath(two, [[1.0, 2.0]]))) == '{"dim": 2, "segments": [[1.0, 2.0]]}'
+    assert type(sp.TruncatedTensor(two, np.int32(0), [[1.0]]).depth) is int
+
+
+def test_checked_arrays_stay_read_only_copies():
+    rows = np.array([[1.0, 2.0], [3.0, -1.0]])
+    path = sp.PiecewiseLinearPath(2, rows)
+    rows[0, 0] = 9.0
+    assert path.segments[0, 0] == 1.0
+    y0 = np.array([0.5, -0.25])
+    checked = ito_solver._check_y0(_FIELD, y0)
+    for arr in (path.segments, _FIELD.matrices, _FIELD.offsets, checked, _DATA.segments, _SIG.levels[1]):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0.0

@@ -136,8 +136,8 @@ def test_size_arguments_of_the_signature_layer():
         sp.exact_signature(path, 2.5)
     with pytest.raises(ValueError, match="depth"):
         sp.exact_signature(path, -1)
-    # feature_count keeps its own comparison, but no longer returns 10.0
-    with pytest.raises(TypeError):
+    # feature_count checks its sizes through _count like every other entry
+    with pytest.raises(ValueError, match="need an integer depth >= 0"):
         sp.feature_count(2, 2.5)
     assert sp.feature_count(2, np.int64(2)) == 7
     want = sp.exact_signature(path, 3)

@@ -196,6 +196,31 @@ def test_length_bound_preconditions():
             sp.length_lower_bound(empty, n_max=1, mc_samples=10)
 
 
+# the benchmark's 12-segment staircase, of length 6
+_STAIRCASE = np.array([[1, 0], [0, 2], [3, 0], [0, 1], [2, 0], [0, 3]] * 2, dtype=float) / 4
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [
+        pytest.param(4e14, id="mc-variance"),  # the Monte Carlo's variance overflows
+        pytest.param(1e30, id="mc-mean"),  # its mean overflows as well
+        pytest.param(2e30, id="L**10"),  # L**10 is beyond float range: OverflowError
+    ],
+)
+def test_length_bound_overflow_is_a_floating_point_error(scale):
+    # under the suite's warnings-as-errors a RuntimeWarning would fail this
+    path = sp.PiecewiseLinearPath(2, _STAIRCASE * scale)
+    with pytest.raises(FloatingPointError, match="length-bound series overflowed"):
+        sp.length_lower_bound(path, n_max=5, mc_samples=1000)
+
+
+def test_length_bound_just_below_overflow_is_finite():
+    rep = sp.length_lower_bound(sp.PiecewiseLinearPath(2, _STAIRCASE * 2e14), n_max=5, mc_samples=1000)
+    assert rep.verdict
+    assert all(np.isfinite(values).all() for values in rep.series.values())
+
+
 def test_length_bound_zero_segments_filtered():
     padded = sp.PiecewiseLinearPath(
         2, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
