@@ -4,10 +4,7 @@ and linear regression on signature features.
 
 Submodules group the functionality, and every name in a submodule's
 __all__ is re-exported here, so the flat namespace is derived from those
-lists rather than kept by hand.  The one exception is evaluate, which two
-submodules define: the pointwise path evaluator path_core.evaluate and the
-metrics helper sig_regression.evaluate stay submodule-qualified to keep
-the flat namespace unambiguous.
+lists rather than kept by hand.
 """
 
 from .tensor_algebra import *
@@ -19,8 +16,6 @@ from .sig_regression import *
 # named after the star imports, which set the order the submodules load in
 from . import ito_solver, path_core, sig_regression, signature_engine, tensor_algebra, topology_lab
 
-del evaluate
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -29,5 +24,4 @@ __all__ = [
         tensor_algebra, path_core, signature_engine, topology_lab, ito_solver, sig_regression
     )
     for name in module.__all__
-    if name != "evaluate"
 ] + ["__version__"]

@@ -62,9 +62,22 @@ def _resolve_seed(args, environ) -> int:
         raise ValueError(f"SIGPATH_SEED must be an integer, got {raw!r}") from None
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=None, help="random seed (default: SIGPATH_SEED or 0)")
+def _add_common(parser, seed=False):
+    # --seed only on the commands that draw
+    if seed:
+        parser.add_argument("--seed", type=int, default=None, help="random seed (default: SIGPATH_SEED or 0)")
     parser.add_argument("--format", choices=("text", "json"), default=_DEFAULT_FORMAT)
+
+
+# each experiment's topology_lab function and the flags it reads, with their
+# defaults; an experiment's parser takes no other flag
+_EXPERIMENTS = {
+    "product-vs-metric": ("experiment_product_vs_metric", {"k_max": 5, "depth": None}),
+    "quotient-vs-metric": ("experiment_quotient_vs_metric", {}),
+    "incompleteness": ("experiment_incompleteness", {"n_max": 10, "depth": _DEFAULT_DEPTH}),
+    "group-discontinuity": ("experiment_group_discontinuity", {"n_max": 10}),
+    "length-bound": ("length_lower_bound", {"n_max": 4, "path": None, "seed": None}),
+}
 
 
 @functools.cache
@@ -80,12 +93,15 @@ def _build_parser() -> _Parser:
     _add_common(p_sig)
 
     p_exp = sub.add_parser("experiment", help="run a named experiment")
-    p_exp.add_argument("name", choices=topology_lab.EXPERIMENT_NAMES)
-    p_exp.add_argument("--k-max", type=int, default=5)
-    p_exp.add_argument("--n-max", type=int, default=None)
-    p_exp.add_argument("--depth", type=int, default=None)
-    p_exp.add_argument("--path", default=None, help="CSV path for length-bound")
-    _add_common(p_exp)
+    experiments = p_exp.add_subparsers(dest="name", required=True, parser_class=_Parser)
+    for name, (_, flags) in _EXPERIMENTS.items():
+        p_name = experiments.add_parser(name)
+        for flag, default in flags.items():
+            if flag == "path":
+                p_name.add_argument("--path", default=None, help="CSV path (default: a two-step staircase)")
+            elif flag != "seed":
+                p_name.add_argument("--" + flag.replace("_", "-"), type=int, default=default)
+        _add_common(p_name, seed="seed" in flags)
 
     p_solve = sub.add_parser("solve", help="signature-series ODE solve")
     p_solve.add_argument("field_json")
@@ -96,7 +112,7 @@ def _build_parser() -> _Parser:
 
     p_reg = sub.add_parser("regress", help="seeded regression demo")
     p_reg.add_argument("--config", default=None, help="JSON config file")
-    _add_common(p_reg)
+    _add_common(p_reg, seed=True)
 
     return parser
 
@@ -128,25 +144,13 @@ def _default_staircase():
 
 
 def _cmd_experiment(args, environ) -> int:
-    name = args.name
-    if name == "product-vs-metric":
-        report = topology_lab.experiment_product_vs_metric(args.k_max, depth=args.depth)
-    elif name == "quotient-vs-metric":
-        report = topology_lab.experiment_quotient_vs_metric()
-    elif name == "incompleteness":
-        report = topology_lab.experiment_incompleteness(
-            args.n_max if args.n_max is not None else 10,
-            depth=args.depth if args.depth is not None else _DEFAULT_DEPTH,
-        )
-    elif name == "group-discontinuity":
-        report = topology_lab.experiment_group_discontinuity(
-            args.n_max if args.n_max is not None else 10
-        )
-    else:
-        path = read_csv(args.path) if args.path else _default_staircase()
-        report = topology_lab.length_lower_bound(
-            path, n_max=args.n_max if args.n_max is not None else 4, seed=_resolve_seed(args, environ)
-        )
+    function, flags = _EXPERIMENTS[args.name]
+    kwargs = {flag: getattr(args, flag) for flag in flags}
+    if args.name == "length-bound":
+        kwargs["path"] = read_csv(args.path) if args.path else _default_staircase()
+        kwargs["seed"] = _resolve_seed(args, environ)
+    # looked up per call, so a patched or wrapped module function is the one run
+    report = getattr(topology_lab, function)(**kwargs)
     _emit(args, report.render_text, report.to_dict())
     return EXIT_OK if report.verdict else EXIT_VERDICT
 

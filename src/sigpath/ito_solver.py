@@ -34,7 +34,6 @@ __all__ = [
     "LinearVectorField",
     "SeriesSolution",
     "word_coefficients",
-    "apply_word_operator",
     "ito_series",
     "oracle_solve",
     "solve_and_certify",
@@ -172,31 +171,6 @@ def word_coefficients(field: LinearVectorField, y0, depth: int) -> list[np.ndarr
     return coeffs
 
 
-def apply_word_operator(
-    field: LinearVectorField, level: np.ndarray, y0, level_index: int | None = None
-) -> np.ndarray:
-    """Pair one flat level-k tensor with the word operators applied to y0.
-
-    The level index is inferred from the array size when the input
-    dimension makes that unambiguous; for d = 1 it must be passed.
-    """
-    level = np.asarray(level, dtype=float).reshape(-1)
-    d = field.input_dim
-    if level_index is None:
-        if d == 1:
-            raise ValueError("level_index is required when input dim is 1")
-        k = 0
-        while d**k < level.size:
-            k += 1
-        level_index = k
-    if d**level_index != level.size:
-        raise ValueError(
-            f"level size {level.size} is not dim {d} to the power {level_index}"
-        )
-    coeffs = word_coefficients(field, y0, level_index)
-    return level @ coeffs[level_index]
-
-
 def series_error_bound(
     field: LinearVectorField, path_length: float, truncation: int, state_norm: float
 ) -> float:
@@ -206,10 +180,14 @@ def series_error_bound(
     |y0|.  On z = (y, 1) the affine equation is linear, dz = M(dx) z with
     ||M(v)||_op <= c |v|, so the level-k term of the series has norm at
     most (cL)^k/k! |z0| and the tail past level N sums to at most the
-    bound, for every field, path and start point.  A bound beyond float
-    range raises FloatingPointError.
+    bound, for every field, path and start point.  path_length and
+    state_norm must be finite and nonnegative; a bound beyond float range
+    raises FloatingPointError.
     """
     truncation = _count("truncation", truncation, 0)
+    for what, value in (("path_length", path_length), ("state_norm", state_norm)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{what} must be finite and nonnegative, got {value}")
     cl = field._raw_growth * path_length
     if cl == 0.0:
         return 0.0

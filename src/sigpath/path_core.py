@@ -32,7 +32,6 @@ __all__ = [
     "reverse",
     "reduce",
     "constant_speed",
-    "evaluate",
     "positions_at",
     "one_variation",
     "one_variation_distance",
@@ -112,7 +111,11 @@ class PiecewiseLinearPath:
         return np.concatenate([[0.0], cum / total])
 
     def evaluate(self, t: float) -> np.ndarray:
-        return evaluate(self, t)
+        """Position at time t in [0, 1] under the constant-speed clock."""
+        t = float(t)
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"time {t} outside [0, 1]")
+        return positions_at(self, np.array([t]))[0]
 
 
 def linear_path(v) -> PiecewiseLinearPath:
@@ -281,9 +284,10 @@ def constant_speed(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
     """Constant-speed representative of a.
 
     The segment-list representation already pins the constant-speed
-    parameterisation (evaluate() walks each segment over a time window
-    proportional to its length), so this returns the path unchanged.  It
-    exists so that callers can state the normalisation explicitly.
+    parameterisation (PiecewiseLinearPath.evaluate walks each segment over
+    a time window proportional to its length), so this returns the path
+    unchanged.  It exists so that callers can state the normalisation
+    explicitly.
     """
     return a
 
@@ -311,14 +315,6 @@ def _interp(ts, times, pts) -> np.ndarray:
     # positions at ts of the path through the vertices pts at the times,
     # one np.interp per coordinate
     return np.column_stack([np.interp(ts, times, pts[:, j]) for j in range(pts.shape[1])])
-
-
-def evaluate(a: PiecewiseLinearPath, t: float) -> np.ndarray:
-    """Position at time t in [0, 1] under the constant-speed clock."""
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"time {t} outside [0, 1]")
-    return positions_at(a, np.array([t]))[0]
 
 
 def one_variation(a: PiecewiseLinearPath) -> float:

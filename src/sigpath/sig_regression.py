@@ -128,6 +128,7 @@ def generate_dataset(
     """
     n_paths = _count("n_paths", n_paths, 1)
     segment_count = _count("segment_count", segment_count, 1)
+    seed = _count("seed", seed, 0)
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"length budget r must be finite and positive, got {r}")
     if not (math.isfinite(noise_scale) and noise_scale >= 0):

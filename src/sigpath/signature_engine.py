@@ -235,10 +235,6 @@ class LinearFunctional:
         _check_feature_count(w.shape[0], self.dim, self.depth, "weight rows")
         object.__setattr__(self, "weights", _readonly(w))
 
-    @property
-    def output_dim(self) -> int:
-        return self.weights.shape[1]
-
     def evaluate(self, tensor: TruncatedTensor) -> np.ndarray:
         """Pair with a truncated tensor, level by level in ascending order.
 
@@ -251,19 +247,10 @@ class LinearFunctional:
             raise ValueError(
                 f"tensor depth {tensor.depth} is below functional depth {self.depth}"
             )
-        return self._pair(tensor.levels)
-
-    def predict_path(self, path: PiecewiseLinearPath) -> np.ndarray:
-        """evaluate(signature(path, depth)), from the signature's bare levels."""
-        if path.dim != self.dim:
-            raise ValueError(f"path dim {path.dim} does not match {self.dim}")
-        return self._pair([lvl[0] for lvl in _signature_levels(path.segments[None], self.depth)])
-
-    def _pair(self, levels) -> np.ndarray:
-        acc = levels[0] @ self.weights[:1]
+        acc = tensor.levels[0] @ self.weights[:1]
         for k in range(1, self.depth + 1):
             start = feature_count(self.dim, k - 1)
-            acc = acc + levels[k] @ self.weights[start : start + self.dim**k]
+            acc = acc + tensor.levels[k] @ self.weights[start : start + self.dim**k]
         return acc
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -491,11 +478,12 @@ def check_group_like(
     them to, so an infinite lie_tolerance fails.
 
     passed requires max(max_discrepancy, lie_residual) <= lie_tolerance <
-    inf.  sample must be an integer >= 0.
+    inf.  sample and seed must be integers >= 0.
     """
     if x.scalar != 1.0:
         raise ValueError("group-likeness requires level-0 coefficient exactly 1")
     sample = _count("sample", sample, 0)
+    seed = _count("seed", seed, 0)
     d, depth, levels = x.dim, x.depth, x.levels
     worst, worst_pair, count = 0.0, ((), ()), 0
 

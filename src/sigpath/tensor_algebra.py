@@ -29,7 +29,6 @@ __all__ = [
     "GroupTensor",
     "unit",
     "zero",
-    "as_group",
     "add",
     "sub",
     "scale",
@@ -164,25 +163,10 @@ class TruncatedTensor:
 
     def coefficient(self, word) -> float:
         """Coefficient of a word, given as an iterable of letters in 1..dim."""
-        word = tuple(int(a) for a in word)
+        word = _word(word)
         if len(word) > self.depth:
             raise ValueError(f"word of length {len(word)} exceeds depth {self.depth}")
         return float(self.levels[len(word)][word_index(word, self.dim)])
-
-    # Small amount of operator sugar; the module-level functions are the API.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, c):
-        return scale(self, c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,10 +198,6 @@ def unit(dim: int, depth: int) -> GroupTensor:
 def zero(dim: int, depth: int) -> TruncatedTensor:
     dim, depth = _count("dim", dim, 1), _count("depth", depth, 0)
     return TruncatedTensor(dim, depth, [np.zeros(dim**k) for k in range(depth + 1)])
-
-
-def as_group(x: TruncatedTensor) -> GroupTensor:
-    return GroupTensor(x.dim, x.depth, x.levels)
 
 
 def _check_match(x, y):
@@ -364,6 +344,12 @@ def max_coefficient_difference(x: TruncatedTensor, y: TruncatedTensor) -> float:
     )
 
 
+def _word(letters) -> tuple:
+    # a word's letters as ints, each through _count: a float or bool letter
+    # is refused, not truncated
+    return tuple(_count("letter", a, 1) for a in letters)
+
+
 def word_index(word, dim: int) -> int:
     """Row-major flat index of a word over letters 1..dim."""
     idx = 0
@@ -396,7 +382,7 @@ def _shuffle(u: tuple, w: tuple) -> dict:
 
 def shuffle_words(u, w) -> dict:
     """Shuffle product of two words as a dict word -> multiplicity."""
-    return _shuffle(tuple(int(a) for a in u), tuple(int(a) for a in w))
+    return _shuffle(_word(u), _word(w))
 
 
 def shuffle_pairing(x: TruncatedTensor, u, w):
@@ -406,8 +392,7 @@ def shuffle_pairing(x: TruncatedTensor, u, w):
     rounding, exactly when x behaves group-like on this pair.  Requires
     len(u) + len(w) <= depth.
     """
-    u = tuple(int(a) for a in u)
-    w = tuple(int(a) for a in w)
+    u, w = _word(u), _word(w)
     if len(u) + len(w) > x.depth:
         raise ValueError(f"combined word length {len(u) + len(w)} exceeds depth {x.depth}")
     lhs = 0.0

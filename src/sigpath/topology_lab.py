@@ -533,6 +533,7 @@ def length_lower_bound(
     # the contraction level 2n is capped at 10
     n_max = _count("n_max", n_max, 1, 5)
     mc_samples = _count("mc_samples", mc_samples, 1)
+    seed = _count("seed", seed, 0)
     lens_all = path.segment_lengths
     mask = lens_all > 0.0
     segs = path.segments[mask]

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -83,6 +84,38 @@ def test_experiment_flags_reach_library(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["indices"] == [1, 2, 3]
+
+
+def test_the_experiment_table_lists_every_experiment_in_order():
+    assert tuple(cli._EXPERIMENTS) == topology_lab.EXPERIMENT_NAMES
+
+
+@pytest.mark.parametrize("name", topology_lab.EXPERIMENT_NAMES)
+def test_every_table_flag_is_a_parameter_of_its_function(name):
+    function, flags = cli._EXPERIMENTS[name]
+    assert set(flags) <= set(inspect.signature(getattr(topology_lab, function)).parameters)
+
+
+# a value for each experiment flag; a refused flag exits before it is read
+_FLAG_VALUES = {"k_max": "3", "n_max": "2", "depth": "2", "path": "missing.csv", "seed": "1"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", name, "--" + flag.replace("_", "-"), value]
+        for name, (_, flags) in cli._EXPERIMENTS.items()
+        for flag, value in _FLAG_VALUES.items()
+        if flag not in flags
+    ]
+    + [["signature", "missing.csv", "--seed", "3"], ["solve", "f.json", "p.csv", "--y0", "1", "--seed", "3"]],
+    ids=lambda argv: " ".join(argv[:2] + argv[-2:-1]),
+)
+def test_a_flag_its_command_does_not_read_is_a_usage_error(capsys, argv, fmt):
+    code, out, err = run_main(capsys, argv + ["--format", fmt], environ={"SIGPATH_SEED": "1"})
+    assert code == 3 and out == ""
+    assert f"unrecognized arguments: {argv[-2]}" in err
 
 
 def test_usage_errors(capsys):

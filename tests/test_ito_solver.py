@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -70,37 +71,28 @@ def test_word_operator_order():
     f = two_by_two_field()
     y0 = np.array([1.0, 2.0])
     A1, A2 = f.matrices
-    e12 = np.zeros(4)
-    e12[sp.word_index((1, 2), 2)] = 1.0
-    assert np.array_equal(sp.apply_word_operator(f, e12, y0), A2 @ A1 @ y0)
-    e21 = np.zeros(4)
-    e21[sp.word_index((2, 1), 2)] = 1.0
-    assert np.array_equal(sp.apply_word_operator(f, e21, y0), A1 @ A2 @ y0)
-
-
-def test_word_operator_needs_level_for_scalar_driver():
-    f = sp.LinearVectorField(matrices=np.ones((1, 1, 1)), offsets=np.zeros((1, 1)))
-    y0 = np.ones(1)
-    with pytest.raises(ValueError):
-        sp.apply_word_operator(f, np.ones(1), y0)
-    out = sp.apply_word_operator(f, np.ones(1), y0, level_index=3)
-    assert np.array_equal(out, y0)
+    level = word_coefficients(f, y0, 2)[2]
+    assert np.array_equal(level[sp.word_index((1, 2), 2)], A2 @ A1 @ y0)
+    assert np.array_equal(level[sp.word_index((2, 1), 2)], A1 @ A2 @ y0)
+    # at d = 1 the one word of length 3 is (1, 1, 1), and A_1 = 1 keeps y0
+    g = sp.LinearVectorField(matrices=np.ones((1, 1, 1)), offsets=np.zeros((1, 1)))
+    assert np.array_equal(word_coefficients(g, np.ones(1), 3)[3][0], np.ones(1))
 
 
 def test_word_coefficients_against_direct_operators():
+    # row word_index(i_1..i_k) of level k is A_{i_k} ... A_{i_2} (A_{i_1} y0
+    # + b_{i_1}), formed here letter by letter
     rng = np.random.default_rng(0)
-    f, path, y0 = random_affine_system(rng)
-    d, w = f.input_dim, f.state_dim
-    coeffs = word_coefficients(f, y0, 3)
-    for k in (1, 2, 3):
-        flat = coeffs[k]
-        for idx in range(min(d**k, 6)):
-            basis = np.zeros(d**k)
-            basis[idx] = 1.0
-            assert np.allclose(
-                flat[idx], sp.apply_word_operator(f, basis, y0, level_index=k),
-                atol=1e-13,
-            )
+    for _ in range(5):
+        f, path, y0 = random_affine_system(rng)
+        d = f.input_dim
+        coeffs = word_coefficients(f, y0, 3)
+        for k in (1, 2, 3):
+            for word in itertools.product(range(1, d + 1), repeat=k):
+                v = f.matrices[word[0] - 1] @ y0 + f.offsets[word[0] - 1]
+                for letter in word[1:]:
+                    v = f.matrices[letter - 1] @ v
+                assert np.allclose(coeffs[k][sp.word_index(word, d)], v, atol=1e-13)
 
 
 def test_word_coefficients_size_budget_counts_state_dim():
@@ -274,6 +266,17 @@ def test_series_error_bound_truncation_must_be_an_integer():
         with pytest.raises(ValueError, match="need an integer truncation >= 0"):
             sp.series_error_bound(f, 1.0, bad, 1.0)
     assert sp.series_error_bound(f, 1.0, np.int64(3), 1.0) == sp.series_error_bound(f, 1.0, 3, 1.0)
+
+
+@pytest.mark.parametrize("what", ["path_length", "state_norm"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -2.0])
+def test_series_error_bound_refuses_a_bad_length_or_state_norm(what, bad):
+    # a NaN length used to be a numerical failure and a negative norm a
+    # bare "math domain error"; both are input faults that name the argument
+    f = sp.LinearVectorField([[[1.0]]], [[0.0]])
+    args = {"path_length": 1.0, "state_norm": 1.0, what: bad}
+    with pytest.raises(ValueError, match=f"{what} must be finite and nonnegative"):
+        sp.series_error_bound(f, truncation=3, **args)
 
 
 @pytest.mark.parametrize("y0", [[float("nan"), 0.0], [0.0, float("inf")]])

@@ -38,18 +38,12 @@ def test_the_detector_sees_a_function_level_import():
 
 def test_the_top_level_names_are_the_submodules_lists():
     union = {name for module in SUBMODULES for name in module.__all__}
-    assert set(sp.__all__) == (union - {"evaluate"}) | {"__version__"}
+    assert set(sp.__all__) == union | {"__version__"}
     assert len(sp.__all__) == len(set(sp.__all__))
     for module in SUBMODULES:
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
-            if name != "evaluate":
-                assert getattr(sp, name) is getattr(module, name)
-
-
-def test_evaluate_stays_submodule_qualified():
-    assert not hasattr(sp, "evaluate")
-    assert path_core.evaluate is not sig_regression.evaluate
+            assert getattr(sp, name) is getattr(module, name)
 
 
 def test_each_name_is_listed_by_one_submodule():
@@ -60,7 +54,7 @@ def test_each_name_is_listed_by_one_submodule():
         for name in module.__all__:
             owners.setdefault(name, []).append(module.__name__)
     shared = {name: mods for name, mods in owners.items() if len(mods) > 1}
-    assert shared == {"evaluate": ["sigpath.path_core", "sigpath.sig_regression"]}
+    assert shared == {}
     assert sig_regression.LinearFunctional is signature_engine.LinearFunctional
     assert sig_regression.feature_count is signature_engine.feature_count
 
@@ -375,6 +369,13 @@ _NAN, _INF = float("nan"), float("inf")
         ),
         pytest.param(lambda: _SIG.level(1.5), "need an integer 0 <= level <= 4", id="level"),
         pytest.param(lambda: sp.phi_contraction(_SIG, 1.5), "need an integer 0 <= level <= 4", id="phi_contraction"),
+        # seeds, refused before anything is drawn
+        pytest.param(
+            lambda: sp.generate_dataset(_FIELD, _Y0, 8, 3, 1.0, 0.0, 1.5), "need an integer seed", id="generate_dataset-seed"
+        ),
+        pytest.param(lambda: sp.length_lower_bound(_PATH, seed=1.5), "need an integer seed", id="length_lower_bound-seed"),
+        pytest.param(lambda: sp.check_group_like(_SIG, seed=1.5), "need an integer seed", id="check_group_like-seed"),
+        pytest.param(lambda: sp.check_group_like(_SIG, seed=-1), "need an integer seed", id="check_group_like-seed=-1"),
         # input arrays, each refused by _finite with the array's name
         pytest.param(lambda: sp.PiecewiseLinearPath(2, [[_NAN, 0.0]]), "segments must be finite", id="path-nan"),
         pytest.param(

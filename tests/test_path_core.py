@@ -12,7 +12,6 @@ from sigpath.path_core import (
     PathFormatError,
     _merge_collinear,
     _pair_tests,
-    evaluate,
     path_from_dict,
     path_to_dict,
     positions_at,
@@ -77,22 +76,22 @@ def _bitwise_corpus():
 def test_linear_path_and_origin():
     p = sp.linear_path([1.0, -2.0])
     assert p.dim == 2 and p.segment_count == 1
-    assert np.array_equal(evaluate(p, 1.0), np.array([1.0, -2.0]))
-    assert np.array_equal(evaluate(p, 0.0), np.zeros(2))
+    assert np.array_equal(p.evaluate(1.0), np.array([1.0, -2.0]))
+    assert np.array_equal(p.evaluate(0.0), np.zeros(2))
 
     o = sp.linear_path([0.0, 0.0])
     assert o.length == 0.0
-    assert np.array_equal(evaluate(o, 0.7), np.zeros(2))
+    assert np.array_equal(o.evaluate(0.7), np.zeros(2))
 
 
 def test_evaluate_midpoints_constant_speed():
     # two unit segments: the clock splits 50/50
     p = sp.PiecewiseLinearPath(2, np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert np.allclose(evaluate(p, 0.25), [0.5, 0.0])
-    assert np.allclose(evaluate(p, 0.5), [1.0, 0.0])
-    assert np.allclose(evaluate(p, 0.75), [1.0, 0.5])
+    assert np.allclose(p.evaluate(0.25), [0.5, 0.0])
+    assert np.allclose(p.evaluate(0.5), [1.0, 0.0])
+    assert np.allclose(p.evaluate(0.75), [1.0, 0.5])
     with pytest.raises(ValueError):
-        evaluate(p, 1.5)
+        p.evaluate(1.5)
 
 
 @pytest.mark.parametrize("ts", [[np.nan], [0.5, np.nan], [np.nan, 0.5], [-np.inf], [0.0, np.inf]])
@@ -104,7 +103,7 @@ def test_positions_at_refuses_times_outside_the_clock(ts):
         positions_at(p, ts)
     bad = next(t for t in ts if not 0.0 <= t <= 1.0)
     with pytest.raises(ValueError, match="outside"):
-        evaluate(p, bad)
+        p.evaluate(bad)
 
 
 def test_concat_reverse():
@@ -113,8 +112,8 @@ def test_concat_reverse():
     b = random_path(rng, dim=2)
     c = sp.concat(a, b)
     assert c.segment_count == a.segment_count + b.segment_count
-    end = evaluate(a, 1.0) + evaluate(b, 1.0)
-    assert np.allclose(evaluate(c, 1.0), end)
+    end = a.evaluate(1.0) + b.evaluate(1.0)
+    assert np.allclose(c.evaluate(1.0), end)
 
     r = sp.reverse(a)
     rr = sp.reverse(r)
@@ -183,7 +182,7 @@ def test_constant_speed_grid():
     cs = sp.constant_speed(p)
     assert cs.length == p.length
     # breakpoint of the first segment sits at 3/4 of the clock
-    assert np.allclose(evaluate(cs, 0.75), [3.0, 0.0])
+    assert np.allclose(cs.evaluate(0.75), [3.0, 0.0])
 
 
 def test_variation_norms():
@@ -218,7 +217,7 @@ def test_distance_helpers():
     assert sp.one_variation_distance(ca, cb) == pytest.approx(np.sqrt(2.0), abs=1e-12)
     d = sp.difference_path(ca, cb)
     assert d.dim == 2
-    assert np.allclose(evaluate(d, 1.0), [1.0, -1.0])
+    assert np.allclose(d.evaluate(1.0), [1.0, -1.0])
     with pytest.raises(ValueError):
         sp.sup_distance(a, sp.linear_path([1.0]))
 
@@ -310,6 +309,7 @@ def test_csv_malformed():
         ("# dim=0\n", "line 1: dim must be at least 1"),
         ("# dim=2\n1,nan\n", "line 2: non-finite component"),
         ("# dim=2\n1,inf\n", "line 2: non-finite component"),
+        ("# dim=2\n\n1,x\n", "line 3: non-numeric component"),
         ("", "missing '# dim=<d>' header"),
     ]:
         with pytest.raises(PathFormatError) as err:
@@ -317,6 +317,8 @@ def test_csv_malformed():
         assert message in str(err.value)
     # a comment after the header is skipped
     assert read_csv(io.StringIO("# dim=2\n# note\n1,2\n")).segments.tolist() == [[1.0, 2.0]]
+    # so is a blank line, which still counts toward the line numbers above
+    assert read_csv(io.StringIO("# dim=2\n1,2\n\n  \n3,4\n")).segments.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_path_json_round_trip():

@@ -65,6 +65,14 @@ def test_linear_functional_shapes():
         sp.LinearFunctional(dim=2, depth=2, weights=np.zeros(6))
     with pytest.raises(ValueError):
         sp.LinearFunctional(dim=2, depth=2, weights=np.zeros((7, 1, 1)))
+    # it pairs only a tensor of its dim and at least its depth, and
+    # features with at least one column per weight row
+    with pytest.raises(ValueError, match="tensor dim 3 does not match 2"):
+        f.evaluate(sp.signature(sp.linear_path([1.0, 2.0, 3.0]), 2))
+    with pytest.raises(ValueError, match="tensor depth 1 is below functional depth 2"):
+        f.evaluate(sp.signature(o, 1))
+    with pytest.raises(ValueError, match="features have 6 columns, need 7"):
+        f.predict(np.zeros((3, 6)))
 
 
 def test_predict_matches_per_path():
@@ -73,13 +81,8 @@ def test_predict_matches_per_path():
                              noise_scale=0.0, seed=0)
     f = sp.fit(ds, depth=2)
     batched = f.predict(ds.features)
-    single = np.stack([f.predict_path(p) for p in ds.paths])
+    single = np.stack([f.evaluate(sp.signature(p, f.depth)) for p in ds.paths])
     assert np.allclose(batched, single, atol=1e-13)
-    # predict_path reads the signature's levels without a GroupTensor, bit for bit
-    via_tensor = np.stack([f.evaluate(sp.signature(p, f.depth)) for p in ds.paths])
-    assert single.tobytes() == via_tensor.tobytes()
-    with pytest.raises(ValueError):
-        f.predict_path(sp.linear_path([1.0, 2.0, 3.0]))
 
 
 @pytest.mark.parametrize("n_paths, segment_count, name", [(2.5, 3, "n_paths"), (4, 0, "segment_count"), (True, 3, "n_paths")])
@@ -202,7 +205,8 @@ def test_scaling_equivariance_bitwise():
     f2 = sp.fit(scaled, depth=3)
     assert np.array_equal(f2.weights, f1.weights * 4.0)
     p = ds.paths[0]
-    assert np.array_equal(f2.predict_path(p), f1.predict_path(p) * 4.0)
+    sig = sp.signature(p, 3)
+    assert np.array_equal(f2.evaluate(sig), f1.evaluate(sig) * 4.0)
 
 
 def test_rank_deficiency_flag_and_ridge():
@@ -217,6 +221,9 @@ def test_rank_deficiency_flag_and_ridge():
         sp.fit(small, depth=3, ridge=-1.0)
     with pytest.raises(ValueError):
         sp.fit(small, depth=5)  # beyond generation depth
+    empty = sp.RegressionDataset(np.zeros((0, 1, 2)), np.zeros((0, 7)), np.zeros((0, 2)), 2, 0.0)
+    with pytest.raises(ValueError, match="dataset is empty"):
+        sp.fit(empty, depth=1)
 
 
 def test_feature_injectivity_on_corpus():

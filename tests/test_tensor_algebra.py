@@ -232,6 +232,33 @@ def test_word_index_round_trip():
         sp.word_index((4,), d)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, 0, "1"])
+def test_word_letters_are_integers(bad):
+    # a letter goes through _count, so 1.5 is refused rather than read as 1
+    x = sp.signature(sp.linear_path([1.0, 2.0]), 3)
+    calls = [
+        lambda: x.coefficient([bad]),
+        lambda: sp.shuffle_words((bad,), (2,)),
+        lambda: sp.shuffle_words((1,), (2, bad)),
+        lambda: sp.shuffle_pairing(x, (1,), (bad,)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="need an integer letter >= 1"):
+            call()
+
+
+def test_word_letters_take_numpy_integers():
+    x = sp.signature(sp.linear_path([1.0, 2.0]), 3)
+    u, w = (np.int64(2), np.int32(1)), (np.int64(1),)
+    assert x.coefficient(u) == x.coefficient((2, 1))
+    assert sp.shuffle_words(u, w) == sp.shuffle_words((2, 1), (1,))
+    assert sp.shuffle_pairing(x, u, w) == sp.shuffle_pairing(x, (2, 1), (1,))
+    with pytest.raises(ValueError, match="letter 3 outside 1..2"):
+        x.coefficient([np.int64(3)])
+    with pytest.raises(ValueError, match="word of length 4 exceeds depth 3"):
+        x.coefficient((1, 1, 1, 1))
+
+
 def test_shuffle_words_leibniz_count():
     # (1) shuffle (2) = 12 + 21; (1)(2) shuffle (3) has binomial(3,1) terms
     terms = sp.shuffle_words((1,), (2,))
@@ -299,7 +326,7 @@ def test_group_tensor_scalar_validation():
         sp.GroupTensor(2, 1, lv)
     x = sp.TruncatedTensor(2, 1, lv)
     with pytest.raises(ValueError):
-        sp.as_group(x)
+        sp.GroupTensor(x.dim, x.depth, x.levels)
 
 
 def test_tensor_json_round_trip():
