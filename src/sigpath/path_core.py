@@ -33,7 +33,6 @@ __all__ = [
     "reduce",
     "constant_speed",
     "positions_at",
-    "one_variation",
     "one_variation_distance",
     "sup_distance",
     "difference_path",
@@ -103,12 +102,10 @@ class PiecewiseLinearPath:
     @property
     def breakpoints(self) -> np.ndarray:
         """Constant-speed times of the vertices (repeats at zero segments)."""
-        lens = self.segment_lengths
-        cum = np.cumsum(lens) if lens.size else np.zeros(0)
-        total = cum[-1] if cum.size else 0.0
-        if total == 0.0:
+        cum = np.cumsum(self.segment_lengths)
+        if not cum.size or cum[-1] == 0.0:
             return np.zeros(self.segment_count + 1)
-        return np.concatenate([[0.0], cum / total])
+        return np.concatenate([[0.0], cum / cum[-1]])
 
     def evaluate(self, t: float) -> np.ndarray:
         """Position at time t in [0, 1] under the constant-speed clock."""
@@ -227,12 +224,19 @@ def reduce(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
     sum coordinate by coordinate in order, so they agree on every pair and
     the two routes give the same bits.
 
-    Every call reduces its path afresh, except that a path with no
-    segments, already reduced, is returned as it is.
+    The work runs on the rows of a's checked segment array (_reduced_rows,
+    which metric_d shares), and only the result is built and validated as
+    a path.  Every call reduces its path afresh, except that a path with
+    no segments, already reduced, is returned as it is.
     """
     if not a.segment_count:
         return a
-    segs = a.segments
+    return PiecewiseLinearPath(a.dim, _reduced_rows(a.segments))
+
+
+def _reduced_rows(segs: np.ndarray):
+    # reduce's work on the segment array of a path: the rows of the reduced
+    # representative, as the screened array or as the merge loop's list
     # pass 1: excise exactly mirrored adjacent pairs without any arithmetic,
     # so out-and-back insertions vanish bitwise even when every segment of
     # the path is collinear with its neighbours (d = 1); merging only after
@@ -251,8 +255,8 @@ def reduce(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
     if len(stack) > _IN_ORDER_TERMS:
         kept = segs[stack]
         if not _pair_tests(kept).any():
-            return PiecewiseLinearPath(a.dim, kept)
-    return PiecewiseLinearPath(a.dim, _merge_collinear([rows[i] for i in stack]))
+            return kept
+    return _merge_collinear([rows[i] for i in stack])
 
 
 def _merge_collinear(rows: list) -> list:
@@ -260,7 +264,9 @@ def _merge_collinear(rows: list) -> list:
     # (_pair_tests' arithmetic on that one pair) and the merge dropped if
     # |u + w| <= tol * (|u| + |w|), both at the larger scale of the pair.
     # reduce's pass 1 left no adjacent mirror, and one that a merge forms
-    # has lam = -1 exactly and merges to an exact zero, which is dropped
+    # has lam = -1 exactly and merges to an exact zero, which is dropped.  A
+    # merge beyond float range is refused here, with a path's message,
+    # since metric_d never builds the reduced rows into a path
     out: list[tuple] = []
     for v in rows:
         out.append(_scaled_row(v))
@@ -275,7 +281,10 @@ def _merge_collinear(rows: list) -> list:
             top = max(eu, ew)
             sm = [math.ldexp(c, -top) for c in merged]
             size = math.ldexp(math.sqrt(squ), eu - top) + math.ldexp(math.sqrt(sqw), ew - top)
-            if not math.sqrt(_dot(sm, sm)) <= COLLINEAR_TOL * size:
+            norm = math.sqrt(_dot(sm, sm))
+            if norm == math.inf:
+                _finite("segments", merged)
+            if not norm <= COLLINEAR_TOL * size:
                 out.append(_scaled_row(merged))
     return [entry[0] for entry in out]
 
@@ -292,15 +301,15 @@ def constant_speed(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
     return a
 
 
-def _grid(a: PiecewiseLinearPath):
+def _grid(segs: np.ndarray):
     """Strictly increasing constant-speed times with vertex positions."""
-    lens = a.segment_lengths
+    lens = _row_norms(segs)
     mask = lens > 0.0
     if not mask.any():
-        return np.array([0.0, 1.0]), np.zeros((2, a.dim))
+        return np.array([0.0, 1.0]), np.zeros((2, segs.shape[1]))
     cum = np.cumsum(lens[mask])
     times = np.concatenate([[0.0], cum / cum[-1]])
-    return times, np.concatenate([np.zeros((1, a.dim)), np.cumsum(a.segments[mask], axis=0)])
+    return times, np.concatenate([np.zeros((1, segs.shape[1])), np.cumsum(segs[mask], axis=0)])
 
 
 def positions_at(a: PiecewiseLinearPath, ts) -> np.ndarray:
@@ -308,7 +317,7 @@ def positions_at(a: PiecewiseLinearPath, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
         raise ValueError("times must lie in [0, 1]")
-    return _interp(ts, *_grid(a))
+    return _interp(ts, *_grid(a.segments))
 
 
 def _interp(ts, times, pts) -> np.ndarray:
@@ -317,20 +326,14 @@ def _interp(ts, times, pts) -> np.ndarray:
     return np.column_stack([np.interp(ts, times, pts[:, j]) for j in range(pts.shape[1])])
 
 
-def one_variation(a: PiecewiseLinearPath) -> float:
-    """Total variation, i.e. the length: sum of segment lengths."""
-    return a.length
-
-
-def _difference(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> np.ndarray:
-    """Values of t -> a(t) - b(t) at the vertex times of both paths.
+def _difference(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """Values of t -> a(t) - b(t) at the vertex times of both paths, given
+    their segment arrays.
 
     The difference is piecewise linear with vertices on the union of the two
     breakpoint grids, so these values determine it exactly.
     """
-    _check_dim(a, b)
-    ta, pa = _grid(a)
-    tb, pb = _grid(b)
+    (ta, pa), (tb, pb) = _grid(sa), _grid(sb)
     times = np.union1d(ta, tb)
     return _interp(times, ta, pa) - _interp(times, tb, pb)
 
@@ -350,29 +353,32 @@ def one_variation_distance(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> fl
     route.
     """
     _check_dim(a, b)
-    if a.dim < _IN_ORDER_TERMS and max(a.segment_count, 1) + max(b.segment_count, 1) <= _IN_ORDER_TERMS:
-        dist = _scalar_one_variation_distance(a, b)
+    return _distance(a.segments, b.segments, a.dim)
+
+
+def _distance(rows_a, rows_b, dim: int) -> float:
+    # one_variation_distance on the segments of two checked paths of
+    # dimension dim, each given as a 2-D array or as a list of rows
+    if dim < _IN_ORDER_TERMS and max(len(rows_a), 1) + max(len(rows_b), 1) <= _IN_ORDER_TERMS:
+        lists = [rows if isinstance(rows, list) else rows.tolist() for rows in (rows_a, rows_b)]
+        dist = _scalar_one_variation_distance(*lists, dim)
         if math.isfinite(dist):
             return dist
-    values = _difference(a, b)
+    values = _difference(np.reshape(rows_a, (-1, dim)), np.reshape(rows_b, (-1, dim)))
     return float(_row_norms(values[1:] - values[:-1]).sum())
 
 
 def _scalar_norm(row: list) -> float:
     # _row_norms on one row given as a list
-    exp = math.frexp(max(map(abs, row)))[1]
-    sq = 0.0
-    for c in row:
-        c = math.ldexp(c, -exp)
-        sq += c * c
+    _, _, sq, exp = _scaled_row(row)
     return math.ldexp(math.sqrt(sq), exp)
 
 
-def _scalar_grid(a: PiecewiseLinearPath):
-    # _grid as lists; an overflowing length raises OverflowError, as
-    # math.ldexp does where np.ldexp returns inf
-    times, pts, total, pos = [0.0], [[0.0] * a.dim], 0.0, None
-    for row in a.segments.tolist():
+def _scalar_grid(rows: list, dim: int):
+    # _grid on a list of rows, as lists; an overflowing length raises
+    # OverflowError, as math.ldexp does where np.ldexp returns inf
+    times, pts, total, pos = [0.0], [[0.0] * dim], 0.0, None
+    for row in rows:
         norm = _scalar_norm(row)
         if norm > 0.0:
             total += norm
@@ -400,11 +406,11 @@ def _scalar_interp(ts: list, times: list, pts: list) -> list:
     return out
 
 
-def _scalar_one_variation_distance(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
+def _scalar_one_variation_distance(rows_a: list, rows_b: list, dim: int) -> float:
     # the sum of |step| over the union grid, or inf where anything overflows
     try:
-        ta, pa = _scalar_grid(a)
-        tb, pb = _scalar_grid(b)
+        ta, pa = _scalar_grid(rows_a, dim)
+        tb, pb = _scalar_grid(rows_b, dim)
         times = sorted(set(ta).union(tb))
         values = [
             [p - q for p, q in zip(u, v)]
@@ -421,12 +427,14 @@ def _scalar_one_variation_distance(a: PiecewiseLinearPath, b: PiecewiseLinearPat
 def sup_distance(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
     """Uniform distance sup_t |a(t) - b(t)| on the constant-speed clock."""
     # |a - b| is convex on each grid interval, so the sup sits at a vertex
-    return float(_row_norms(_difference(a, b)).max())
+    _check_dim(a, b)
+    return float(_row_norms(_difference(a.segments, b.segments)).max())
 
 
 def difference_path(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> PiecewiseLinearPath:
     """The path t -> a(t) - b(t), as a segment list on the union grid."""
-    return PiecewiseLinearPath(a.dim, np.diff(_difference(a, b), axis=0))
+    _check_dim(a, b)
+    return PiecewiseLinearPath(a.dim, np.diff(_difference(a.segments, b.segments), axis=0))
 
 
 # Candidate coefficients p_variation holds at once (2**17 float64 values,

@@ -478,12 +478,15 @@ def check_group_like(
     them to, so an infinite lie_tolerance fails.
 
     passed requires max(max_discrepancy, lie_residual) <= lie_tolerance <
-    inf.  sample and seed must be integers >= 0.
+    inf.  sample and seed must be integers >= 0, and tolerance a finite
+    number >= 0.
     """
     if x.scalar != 1.0:
         raise ValueError("group-likeness requires level-0 coefficient exactly 1")
     sample = _count("sample", sample, 0)
     seed = _count("seed", seed, 0)
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     d, depth, levels = x.dim, x.depth, x.levels
     worst, worst_pair, count = 0.0, ((), ()), 0
 

@@ -219,6 +219,8 @@ def sub(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
 
 def scale(x: TruncatedTensor, c: float) -> TruncatedTensor:
     c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"scale factor c must be finite, got {c}")
     return TruncatedTensor(x.dim, x.depth, [c * a for a in x.levels])
 
 

@@ -27,6 +27,9 @@ import numpy as np
 
 from .path_core import (
     PiecewiseLinearPath,
+    _check_dim,
+    _distance,
+    _reduced_rows,
     concat,
     constant_path,
     gamma_loop,
@@ -130,8 +133,13 @@ def metric_d(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
     A segment list is its own constant-speed representative.  Zero exactly
     when the two paths reduce to the same segment list, which is how
     tree-like insertions are quotiented away.
+
+    Validation happens once, on a and b.  The reduced representatives stay
+    rows (path_core's cores of reduce and one_variation_distance, with the
+    same bits) and are never built as paths.
     """
-    return one_variation_distance(reduce(a), reduce(b))
+    _check_dim(a, b)
+    return _distance(_reduced_rows(a.segments), _reduced_rows(b.segments), a.dim)
 
 
 def ball_br_membership(a: PiecewiseLinearPath, r: float) -> bool:
@@ -332,10 +340,6 @@ def experiment_quotient_vs_metric(eps_list=(1e-1, 1e-2, 1e-3)) -> ExperimentRepo
 _BATCH_COEFFICIENTS = 2**17
 
 
-def _shrinking_rectangle(n: int) -> PiecewiseLinearPath:
-    return _thin_rectangle(1.0 / n)
-
-
 def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentReport:
     """A metric_d-Cauchy sequence with no limit among reduced paths.
 
@@ -350,16 +354,13 @@ def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentRepo
     _check_budget(1, 2, depth, "one tensor of dimension 2")
     one = unit(2, depth)
     indices = list(range(1, n_max + 1))
-    rects = [_shrinking_rectangle(n) for n in indices]
-    d_origin, d_double, scaled, pm = [], [], [], []
-    level_max = {k: [] for k in range(1, 5)}
-    for n, rect in zip(indices, rects):
-        double = _shrinking_rectangle(2 * n)
-        d0 = metric_d(origin, rect)
-        dd = metric_d(rect, double)
-        d_origin.append(d0)
-        d_double.append(dd)
-        scaled.append(n * dd)
+    rects = [_thin_rectangle(1.0 / n) for n in indices]
+    # rho_2n is rects[2n - 1] while 2n <= n_max
+    doubles = rects[1::2] + [_thin_rectangle(1.0 / (2 * n)) for n in range(n_max // 2 + 1, n_max + 1)]
+    d_origin = [metric_d(origin, rect) for rect in rects]
+    d_double = [metric_d(rect, double) for rect, double in zip(rects, doubles)]
+    scaled = [n * dd for n, dd in zip(indices, d_double)]
+    pm, level_max = [], {k: [] for k in range(1, 5)}
     # batched kernel calls, whose rows are bit-identical to signature(rect);
     # from depth 14 each call takes one rectangle, so deep runs accept the
     # depths signature(rect) does and need no more memory

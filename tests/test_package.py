@@ -280,7 +280,9 @@ def _mentions(text):
 # (the exact dyadic arithmetic of exact_signature and the length bound's even
 # moments) in one function; one function interpolates a path on a time grid;
 # one function refuses a size argument that is not an integer in range, and
-# one refuses an input array with a NaN or inf entry
+# one refuses an input array with a NaN or inf entry; reduce and metric_d
+# share the row-level reduction, one_variation_distance and metric_d the
+# row-level distance
 _OWNERS = {
     "np.convolve": (_calls("convolve"), {("signature_engine.py", "_one_letter_series")}),
     "_mul_levels": (_calls("_mul_levels"), {("tensor_algebra.py", f) for f in ("mul", "exp", "_power_sum")}),
@@ -295,6 +297,8 @@ _OWNERS = {
     "np.interp": (_calls("interp"), {("path_core.py", "_interp")}),
     "size argument": (_mentions("need an integer"), {("tensor_algebra.py", "_count")}),
     "finite argument": (_mentions("non-finite entries"), {("tensor_algebra.py", "_finite")}),
+    "_reduced_rows": (_calls("_reduced_rows"), {("path_core.py", "reduce"), ("topology_lab.py", "metric_d")}),
+    "_distance": (_calls("_distance"), {("path_core.py", "one_variation_distance"), ("topology_lab.py", "metric_d")}),
 }
 
 
@@ -402,6 +406,11 @@ _NAN, _INF = float("nan"), float("inf")
         pytest.param(lambda: sp.experiment_quotient_vs_metric((1e-2, _INF)), "epsilon", id="epsilon-inf"),
         pytest.param(lambda: sp.fit(_DATA, 1, ridge=_NAN), "ridge", id="ridge-nan"),
         pytest.param(lambda: sp.fit(_DATA, 1, ridge=_INF), "ridge", id="ridge-inf"),
+        pytest.param(lambda: sp.check_group_like(_SIG, tolerance=_NAN), "tolerance", id="tolerance-nan"),
+        pytest.param(lambda: sp.check_group_like(_SIG, tolerance=-1.0), "tolerance", id="tolerance-negative"),
+        pytest.param(lambda: sp.check_group_like(_SIG, tolerance=_INF), "tolerance", id="tolerance-inf"),
+        pytest.param(lambda: sp.scale(_SIG, _NAN), "scale factor c", id="scale-nan"),
+        pytest.param(lambda: sp.scale(_SIG, -_INF), "scale factor c", id="scale-inf"),
     ],
 )
 def test_the_boundary_refuses_bad_arguments_by_name(call, message):

@@ -187,7 +187,7 @@ def test_constant_speed_grid():
 
 def test_variation_norms():
     p = sp.PiecewiseLinearPath(2, np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert sp.one_variation(p) == 2.0
+    assert p.length == 2.0
     assert sp.p_variation(p, 1.0) == pytest.approx(2.0, abs=1e-12)
     # a straight chord is shorter in p-variation for p > 1
     assert sp.p_variation(p, 2.0) == pytest.approx(np.sqrt(2.0), abs=1e-12)
@@ -256,6 +256,32 @@ def test_metric_d_equivalence_invariance():
     exc = sp.linear_path([0.4, 0.9])
     noisy = sp.concat(sp.concat(a, sp.concat(exc, sp.reverse(exc))), sp.linear_path([0.0, 0.0]))
     assert sp.metric_d(a, noisy) <= 1e-12
+
+
+def test_metric_d_builds_no_path(monkeypatch):
+    # validation happens once, on the arguments: the reduced representatives
+    # stay rows on every route of reduce and of the distance
+    rng = np.random.default_rng(23)
+    segs = rng.normal(size=(2000, 2))
+    pairs = [
+        (sp.linear_path([1.0, 0.5]), sp.PiecewiseLinearPath(2, [[0.5, 0.25], [0.5, 0.25], [0.0, 1.0], [0.0, -1.0]])),
+        (sp.PiecewiseLinearPath(2, segs), sp.PiecewiseLinearPath(2, rng.normal(size=(2000, 2)))),
+        # a collinear pair sends the long path through the merge loop
+        (sp.PiecewiseLinearPath(2, segs), sp.PiecewiseLinearPath(2, np.concatenate([segs[:1], segs]))),
+    ]
+    want = [sp.one_variation_distance(sp.reduce(a), sp.reduce(b)) for a, b in pairs]
+    built = []
+    init = sp.PiecewiseLinearPath.__post_init__
+
+    def counting(self):
+        built.append(self.dim)
+        init(self)
+
+    monkeypatch.setattr(sp.PiecewiseLinearPath, "__post_init__", counting)
+    assert [sp.metric_d(a, b) for a, b in pairs] == want
+    assert built == []
+    sp.reduce(pairs[0][1])
+    assert built == [2]
 
 
 def test_ball_membership():
@@ -481,6 +507,9 @@ def test_reduce_refuses_a_merge_that_overflows():
     for segs in (huge, turns + huge):
         with pytest.raises(ValueError, match="non-finite"):
             sp.reduce(sp.PiecewiseLinearPath(2, segs))
+        # metric_d reduces without building a path, and refuses it too
+        with pytest.raises(ValueError, match="non-finite"):
+            sp.metric_d(sp.PiecewiseLinearPath(2, segs), sp.constant_path(2))
 
 
 def test_p_variation_is_bitwise_the_reference_up_to_d7():

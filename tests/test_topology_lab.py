@@ -8,7 +8,7 @@ import pytest
 import sigpath as sp
 from sigpath.signature_engine import _signature_levels
 from sigpath.tensor_algebra import product_metric, unit
-from sigpath.topology_lab import ExperimentReport, _shrinking_rectangle
+from sigpath.topology_lab import ExperimentReport, _thin_rectangle
 
 from helpers import (
     BAD_INTEGERS,
@@ -487,7 +487,7 @@ def test_incompleteness_signatures_are_bitwise_per_rectangle(monkeypatch, depth,
     # one rectangle per kernel call, a few per call, and all in one call
     monkeypatch.setattr(sp.topology_lab, "_BATCH_COEFFICIENTS", batch_coefficients)
     n_max = 12
-    rects = [_shrinking_rectangle(n) for n in range(1, n_max + 1)]
+    rects = [_thin_rectangle(1.0 / n) for n in range(1, n_max + 1)]
     levels = _signature_levels(np.stack([r.segments for r in rects]), depth)
     one = unit(2, depth)
     pm, level_max = [], {k: [] for k in range(1, 5)}
