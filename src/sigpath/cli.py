@@ -25,7 +25,7 @@ from .ito_solver import field_from_dict, field_from_json, solve_and_certify
 from .path_core import concat, linear_path, read_csv
 from .signature_engine import signature
 from .sig_regression import demo_field, evaluate, fit, generate_dataset
-from .tensor_algebra import _MALFORMED, _count, _json_float, _json_floats, _json_int, tensor_to_json
+from .tensor_algebra import _MALFORMED, _count, _json_floats, _json_int, _real, tensor_to_json
 
 __all__ = ["main", "entry"]
 
@@ -227,7 +227,7 @@ def _cmd_regress(args, environ) -> int:
             _count(key, _json_int(f"config key {key!r}", config[key]), 1)
             for key in ("n_paths", "heldout_paths", "segment_count")
         )
-        r, noise_scale, ridge = (_json_float(f"config key {key!r}", config[key]) for key in ("r", "noise_scale", "ridge"))
+        r, noise_scale, ridge = (_real(f"config key {key!r}", config[key]) for key in ("r", "noise_scale", "ridge"))
     except _MALFORMED as exc:
         raise ValueError(f"malformed config: {exc}") from None
     if not depths:

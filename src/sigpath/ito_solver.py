@@ -28,7 +28,7 @@ import numpy as np
 from . import signature_engine
 from .path_core import PiecewiseLinearPath
 from .signature_engine import LinearFunctional, _check_budget, signature
-from .tensor_algebra import _MALFORMED, _count, _finite, _json_floats, _json_int, _readonly
+from .tensor_algebra import _MALFORMED, _count, _finite, _json_floats, _json_int, _readonly, _real
 
 __all__ = [
     "LinearVectorField",
@@ -185,9 +185,8 @@ def series_error_bound(
     raises FloatingPointError.
     """
     truncation = _count("truncation", truncation, 0)
-    for what, value in (("path_length", path_length), ("state_norm", state_norm)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{what} must be finite and nonnegative, got {value}")
+    path_length = _real("path_length", path_length, "nonnegative")
+    state_norm = _real("state_norm", state_norm, "nonnegative")
     cl = field._raw_growth * path_length
     if cl == 0.0:
         return 0.0

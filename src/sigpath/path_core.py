@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_algebra import _MALFORMED, _count, _finite, _json_floats, _json_int
+from .tensor_algebra import _MALFORMED, _count, _finite, _json_floats, _json_int, _real
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -109,10 +109,7 @@ class PiecewiseLinearPath:
 
     def evaluate(self, t: float) -> np.ndarray:
         """Position at time t in [0, 1] under the constant-speed clock."""
-        t = float(t)
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"time {t} outside [0, 1]")
-        return positions_at(self, np.array([t]))[0]
+        return positions_at(self, np.array([_real("time t", t, "in [0, 1]")]))[0]
 
 
 def linear_path(v) -> PiecewiseLinearPath:
@@ -503,9 +500,7 @@ def p_variation(a: PiecewiseLinearPath, p: float) -> float:
     scaled back, so no cost under- or overflows at any magnitude.  A
     vertex beyond float range gives inf.
     """
-    p = float(p)
-    if not 1.0 <= p < math.inf:
-        raise ValueError(f"p must be finite and at least 1, got {p}")
+    p = _real("p", p, "at least 1")
     m = a.segment_count
     if m == 0:
         return 0.0

@@ -16,7 +16,6 @@ the intercept column.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,7 +30,7 @@ from .signature_engine import (
     _signature_levels,
     feature_count,
 )
-from .tensor_algebra import _MALFORMED, _count, _finite, _json_bool, _json_float, _json_floats, _json_int, _readonly
+from .tensor_algebra import _MALFORMED, _count, _finite, _json_bool, _json_floats, _json_int, _readonly, _real
 
 __all__ = [
     "RegressionDataset",
@@ -84,6 +83,7 @@ class RegressionDataset:
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "features", _readonly(feats))
         object.__setattr__(self, "responses", _readonly(resp))
+        object.__setattr__(self, "noise_scale", _real("noise_scale", self.noise_scale, "nonnegative"))
 
     @cached_property
     def paths(self) -> tuple:
@@ -129,10 +129,8 @@ def generate_dataset(
     n_paths = _count("n_paths", n_paths, 1)
     segment_count = _count("segment_count", segment_count, 1)
     seed = _count("seed", seed, 0)
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"length budget r must be finite and positive, got {r}")
-    if not (math.isfinite(noise_scale) and noise_scale >= 0):
-        raise ValueError(f"noise_scale must be finite and nonnegative, got {noise_scale}")
+    r = _real("length budget r", r, "positive")
+    noise_scale = _real("noise_scale", noise_scale, "nonnegative")
     d = field.input_dim
     # the kernel's size check, before any path is drawn
     what = f"{n_paths} x {segment_count} segments of dimension {d}"
@@ -159,7 +157,7 @@ def generate_dataset(
         features=features,
         responses=responses,
         depth=depth,
-        noise_scale=float(noise_scale),
+        noise_scale=noise_scale,
         seed=seed,
     )
 
@@ -177,8 +175,7 @@ def fit(dataset: RegressionDataset, depth: int, ridge: float = 0.0) -> LinearFun
     if dataset.n_samples == 0:
         raise ValueError("dataset is empty")
     depth = _count("depth", depth, 0, dataset.depth)
-    if not 0.0 <= ridge < math.inf:
-        raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
+    ridge = _real("ridge", ridge, "nonnegative")
     dim = dataset.dim
     F = feature_count(dim, depth)
     X = dataset.features[:, :F]
@@ -282,7 +279,7 @@ def dataset_from_dict(data: dict) -> RegressionDataset:
             features=_json_floats("dataset key 'features'", data["features"]),
             responses=_json_floats("dataset key 'responses'", data["responses"]),
             depth=_json_int("dataset key 'depth'", data["depth"]),
-            noise_scale=_json_float("dataset key 'noise_scale'", data["noise_scale"]),
+            noise_scale=_real("dataset key 'noise_scale'", data["noise_scale"]),
             seed=None if data.get("seed") is None else _json_int("dataset key 'seed'", data["seed"]),
         )
     except _MALFORMED as exc:

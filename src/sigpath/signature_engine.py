@@ -41,6 +41,7 @@ from .tensor_algebra import (
     _count,
     _log_levels,
     _readonly,
+    _real,
     log,
 )
 
@@ -485,8 +486,7 @@ def check_group_like(
         raise ValueError("group-likeness requires level-0 coefficient exactly 1")
     sample = _count("sample", sample, 0)
     seed = _count("seed", seed, 0)
-    if not 0.0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
+    tolerance = _real("tolerance", tolerance, "nonnegative")
     d, depth, levels = x.dim, x.depth, x.levels
     worst, worst_pair, count = 0.0, ((), ()), 0
 

@@ -91,24 +91,37 @@ def _count(what, value, low, high=None) -> int:
     return n
 
 
-def _json_float(what, value) -> float:
-    # a finite JSON number; math.isfinite of an integer beyond float range
-    # raises OverflowError
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+# what a real argument may be (bool, an int, is refused by name), and the
+# conditions it can carry, each spelled as the refusal says it
+_REAL_TYPES = (int, float, np.integer, np.floating)
+_REAL_CONDITIONS = {
+    "nonnegative": lambda x: x >= 0.0, "positive": lambda x: x > 0.0,
+    "at least 1": lambda x: x >= 1.0, "in [0, 1]": lambda x: 0.0 <= x <= 1.0,
+}
+
+
+def _real(what, value, condition="") -> float:
+    # a real argument, JSON numbers included: a Python or numpy integer or
+    # float, finite and meeting the condition, as a float; math.isfinite of
+    # an integer beyond float range raises OverflowError
+    real = isinstance(value, _REAL_TYPES) and not isinstance(value, bool) and math.isfinite(value)
+    if not real or (condition and not _REAL_CONDITIONS[condition](value)):
+        if condition:
+            raise ValueError(f"{what} must be finite and {condition}, got {value!r}")
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
 def _json_floats(what, value) -> np.ndarray:
-    # nested JSON lists of finite numbers, as a float array: _json_float
-    # takes each entry, so no boolean, string or null gets through
+    # nested JSON lists of finite numbers, as a float array: _real takes
+    # each entry, so no boolean, string or null gets through
     stack = [value]
     while stack:
         node = stack.pop()
         if isinstance(node, list):
             stack.extend(node)
         else:
-            _json_float(what, node)
+            _real(what, node)
     return np.array(value, dtype=float)
 
 
@@ -218,9 +231,7 @@ def sub(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
 
 
 def scale(x: TruncatedTensor, c: float) -> TruncatedTensor:
-    c = float(c)
-    if not math.isfinite(c):
-        raise ValueError(f"scale factor c must be finite, got {c}")
+    c = _real("scale factor c", c)
     return TruncatedTensor(x.dim, x.depth, [c * a for a in x.levels])
 
 

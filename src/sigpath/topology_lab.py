@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -43,9 +43,9 @@ from .tensor_algebra import (
     GroupTensor,
     _count,
     _json_bool,
-    _json_float,
     _json_int,
     _json_str,
+    _real,
     phi_contraction,
     product_metric,
     unit,
@@ -99,7 +99,7 @@ class ExperimentReport:
                 name=_json_str("report key 'name'", data["name"]),
                 indices=[_json_int("report index", i) for i in data["indices"]],
                 series={
-                    k: [_json_float(f"report series {k!r}", v) for v in vals]
+                    k: [_real(f"report series {k!r}", v) for v in vals]
                     for k, vals in data["series"].items()
                 },
                 verdict=_json_bool("report key 'verdict'", data["verdict"]),
@@ -144,9 +144,7 @@ def metric_d(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
 
 def ball_br_membership(a: PiecewiseLinearPath, r: float) -> bool:
     """Whether the reduced representative has length at most r (no slack)."""
-    if not r > 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    return reduce(a).length <= r
+    return reduce(a).length <= _real("radius", r, "positive")
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +316,9 @@ def experiment_quotient_vs_metric(eps_list=(1e-1, 1e-2, 1e-3)) -> ExperimentRepo
     distance exactly 2 + 2 eps, bounded away from zero: quotient-close but
     metric-far.
     """
-    eps_list = [float(e) for e in eps_list]
+    eps_list = [_real("epsilon", e, "nonnegative") for e in eps_list]
     if not eps_list:
         raise ValueError("eps_list must not be empty")
-    if not all(0.0 <= e < math.inf for e in eps_list):
-        raise ValueError(f"epsilon values must be finite and nonnegative, got {eps_list}")
     base = concat(linear_path([1.0, 0.0]), linear_path([-1.0, 0.0]))
     indices = list(range(1, len(eps_list) + 1))
     var, dm = [], []

@@ -136,8 +136,8 @@ print(json.dumps(seen))
 
 
 # the shared decoding policy and the cli helpers it replaced
-_POLICY = {"_json_int", "_json_float", "_json_floats", "_json_bool", "_json_str", "_MALFORMED"}
-_RETIRED = {"_config_int", "_config_float"}
+_POLICY = {"_json_int", "_real", "_json_floats", "_json_bool", "_json_str", "_MALFORMED"}
+_RETIRED = {"_config_int", "_config_float", "_json_float"}
 # builtins that accept any JSON value and coerce it silently ("false" is truthy)
 _COERCIONS = {"int", "bool", "str"}
 

@@ -102,7 +102,7 @@ def test_positions_at_refuses_times_outside_the_clock(ts):
     with pytest.raises(ValueError, match="times must lie in"):
         positions_at(p, ts)
     bad = next(t for t in ts if not 0.0 <= t <= 1.0)
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=r"time t must be finite and in \[0, 1\]"):
         p.evaluate(bad)
 
 
