@@ -168,6 +168,9 @@ def word_coefficients(field: LinearVectorField, y0, depth: int) -> list[np.ndarr
     for k in range(2, depth + 1):
         c = np.einsum("pa,jba->pjb", c, field.matrices).reshape(d**k, w)
         coeffs.append(c)
+    for k, c in enumerate(coeffs):
+        if not np.isfinite(c).all():
+            raise FloatingPointError(f"word coefficient level {k} overflowed to non-finite values")
     return coeffs
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_algebra import _MALFORMED, _count, _finite, _json_floats, _json_int, _real
+from .tensor_algebra import _MALFORMED, _MAX_COEFFICIENTS, _count, _finite, _json_floats, _json_int, _real
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -453,16 +453,60 @@ _PVAR_SLACK = 2.0**-40
 _PVAR_TINY = 2.0**-1060
 
 
-def _pvar_costs(steps, p: float) -> np.ndarray:
-    # |step|**p for per-coordinate step arrays, squares summed in coordinate
-    # order, so that a cost and the bounds on it round alike
+def _pvar_costs(steps, p: float, unit: float = 1.0) -> np.ndarray:
+    # (|step| / unit)**p for per-coordinate step arrays, squares summed in
+    # coordinate order, so that a cost and the bounds on it round alike
     steps = iter(steps)
     cost = next(steps) ** 2
     for step in steps:
         cost += step**2
     np.sqrt(cost, out=cost)
+    if unit != 1.0:
+        cost /= unit
     cost **= p
     return cost
+
+
+# beyond float range a cost or a bound is inf and the total with it, which
+# p_variation checks
+@np.errstate(over="ignore")
+def _pvar_total(coords, costs) -> float:
+    """best[m] of p_variation's pruned programme on the vertices coords,
+    shape (d, m + 1), with costs(steps) the p-th powers of the distances."""
+    m = coords.shape[1] - 1
+    block = max(1, min(_PVAR_BLOCK, _PVAR_BLOCK_COEFFICIENTS // (m + 1)))
+    starts = np.arange(0, m + 1, block)
+    count = len(starts)
+    lows = np.minimum.reduceat(coords, starts, axis=1)
+    highs = np.maximum.reduceat(coords, starts, axis=1)
+    # the smallest distance from a_(lo - 1) to each block, lo its first target
+    before = coords[:, np.maximum(starts - 1, 0)]
+    near = np.maximum(np.maximum(lows - before, before - highs), 0.0)
+    floors = (costs(near) * (1.0 - _PVAR_SLACK) - _PVAR_TINY).tolist()
+    vertices = np.arange(count * block).reshape(count, block)
+    chunk = max(1, _PVAR_BLOCK_COEFFICIENTS // count)
+    best = np.zeros(m + 1)
+    for t, first in enumerate(starts.tolist()):
+        lo, hi = max(first, 1), min(first + block, m + 1)
+        if t % chunk == 0:
+            # the largest distance from every block to each of the next targets
+            rows = slice(t, t + chunk)
+            far = (np.maximum(h[rows, None] - l, h - l[rows, None]) for l, h in zip(lows, highs))
+            reaches = costs(far) * (1.0 + _PVAR_SLACK) + _PVAR_TINY
+        if t:
+            reach = best[starts[1:t] - 1] + reaches[t % chunk, : t - 1]
+            keep = np.flatnonzero(reach > best[lo - 1] + floors[t])
+            cols = np.concatenate([vertices[keep].ravel(), np.arange(first - block, hi)])
+        else:
+            cols = np.arange(hi)
+        k = len(cols) - (hi - lo)
+        cost = costs(x[cols] - x[lo:hi, None] for x in coords)
+        earlier = (best[cols[:k]] + cost[:, :k]).max(axis=1).tolist()
+        run: list[float] = []
+        for top, row in zip(earlier, cost[:, k:].tolist()):
+            run.append(max([top, *map(operator.add, run, row)]))
+        best[lo:hi] = run
+    return float(best[m])
 
 
 def p_variation(a: PiecewiseLinearPath, p: float) -> float:
@@ -497,57 +541,38 @@ def p_variation(a: PiecewiseLinearPath, p: float) -> float:
     np.linalg.norm; above that numpy sums pairwise and the two differ by
     about 1 ulp.  A path whose largest coordinate is about 2**e with
     max(p, 2) |e| > 500 runs scaled by 2**-e, exactly, and the result is
-    scaled back, so no cost under- or overflows at any magnitude.  A
-    vertex beyond float range gives inf.
+    scaled back.  That keeps the costs of moderate p in range, but not
+    every cost: at large p, or in many dimensions, one overflows (2.8**690
+    does), or all of them underflow (0.625**1600 does).  The total best[m]
+    is then inf, or below m 2**-1021, where the subnormal costs it sums,
+    off by up to 2**-1075 each, could move it by more than 2**-54.  Such a
+    path runs again on the costs (|a_j - a_i| / D)**p, D the largest
+    distance between two vertices, formed as the costs are, so that the
+    costs lie in [0, 1], one of them exactly 1, and best[m] in [1, m]:
+    the result D best[m]**(1/p) is finite and correct for every p >= 1.
+    A vertex beyond float range gives inf.
     """
     p = _real("p", p, "at least 1")
     m = a.segment_count
-    if m == 0:
-        return 0.0
     coords = np.ascontiguousarray(a.points.T)
+    if not coords.any():
+        return 0.0
     if not np.isfinite(coords).all():
         # the segments are finite, so a vertex overflowed: |a_j - a_0| > max float
         return math.inf
     # the norm is 1-homogeneous: where squares or p-th powers would leave
     # the normal range, the programme runs on the points scaled by 2**-e
     e = int(np.frexp(np.abs(coords).max())[1])
-    e = e if max(p, 2.0) * abs(e) > 500 else 0
+    shift = e if max(p, 2.0) * abs(e) > 500 else 0
+    total = _pvar_total(np.ldexp(coords, -shift), lambda steps: _pvar_costs(steps, p))
+    if m * 2.0**-1021 <= total < math.inf:
+        return float(np.ldexp(total ** (1.0 / p), shift))
     coords = np.ldexp(coords, -e)
-    block = max(1, min(_PVAR_BLOCK, _PVAR_BLOCK_COEFFICIENTS // (m + 1)))
-    starts = np.arange(0, m + 1, block)
-    count = len(starts)
-    lows = np.minimum.reduceat(coords, starts, axis=1)
-    highs = np.maximum.reduceat(coords, starts, axis=1)
-    # the smallest distance from a_(lo - 1) to each block, lo its first target
-    before = coords[:, np.maximum(starts - 1, 0)]
-    near = np.maximum(np.maximum(lows - before, before - highs), 0.0)
-    floors = (_pvar_costs(near, p) * (1.0 - _PVAR_SLACK) - _PVAR_TINY).tolist()
-    vertices = np.arange(count * block).reshape(count, block)
-    chunk = max(1, _PVAR_BLOCK_COEFFICIENTS // count)
-    best = np.zeros(m + 1)
-    for t, first in enumerate(starts.tolist()):
-        lo, hi = max(first, 1), min(first + block, m + 1)
-        if t % chunk == 0:
-            # the largest distance from every block to each of the next targets
-            rows = slice(t, t + chunk)
-            far = (np.maximum(h[rows, None] - l, h - l[rows, None]) for l, h in zip(lows, highs))
-            # a bound beyond float range is inf, still a bound
-            with np.errstate(over="ignore"):
-                reaches = _pvar_costs(far, p) * (1.0 + _PVAR_SLACK) + _PVAR_TINY
-        if t:
-            reach = best[starts[1:t] - 1] + reaches[t % chunk, : t - 1]
-            keep = np.flatnonzero(reach > best[lo - 1] + floors[t])
-            cols = np.concatenate([vertices[keep].ravel(), np.arange(first - block, hi)])
-        else:
-            cols = np.arange(hi)
-        k = len(cols) - (hi - lo)
-        cost = _pvar_costs((x[cols] - x[lo:hi, None] for x in coords), p)
-        earlier = (best[cols[:k]] + cost[:, :k]).max(axis=1).tolist()
-        run: list[float] = []
-        for top, row in zip(earlier, cost[:, k:].tolist()):
-            run.append(max([top, *map(operator.add, run, row)]))
-        best[lo:hi] = run
-    return float(np.ldexp(best[m] ** (1.0 / p), e))
+    # D a block of rows at a time, each distance formed as the costs form it
+    rows = max(1, _PVAR_BLOCK_COEFFICIENTS // (m + 1))
+    unit = max(float(_pvar_costs((x[i : i + rows, None] - x for x in coords), 1.0).max()) for i in range(0, m + 1, rows))
+    total = _pvar_total(coords, lambda steps: _pvar_costs(steps, p, unit))
+    return float(np.ldexp(unit * total ** (1.0 / p), e))
 
 
 def axis_rho_sigma(n: int):
@@ -557,19 +582,17 @@ def axis_rho_sigma(n: int):
     concatenates the two previous paths in opposite orders:
     rho_n = rho_{n-1} * sigma_{n-1} and sigma_n = sigma_{n-1} * rho_{n-1}.
     The two paths at stage n share all signature levels up to n while their
-    level n+1 differs.
+    level n+1 differs.  n is at most 21 (see gamma_loop).
     """
-    n = _count("stage", n, 1)
-    e1 = (1.0, 0.0)
-    e2 = (0.0, 1.0)
-    rho = [e1, e2]
-    sigma = [e2, e1]
+    # the lists doubled here, the pair and, in gamma_loop, reverse(rho) and
+    # the loop hold under 16 float-sized values per step of rho (10 and 14.5
+    # measured with tracemalloc), so 16 * 2**n <= _MAX_COEFFICIENTS
+    n = _count("stage", n, 1, _MAX_COEFFICIENTS.bit_length() - 5)
+    e1, e2 = (1.0, 0.0), (0.0, 1.0)
+    rho, sigma = [e1, e2], [e2, e1]
     for _ in range(n - 1):
         rho, sigma = rho + sigma, sigma + rho
-    return (
-        PiecewiseLinearPath(2, np.array(rho)),
-        PiecewiseLinearPath(2, np.array(sigma)),
-    )
+    return PiecewiseLinearPath(2, np.array(rho)), PiecewiseLinearPath(2, np.array(sigma))
 
 
 def gamma_loop(k: int) -> PiecewiseLinearPath:
@@ -577,7 +600,8 @@ def gamma_loop(k: int) -> PiecewiseLinearPath:
 
     Its signature levels 1..k vanish while the signature itself stays away
     from the unit, which separates the levelwise topology from the
-    1-variation metric on reduced paths.
+    1-variation metric on reduced paths.  k is at most 21: the loop and
+    the pair it is built from stay within _MAX_COEFFICIENTS.
     """
     rho, sigma = axis_rho_sigma(k)
     return concat(sigma, reverse(rho))

@@ -38,6 +38,7 @@ from .path_core import PiecewiseLinearPath, linear_path
 from .tensor_algebra import (
     GroupTensor,
     TruncatedTensor,
+    _MAX_COEFFICIENTS,
     _count,
     _log_levels,
     _readonly,
@@ -55,15 +56,6 @@ __all__ = [
     "GroupLikeReport",
     "check_group_like",
 ]
-
-
-# Limit on the coefficients a call counts (2**25 float64 values, 256 MiB),
-# checked before anything is allocated: N * m * feature_count(d, depth) for
-# the batched kernel, w * feature_count(d, depth) for word_coefficients.
-# The count is not the kernel's peak: on the long-path and batched
-# regression shapes its traced peak measured 1.6-1.85 times the counted
-# bytes (the factors, the first round's products and the scratch array).
-_MAX_COEFFICIENTS = 2**25
 
 
 def _check_budget(copies: int, d: int, depth: int, what: str) -> None:

@@ -66,6 +66,17 @@ def _finite(what, value) -> np.ndarray:
     return out
 
 
+# Limit on the coefficients a call counts (2**25 float64 values, 256 MiB),
+# checked before anything is allocated: N * m * feature_count(d, depth) for
+# the batched kernel, w * feature_count(d, depth) for word_coefficients;
+# the stages of path_core's axis paths and the n_max of topology_lab's
+# experiments are bounded by it too.
+# The count is not the kernel's peak: on the long-path and batched
+# regression shapes its traced peak measured 1.6-1.85 times the counted
+# bytes (the factors, the first round's products and the scratch array).
+_MAX_COEFFICIENTS = 2**25
+
+
 # what every *_from_dict turns into its ValueError: a missing key or entry,
 # a value of the wrong JSON type, or an integer beyond float range
 _MALFORMED = (KeyError, IndexError, TypeError, AttributeError, OverflowError)

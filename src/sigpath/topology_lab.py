@@ -40,6 +40,7 @@ from .path_core import (
 from .signature_engine import _check_budget, _dyadic, _signature_levels, exact_signature, feature_count, signature
 from .tensor_algebra import (
     _MALFORMED,
+    _MAX_COEFFICIENTS,
     GroupTensor,
     _count,
     _json_bool,
@@ -343,9 +344,13 @@ def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentRepo
     apart in metric_d (reported through the n vs 2n pairs and the fitted
     constant c = max n * d(rho_n, rho_2n)), every signature level tends to
     zero, yet each rho_n keeps metric_d distance 2 + 2/n >= 2 from the
-    trivial path, so no reduced limit can exist.
+    trivial path, so no reduced limit can exist.  n_max is at most
+    _MAX_COEFFICIENTS // 256 = 131072.
     """
-    n_max = _count("n_max", n_max, 2)
+    # each index holds two rectangles as paths, a row of the segment block
+    # and nine series values: about 150 float-sized values (tracemalloc at
+    # n_max = 8000), under 256
+    n_max = _count("n_max", n_max, 2, _MAX_COEFFICIENTS // 256)
     origin = constant_path(2)
     _check_budget(1, 2, depth, "one tensor of dimension 2")
     one = unit(2, depth)
@@ -389,9 +394,12 @@ def experiment_group_discontinuity(n_max: int = 10) -> ExperimentReport:
     rate at most 3/n.  The straight segment concatenated with its reversal
     reduces to the trivial path, yet rho_n * sigma_n is already reduced with
     length 2 + 2/n, so the product stays at metric_d distance at least 2
-    from the trivial path.
+    from the trivial path.  n_max is at most _MAX_COEFFICIENTS // 32 =
+    1048576.
     """
-    n_max = _count("n_max", n_max, 1)
+    # each index holds four series values: about 21 float-sized values with
+    # their Python objects (tracemalloc at n_max = 8000), under 32
+    n_max = _count("n_max", n_max, 1, _MAX_COEFFICIENTS // 32)
     origin = constant_path(2)
     limit_rho = linear_path([1.0, 0.0])
     limit_sigma = linear_path([-1.0, 0.0])

@@ -367,7 +367,7 @@ def test_path_record_with_a_bad_value_is_a_path_format_error(text):
 
 
 def test_axis_stage_must_be_an_integer():
-    with pytest.raises(ValueError, match="need an integer stage >= 1"):
+    with pytest.raises(ValueError, match="need an integer 1 <= stage <= 21"):
         sp.axis_rho_sigma(1.5)
     with pytest.raises(ValueError, match="stage"):
         sp.axis_rho_sigma(0)
