@@ -155,7 +155,8 @@ def word_coefficients(field: LinearVectorField, y0, depth: int) -> list[np.ndarr
 
     Row w of c_k is the word operator for the length-k word with row-major
     index w applied to y0, so the truncated series is
-    sum_k signature_level_k @ c_k (the k = 0 row is y0 itself).
+    sum_k signature_level_k @ c_k (the k = 0 row is y0 itself).  A level
+    beyond float range raises FloatingPointError that names it.
     """
     y0 = _check_y0(field, y0)
     d, w = field.input_dim, field.state_dim
@@ -184,8 +185,8 @@ def series_error_bound(
     ||M(v)||_op <= c |v|, so the level-k term of the series has norm at
     most (cL)^k/k! |z0| and the tail past level N sums to at most the
     bound, for every field, path and start point.  path_length and
-    state_norm must be finite and nonnegative; a bound beyond float range
-    raises FloatingPointError.
+    state_norm are finite nonnegative reals (else ValueError); a bound
+    beyond float range raises FloatingPointError.
     """
     truncation = _count("truncation", truncation, 0)
     path_length = _real("path_length", path_length, "nonnegative")

@@ -312,6 +312,18 @@ def test_solve_overflow_is_numerical_failure(capsys, tmp_path, fmt, offset):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
+def test_solve_word_coefficient_overflow_is_numerical_failure(capsys, tmp_path, fmt):
+    # the series' level 4 is 1e400: word_coefficients refuses it, before the
+    # remainder bound is formed
+    fjson = tmp_path / "field.json"
+    fjson.write_text(field_to_json(sp.LinearVectorField([[[1e100]]], [[0.0]])))
+    path_csv = tmp_path / "one.csv"
+    write_csv(sp.linear_path([1.0]), path_csv)
+    code, out, err = run_main(capsys, ["solve", str(fjson), str(path_csv), "--y0", "1", "--N", "4", "--format", fmt])
+    assert code == 4 and out == "" and "word coefficient level 4" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
 def test_solve_size_budget_is_input_error(capsys, tmp_path, fmt):
     field = sp.LinearVectorField(matrices=np.zeros((2, 64, 64)), offsets=np.zeros((2, 64)))
     fjson = tmp_path / "field.json"
@@ -367,6 +379,13 @@ def test_memory_error_is_input_error(capsys, monkeypatch, staircase_csv):
 def test_experiment_depth_budget_is_input_error(capsys, name, fmt):
     code, out, err = run_main(capsys, ["experiment", name, "--depth", "100000000", "--format", fmt])
     assert code == 2 and out == "" and "limit" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name, top", [("incompleteness", 131072), ("group-discontinuity", 1048576)])
+def test_experiment_n_max_budget_is_input_error(capsys, name, top, fmt):
+    code, out, err = run_main(capsys, ["experiment", name, "--n-max", str(top + 1), "--format", fmt])
+    assert code == 2 and out == "" and f"n_max <= {top}, got {top + 1}" in err
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

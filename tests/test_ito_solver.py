@@ -279,6 +279,16 @@ def test_series_error_bound_refuses_a_bad_length_or_state_norm(what, bad):
         sp.series_error_bound(f, truncation=3, **args)
 
 
+def test_word_coefficients_refuse_a_level_beyond_float_range():
+    # 1e100**4 used to come back as inf with nothing raised
+    f = sp.LinearVectorField([[[1e100]]], [[0.0]])
+    assert sp.word_coefficients(f, [1.0], 3)[3].tolist() == [[1e300]]
+    with pytest.raises(FloatingPointError, match="word coefficient level 4 overflowed"):
+        sp.word_coefficients(f, [1.0], 4)
+    with pytest.raises(FloatingPointError, match="word coefficient level 1 overflowed"):
+        sp.word_coefficients(sp.LinearVectorField([[[1e200]]], [[0.0]]), [1e200], 2)
+
+
 @pytest.mark.parametrize("y0", [[float("nan"), 0.0], [0.0, float("inf")]])
 def test_oracle_refuses_a_non_finite_start(y0):
     f = sp.LinearVectorField([[[0.5, 0.0], [0.1, -0.2]]], [[0.1, 0.0]])

@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -279,8 +280,9 @@ def _mentions(text):
 # two form outer products; floats become integers over a common power of two
 # (the exact dyadic arithmetic of exact_signature and the length bound's even
 # moments) in one function; one function interpolates a path on a time grid;
-# one function refuses a size argument that is not an integer in range, and
-# one refuses an input array with a NaN or inf entry; reduce and metric_d
+# one function refuses a size argument that is not an integer in range, one
+# an input array with a NaN or inf entry, and one a real argument that is
+# not a finite number meeting its condition; reduce and metric_d
 # share the row-level reduction, one_variation_distance and metric_d the
 # row-level distance
 _OWNERS = {
@@ -297,6 +299,10 @@ _OWNERS = {
     "np.interp": (_calls("interp"), {("path_core.py", "_interp")}),
     "size argument": (_mentions("need an integer"), {("tensor_algebra.py", "_count")}),
     "finite argument": (_mentions("non-finite entries"), {("tensor_algebra.py", "_finite")}),
+    "real argument": (
+        lambda n: _mentions("must be finite and")(n) or _mentions("must be a finite number")(n),
+        {("tensor_algebra.py", "_real")},
+    ),
     "_reduced_rows": (_calls("_reduced_rows"), {("path_core.py", "reduce"), ("topology_lab.py", "metric_d")}),
     "_distance": (_calls("_distance"), {("path_core.py", "one_variation_distance"), ("topology_lab.py", "metric_d")}),
 }
@@ -343,6 +349,81 @@ _SIG = sp.signature(_PATH, 4)
 _FIELD, _Y0 = sig_regression.demo_field()
 _DATA = sig_regression.generate_dataset(_FIELD, _Y0, 8, 3, 1.0, 0.0, 0, depth=2)
 _NAN, _INF = float("nan"), float("inf")
+
+
+# each real argument: a call that passes it, the name its refusal gives, its
+# condition (empty for none) and a value that breaks the condition
+_REALS = [
+    ("scale", lambda v: sp.scale(_SIG, v), "scale factor c", "", None),
+    (
+        "tensor-level",
+        lambda v: sp.tensor_from_dict({"dim": 1, "depth": 1, "levels": [[1.0], [v]]}),
+        "tensor levels",
+        "",
+        None,
+    ),
+    (
+        "report-series",
+        lambda v: sp.ExperimentReport.from_dict(
+            {"name": "quotient-vs-metric", "indices": [1], "series": {"x": [v]}, "verdict": True}
+        ),
+        "report series 'x'",
+        "",
+        None,
+    ),
+    (
+        "dataset-record-noise_scale",
+        lambda v: sp.dataset_from_dict(dict(sp.dataset_to_dict(_DATA), noise_scale=v)),
+        "dataset key 'noise_scale'",
+        "",
+        None,
+    ),
+    ("tolerance", lambda v: sp.check_group_like(_SIG, tolerance=v), "tolerance", "nonnegative", -1.0),
+    ("p", lambda v: sp.p_variation(_PATH, v), "p", "at least 1", 0.5),
+    ("evaluate-t", lambda v: _PATH.evaluate(v), "time t", "in [0, 1]", 1.5),
+    ("radius", lambda v: sp.ball_br_membership(_PATH, v), "radius", "positive", 0.0),
+    ("epsilon", lambda v: sp.experiment_quotient_vs_metric([0.1, v]), "epsilon", "nonnegative", -0.1),
+    ("path_length", lambda v: sp.series_error_bound(_FIELD, v, 3, 1.0), "path_length", "nonnegative", -1.0),
+    ("state_norm", lambda v: sp.series_error_bound(_FIELD, 1.0, 3, v), "state_norm", "nonnegative", -1.0),
+    (
+        "generate_dataset-r",
+        lambda v: sp.generate_dataset(_FIELD, _Y0, 8, 3, v, 0.0, 0, depth=2),
+        "length budget r",
+        "positive",
+        0.0,
+    ),
+    (
+        "generate_dataset-noise_scale",
+        lambda v: sp.generate_dataset(_FIELD, _Y0, 8, 3, 1.0, v, 0, depth=2),
+        "noise_scale",
+        "nonnegative",
+        -1.0,
+    ),
+    ("ridge", lambda v: sp.fit(_DATA, 1, ridge=v), "ridge", "nonnegative", -1.0),
+    (
+        "dataset-noise_scale",
+        lambda v: sp.RegressionDataset(_DATA.segments, _DATA.features, _DATA.responses, 2, v),
+        "noise_scale",
+        "nonnegative",
+        -1.0,
+    ),
+]
+
+
+def _real_refusals():
+    # str, bool, None, nan and inf for every real argument, and the value
+    # that breaks its condition; the refusal gives the argument's name
+    for label, call, name, condition, outside in _REALS:
+        need = f"finite and {condition}" if condition else "a finite number"
+        bad = {"str": "1", "bool": True, "None": None, "nan": _NAN, "inf": _INF}
+        if outside is not None:
+            bad["outside"] = outside
+        for kind, value in bad.items():
+            yield pytest.param(
+                lambda call=call, value=value: call(value),
+                re.escape(f"{name} must be {need}, got {value!r}"),
+                id=f"real-{label}-{kind}",
+            )
 
 
 @pytest.mark.parametrize(
@@ -411,6 +492,8 @@ _NAN, _INF = float("nan"), float("inf")
         pytest.param(lambda: sp.check_group_like(_SIG, tolerance=_INF), "tolerance", id="tolerance-inf"),
         pytest.param(lambda: sp.scale(_SIG, _NAN), "scale factor c", id="scale-nan"),
         pytest.param(lambda: sp.scale(_SIG, -_INF), "scale factor c", id="scale-inf"),
+        # every real argument, each refused by _real with the argument's name
+        *_real_refusals(),
     ],
 )
 def test_the_boundary_refuses_bad_arguments_by_name(call, message):
@@ -432,6 +515,58 @@ def test_the_boundary_takes_numpy_integer_sizes():
     assert sp.tensor_to_json(sp.signature(_PATH, three)) == sp.tensor_to_json(sp.signature(_PATH, 3))
     assert json.dumps(sp.path_to_dict(sp.PiecewiseLinearPath(two, [[1.0, 2.0]]))) == '{"dim": 2, "segments": [[1.0, 2.0]]}'
     assert type(sp.TruncatedTensor(two, np.int32(0), [[1.0]]).depth) is int
+
+
+def test_the_boundary_takes_numpy_reals():
+    # np.float32, np.float64 and np.int64 give what the equal Python float gives
+    for kind in (np.float32, np.float64, np.int64):
+        zero, one, two = kind(0), kind(1), kind(2)
+        assert sp.p_variation(_PATH, two) == sp.p_variation(_PATH, 2.0)
+        assert sp.tensor_to_json(sp.scale(_SIG, two)) == sp.tensor_to_json(sp.scale(_SIG, 2.0))
+        assert _PATH.evaluate(one).tolist() == _PATH.evaluate(1.0).tolist()
+        assert sp.check_group_like(_SIG, tolerance=one) == sp.check_group_like(_SIG, tolerance=1.0)
+        assert sp.ball_br_membership(_PATH, one) is sp.ball_br_membership(_PATH, 1.0) is False
+        report = sp.experiment_quotient_vs_metric([zero, two])
+        assert report.to_dict() == sp.experiment_quotient_vs_metric([0.0, 2.0]).to_dict()
+        assert sp.series_error_bound(_FIELD, two, 3, one) == sp.series_error_bound(_FIELD, 2.0, 3, 1.0)
+        data = sp.generate_dataset(_FIELD, _Y0, 8, 3, two, one, 0, depth=2)
+        want = sp.generate_dataset(_FIELD, _Y0, 8, 3, 2.0, 1.0, 0, depth=2)
+        assert sp.dataset_to_json(data) == sp.dataset_to_json(want)
+        assert type(data.noise_scale) is float
+        assert sp.fit(_DATA, 1, ridge=one).weights.tolist() == sp.fit(_DATA, 1, ridge=1.0).weights.tolist()
+
+
+def _unused_imports(tree):
+    # (line, name) of each name an import binds that the module never reads,
+    # __future__ imports aside
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, (alias.asname or alias.name).split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for line, name in bound if name not in read)
+
+
+@pytest.mark.parametrize("source", [s for s in SOURCES if s.name != "__init__.py"], ids=lambda p: p.name)
+def test_every_imported_name_is_used(source):
+    assert _unused_imports(ast.parse(source.read_text(encoding="utf-8"))) == []
+
+
+def test_the_import_detector_sees_unused_names():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os, numpy as np\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: np.ndarray\n"
+        "def f():\n"
+        "    import scipy.linalg\n"
+        "    return scipy.linalg.lstsq\n"
+    )
+    assert _unused_imports(tree) == [(2, "os"), (3, "field")]
 
 
 def test_checked_arrays_stay_read_only_copies():

@@ -375,6 +375,16 @@ def test_axis_stage_must_be_an_integer():
     assert rho.segment_count == sigma.segment_count == 8
 
 
+def test_axis_stages_stay_within_the_coefficient_budget():
+    # 16 values per step of rho_n at most: the stage is refused by name
+    # before any list is doubled
+    top = sp.tensor_algebra._MAX_COEFFICIENTS.bit_length() - 5
+    assert top == 21
+    for build in (sp.axis_rho_sigma, sp.gamma_loop):
+        with pytest.raises(ValueError, match=f"need an integer 1 <= stage <= {top}, got {top + 1}"):
+            build(top + 1)
+
+
 def test_path_validation():
     with pytest.raises(ValueError):
         sp.PiecewiseLinearPath(0, np.zeros((1, 0)))
@@ -611,6 +621,30 @@ def test_p_variation_bounds_overflow_quietly():
         assert sp.p_variation(path, 1000.0) == reference_blocked_p_variation(path, 1000.0)
 
 
+@pytest.mark.parametrize("scale", [1.0, 3.0, 0.25, 1e-200, 1e200])
+def test_p_variation_is_finite_and_correct_at_large_p(scale):
+    # 2.8**690 overflowed to inf, and the scaled 0.625**1600 underflowed to
+    # 0.0; the costs relative to the largest vertex distance fit at every p,
+    # and no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        witness = sp.PiecewiseLinearPath(2, np.array([[0.99, 0.99], [-1.98, -1.98]]) * scale)
+        assert sp.p_variation(witness, 690.0) == pytest.approx(2.8001428534987283 * scale, rel=1e-15, abs=0)
+        for q in (1600.0, 1e6, 1e300):
+            assert sp.p_variation(sp.linear_path([3.0 * scale, 4.0 * scale]), q) == pytest.approx(
+                5.0 * scale, rel=1e-15, abs=0
+            )
+        # three unit steps back and forth: three costs of s**p, so the
+        # p-variation is s * 3**(1/p), whichever of them fits in float range
+        zigzag = sp.PiecewiseLinearPath(1, [[scale], [-scale], [scale]])
+        for q in (2000.0, 1e5):
+            assert sp.p_variation(zigzag, q) == pytest.approx(scale * 3.0 ** (1.0 / q), rel=1e-15, abs=0)
+        # many coordinates: 0.9 in each of 10**4 makes a step of 90, and
+        # 90**160 is beyond float range
+        wide = sp.PiecewiseLinearPath(10_000, np.full((1, 10_000), 0.9 * scale))
+        assert sp.p_variation(wide, 160.0) == pytest.approx(90.0 * scale, rel=1e-12, abs=0)
+
+
 def test_p_variation_of_an_overflowing_path_is_infinite():
     # finite segments whose running sum overflows: |a_j - a_0| exceeds every double
     for m in (2, 400):
@@ -670,3 +704,10 @@ def test_segment_lengths_are_bitwise_numpy_norms():
 def test_p_variation_memory_is_bounded(d):
     p = sp.PiecewiseLinearPath(d, np.random.default_rng(15).normal(size=(2000, d)))
     assert traced_peak_bytes(sp.p_variation, p, 2.0) < 8 * 2**20
+
+
+def test_p_variation_at_large_p_keeps_its_memory_bound():
+    # the costs overflow at p = 1000, so the path runs again relative to
+    # its largest vertex distance, found a block of rows at a time
+    p = sp.PiecewiseLinearPath(2, np.random.default_rng(15).normal(size=(2000, 2)))
+    assert traced_peak_bytes(sp.p_variation, p, 1000.0) < 8 * 2**20

@@ -7,6 +7,7 @@ import pytest
 
 import sigpath as sp
 from sigpath.signature_engine import _signature_levels
+from sigpath.tensor_algebra import _MAX_COEFFICIENTS
 from sigpath.tensor_algebra import product_metric, unit
 from sigpath.topology_lab import ExperimentReport, _thin_rectangle
 
@@ -557,3 +558,17 @@ def test_report_values_must_have_their_json_types(key, bad):
 def test_report_from_json_rejects_invalid_json_with_value_error():
     with pytest.raises(ValueError):
         ExperimentReport.from_json("{not json")
+
+
+@pytest.mark.parametrize(
+    "experiment, top",
+    [
+        (sp.experiment_incompleteness, _MAX_COEFFICIENTS // 256),
+        (sp.experiment_group_discontinuity, _MAX_COEFFICIENTS // 32),
+    ],
+)
+def test_n_max_stays_within_the_coefficient_budget(experiment, top):
+    # refused by name before any path is built
+    assert top in (131072, 1048576)
+    with pytest.raises(ValueError, match=f"n_max <= {top}, got {top + 1}"):
+        experiment(top + 1)
