@@ -588,11 +588,16 @@ def axis_rho_sigma(n: int):
     # the loop hold under 16 float-sized values per step of rho (10 and 14.5
     # measured with tracemalloc), so 16 * 2**n <= _MAX_COEFFICIENTS
     n = _count("stage", n, 1, _MAX_COEFFICIENTS.bit_length() - 5)
-    e1, e2 = (1.0, 0.0), (0.0, 1.0)
-    rho, sigma = [e1, e2], [e2, e1]
+    e1 = (1.0, 0.0)
+    e2 = (0.0, 1.0)
+    rho = [e1, e2]
+    sigma = [e2, e1]
     for _ in range(n - 1):
         rho, sigma = rho + sigma, sigma + rho
-    return PiecewiseLinearPath(2, np.array(rho)), PiecewiseLinearPath(2, np.array(sigma))
+    return (
+        PiecewiseLinearPath(2, np.array(rho)),
+        PiecewiseLinearPath(2, np.array(sigma)),
+    )
 
 
 def gamma_loop(k: int) -> PiecewiseLinearPath:

@@ -152,7 +152,14 @@ def generate_dataset(
     responses = _flow_end_states(segments, field, y0)
     if noise_scale > 0:
         responses = responses + noise_scale * rng.standard_normal(responses.shape)
-    return RegressionDataset(segments, features, responses, depth, noise_scale, seed)
+    return RegressionDataset(
+        segments=segments,
+        features=features,
+        responses=responses,
+        depth=depth,
+        noise_scale=noise_scale,
+        seed=seed,
+    )
 
 
 def fit(dataset: RegressionDataset, depth: int, ridge: float = 0.0) -> LinearFunctional:
@@ -183,7 +190,9 @@ def fit(dataset: RegressionDataset, depth: int, ridge: float = 0.0) -> LinearFun
         X_aug = np.vstack([X, np.sqrt(ridge) * np.eye(F)])
         Y_aug = np.vstack([Y, np.zeros((F, Y.shape[1]))])
         sol, _, _, _ = scipy.linalg.lstsq(X_aug, Y_aug)
-    return LinearFunctional(dim, depth, sol, rank_deficient)
+    return LinearFunctional(
+        dim=dim, depth=depth, weights=sol, rank_deficient=rank_deficient
+    )
 
 
 def _metrics(functional: LinearFunctional, dataset: RegressionDataset) -> dict:
