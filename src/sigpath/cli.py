@@ -25,7 +25,7 @@ from .ito_solver import field_from_dict, field_from_json, solve_and_certify
 from .path_core import concat, linear_path, read_csv
 from .signature_engine import signature
 from .sig_regression import demo_field, evaluate, fit, generate_dataset
-from .tensor_algebra import _MALFORMED, _count, _json_floats, _json_int, _real, tensor_to_json
+from .tensor_algebra import _MALFORMED, _count, _json_floats, _real, tensor_to_json
 
 __all__ = ["main", "entry"]
 
@@ -209,7 +209,7 @@ def _cmd_regress(args, environ) -> int:
         config.update(overrides)
     # check every value once, so a wrongly typed config is malformed input
     try:
-        seed = _resolve_seed(args, environ) if config["seed"] is None else _json_int("config key 'seed'", config["seed"])
+        seed = _resolve_seed(args, environ) if config["seed"] is None else _count("seed", config["seed"], 0)
         if config["field"] is not None:
             field = field_from_dict(config["field"])
             if config["y0"] is None:
@@ -221,12 +221,10 @@ def _cmd_regress(args, environ) -> int:
             field, y0 = demo_field()
         if not isinstance(config["depths"], list):
             raise ValueError(f"config key 'depths' must be a list of integers, got {config['depths']!r}")
-        depths = [_count("depths", _json_int("config key 'depths'", k), 0) for k in config["depths"]]
-        # the range check names the key: heldout_paths reaches generate_dataset as n_paths
-        n_paths, heldout_paths, segment_count = (
-            _count(key, _json_int(f"config key {key!r}", config[key]), 1)
-            for key in ("n_paths", "heldout_paths", "segment_count")
-        )
+        depths = [_count("depths", k, 0) for k in config["depths"]]
+        # the check names the key: heldout_paths reaches generate_dataset as n_paths
+        counts = ("n_paths", "heldout_paths", "segment_count")
+        n_paths, heldout_paths, segment_count = (_count(key, config[key], 1) for key in counts)
         r, noise_scale, ridge = (_real(f"config key {key!r}", config[key]) for key in ("r", "noise_scale", "ridge"))
     except _MALFORMED as exc:
         raise ValueError(f"malformed config: {exc}") from None

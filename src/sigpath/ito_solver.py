@@ -28,7 +28,7 @@ import numpy as np
 from . import signature_engine
 from .path_core import PiecewiseLinearPath
 from .signature_engine import LinearFunctional, _check_budget, signature
-from .tensor_algebra import _MALFORMED, _count, _finite, _json_floats, _json_int, _readonly, _real
+from .tensor_algebra import _MALFORMED, _count, _finite, _json_floats, _readonly, _real
 
 __all__ = [
     "LinearVectorField",
@@ -402,7 +402,7 @@ def field_to_dict(field: LinearVectorField) -> dict:
 
 def field_from_dict(data: dict) -> LinearVectorField:
     try:
-        d, w = (_json_int(f"field key {key!r}", data[key]) for key in ("d", "w"))
+        d, w = (_count(key, data[key], 1) for key in ("d", "w"))
         mats = _json_floats("field key 'A'", data["A"])
         offs = _json_floats("field key 'b'", data["b"])
     except _MALFORMED as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_algebra import _MALFORMED, _MAX_COEFFICIENTS, _count, _finite, _json_floats, _json_int, _real
+from .tensor_algebra import _MALFORMED, _MAX_COEFFICIENTS, _count, _finite, _json_floats, _real
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -679,7 +679,6 @@ def path_to_dict(a: PiecewiseLinearPath) -> dict:
 def path_from_dict(data: dict) -> PiecewiseLinearPath:
     # every failure, a bad value included, is re-typed as PathFormatError
     try:
-        dim = _json_int("path key 'dim'", data["dim"])
-        return PiecewiseLinearPath(dim, _json_floats("path segments", data["segments"]))
+        return PiecewiseLinearPath(data["dim"], _json_floats("path segments", data["segments"]))
     except (ValueError, *_MALFORMED) as err:
         raise PathFormatError(f"malformed path record: {err}") from None

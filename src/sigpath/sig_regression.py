@@ -30,7 +30,7 @@ from .signature_engine import (
     _signature_levels,
     feature_count,
 )
-from .tensor_algebra import _MALFORMED, _count, _finite, _json_bool, _json_floats, _json_int, _readonly, _real
+from .tensor_algebra import _MALFORMED, _count, _finite, _json_bool, _json_floats, _readonly, _real
 
 __all__ = [
     "RegressionDataset",
@@ -79,11 +79,13 @@ class RegressionDataset:
             raise ValueError(f"segments must be an (n, m, d) block, got shape {segs.shape}")
         if feats.ndim != 2 or not segs.shape[0] == feats.shape[0] == resp.shape[0]:
             raise ValueError("segments, features and responses must align")
+        object.__setattr__(self, "depth", _count("depth", self.depth, 0))
         _check_feature_count(feats.shape[1], segs.shape[2], self.depth, "feature columns")
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "features", _readonly(feats))
         object.__setattr__(self, "responses", _readonly(resp))
         object.__setattr__(self, "noise_scale", _real("noise_scale", self.noise_scale, "nonnegative"))
+        object.__setattr__(self, "seed", None if self.seed is None else _count("seed", self.seed, 0))
 
     @cached_property
     def paths(self) -> tuple:
@@ -252,8 +254,8 @@ def functional_to_dict(functional: LinearFunctional) -> dict:
 def functional_from_dict(data: dict) -> LinearFunctional:
     try:
         return LinearFunctional(
-            dim=_json_int("functional key 'dim'", data["dim"]),
-            depth=_json_int("functional key 'depth'", data["depth"]),
+            dim=data["dim"],
+            depth=data["depth"],
             weights=_json_floats("functional key 'weights'", data["weights"]),
             rank_deficient=_json_bool("functional key 'rank_deficient'", data.get("rank_deficient", False)),
         )
@@ -278,9 +280,9 @@ def dataset_from_dict(data: dict) -> RegressionDataset:
             segments=np.stack([path_from_dict(p).segments for p in data["paths"]]),
             features=_json_floats("dataset key 'features'", data["features"]),
             responses=_json_floats("dataset key 'responses'", data["responses"]),
-            depth=_json_int("dataset key 'depth'", data["depth"]),
+            depth=data["depth"],
             noise_scale=_real("dataset key 'noise_scale'", data["noise_scale"]),
-            seed=None if data.get("seed") is None else _json_int("dataset key 'seed'", data["seed"]),
+            seed=data.get("seed"),
         )
     except _MALFORMED as exc:
         raise ValueError(f"malformed dataset: {exc}") from None

@@ -225,6 +225,8 @@ class LinearFunctional:
             w = w[:, None]
         if w.ndim != 2:
             raise ValueError(f"weights must be 1- or 2-dimensional, got {w.ndim}")
+        object.__setattr__(self, "dim", _count("dim", self.dim, 1))
+        object.__setattr__(self, "depth", _count("depth", self.depth, 0))
         _check_feature_count(w.shape[0], self.dim, self.depth, "weight rows")
         object.__setattr__(self, "weights", _readonly(w))
 

@@ -82,16 +82,10 @@ _MAX_COEFFICIENTS = 2**25
 _MALFORMED = (KeyError, IndexError, TypeError, AttributeError, OverflowError)
 
 
-def _json_int(what, value) -> int:
-    # a JSON integer: no string, boolean or number with a fraction part
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _count(what, value, low, high=None) -> int:
-    # a size argument: an integer through operator.index (numpy's too, no
-    # bool) in low..high, or at least low when high is None
+    # an integer argument or JSON key (a size, depth, seed, letter or
+    # index): an integer through operator.index (numpy's too, no bool) in
+    # low..high, or at least low when high is None
     try:
         n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
@@ -352,7 +346,8 @@ def phi_contraction(x: TruncatedTensor, n: int) -> float:
     matrix, i.e. the word coefficient at (i1, ..., i_2n) contributes when
     i1=i2, i3=i4, and so on.  Linear in x; requires 0 <= 2n <= depth.
     """
-    arr = x.level(2 * n)
+    n = _count("n", n, 0, x.depth // 2)
+    arr = x.levels[2 * n]
     d = x.dim
     pair_trace = np.eye(d).reshape(-1)
     for _ in range(n):
@@ -376,9 +371,9 @@ def _word(letters) -> tuple:
 
 def word_index(word, dim: int) -> int:
     """Row-major flat index of a word over letters 1..dim."""
-    idx = 0
-    for letter in word:
-        if not 1 <= letter <= dim:
+    dim, idx = _count("dim", dim, 1), 0
+    for letter in _word(word):
+        if letter > dim:
             raise ValueError(f"letter {letter} outside 1..{dim}")
         idx = idx * dim + (letter - 1)
     return idx
@@ -432,8 +427,8 @@ def tensor_to_dict(x: TruncatedTensor) -> dict:
 
 def tensor_from_dict(data: dict) -> TruncatedTensor:
     try:
-        dim, depth = (_json_int(f"tensor key {key!r}", data[key]) for key in ("dim", "depth"))
-        return TruncatedTensor(dim, depth, [_json_floats("tensor levels", lvl) for lvl in data["levels"]])
+        levels = [_json_floats("tensor levels", lvl) for lvl in data["levels"]]
+        return TruncatedTensor(data["dim"], data["depth"], levels)
     except _MALFORMED as err:
         raise ValueError(f"malformed tensor record: {err}") from None
 

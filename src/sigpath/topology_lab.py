@@ -44,7 +44,6 @@ from .tensor_algebra import (
     GroupTensor,
     _count,
     _json_bool,
-    _json_int,
     _json_str,
     _real,
     phi_contraction,
@@ -98,13 +97,13 @@ class ExperimentReport:
                 raise ValueError(f"report key 'indices' must be a list, got {data['indices']!r}")
             report = cls(
                 name=_json_str("report key 'name'", data["name"]),
-                indices=[_json_int("report index", i) for i in data["indices"]],
+                indices=[_count("report index", i, 1) for i in data["indices"]],
                 series={
                     k: [_real(f"report series {k!r}", v) for v in vals]
                     for k, vals in data["series"].items()
                 },
                 verdict=_json_bool("report key 'verdict'", data["verdict"]),
-                seed=None if data.get("seed") is None else _json_int("report key 'seed'", data["seed"]),
+                seed=None if data.get("seed") is None else _count("seed", data["seed"], 0),
             )
             if any(len(vals) != len(report.indices) for vals in report.series.values()):
                 raise ValueError("every report series must hold one value per index")
@@ -256,6 +255,8 @@ def recheck_verdict(report: ExperimentReport) -> bool:
         raise ValueError(f"malformed experiment report: {report.name} needs series {exc}") from None
     except IndexError:
         raise ValueError(f"malformed experiment report: a {report.name} series is too short") from None
+    except ArithmeticError as exc:
+        raise ValueError(f"malformed experiment report: {report.name} index or value out of range ({exc})") from None
 
 
 def _report(name: str, indices: list, series: dict, seed: int | None = None) -> ExperimentReport:
@@ -345,7 +346,8 @@ def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentRepo
     constant c = max n * d(rho_n, rho_2n)), every signature level tends to
     zero, yet each rho_n keeps metric_d distance 2 + 2/n >= 2 from the
     trivial path, so no reduced limit can exist.  n_max is at most
-    _MAX_COEFFICIENTS // 256 = 131072.
+    _MAX_COEFFICIENTS // 256 = 131072, a memory bound: untraced on a
+    2-core Intel Xeon VM an index takes about 0.2 ms, so about 30 s there.
     """
     # each index holds two rectangles as paths, a row of the segment block
     # and nine series values: about 150 float-sized values (tracemalloc at
@@ -395,7 +397,8 @@ def experiment_group_discontinuity(n_max: int = 10) -> ExperimentReport:
     reduces to the trivial path, yet rho_n * sigma_n is already reduced with
     length 2 + 2/n, so the product stays at metric_d distance at least 2
     from the trivial path.  n_max is at most _MAX_COEFFICIENTS // 32 =
-    1048576.
+    1048576, a memory bound: untraced on a 2-core Intel Xeon VM an index
+    takes about 0.14 ms, so about 2.5 min there.
     """
     # each index holds four series values: about 21 float-sized values with
     # their Python objects (tracemalloc at n_max = 8000), under 32
@@ -537,7 +540,9 @@ def length_lower_bound(
     """
     # the contraction level 2n is capped at 10
     n_max = _count("n_max", n_max, 1, 5)
-    mc_samples = _count("mc_samples", mc_samples, 1)
+    # the Monte Carlo's x holds one float64 per sample (its draws come
+    # _MC_BLOCK rows at a time), so the coefficient limit bounds the samples
+    mc_samples = _count("mc_samples", mc_samples, 1, _MAX_COEFFICIENTS)
     seed = _count("seed", seed, 0)
     lens_all = path.segment_lengths
     mask = lens_all > 0.0

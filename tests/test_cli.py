@@ -454,47 +454,51 @@ def test_regress_rejects_too_many_paths_before_drawing_them(capsys, tmp_path, fm
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
-    "config",
+    "config, refusal",
     [
-        '{"depths": "12", "n_paths": 30.9}',
-        '{"depths": "12"}',
-        '{"depths": ["2"]}',
-        '{"depths": [true, 2]}',
-        '{"depths": [1.5]}',
-        '{"depths": [2.0]}',
-        '{"n_paths": 30.9}',
-        '{"n_paths": 30.0}',
-        '{"n_paths": "30"}',
-        '{"n_paths": true}',
-        '{"heldout_paths": "5"}',
-        '{"heldout_paths": false}',
-        '{"heldout_paths": 5.5}',
-        '{"segment_count": "4"}',
-        '{"segment_count": true}',
-        '{"segment_count": 4.0}',
-        '{"seed": "1"}',
-        '{"seed": true}',
-        '{"seed": 1.5}',
-        '{"r": "1.0"}',
-        '{"r": true}',
-        '{"noise_scale": "0"}',
-        '{"noise_scale": false}',
-        '{"ridge": "0"}',
-        '{"ridge": true}',
-        '{"noise_scale": NaN}',
-        '{"r": Infinity}',
-        '{"ridge": -Infinity}',
+        pytest.param(config, refusal, id=config)
+        for config, refusal in [
+            ('{"depths": "12", "n_paths": 30.9}', "config key 'depths' must be a list of integers, got '12'"),
+            ('{"depths": "12"}', "config key 'depths' must be a list of integers, got '12'"),
+            ('{"depths": ["2"]}', "need an integer depths >= 0, got '2'"),
+            ('{"depths": [true, 2]}', "need an integer depths >= 0, got True"),
+            ('{"depths": [1.5]}', "need an integer depths >= 0, got 1.5"),
+            ('{"depths": [2.0]}', "need an integer depths >= 0, got 2.0"),
+            ('{"n_paths": 30.9}', "need an integer n_paths >= 1, got 30.9"),
+            ('{"n_paths": 30.0}', "need an integer n_paths >= 1, got 30.0"),
+            ('{"n_paths": "30"}', "need an integer n_paths >= 1, got '30'"),
+            ('{"n_paths": true}', "need an integer n_paths >= 1, got True"),
+            ('{"heldout_paths": "5"}', "need an integer heldout_paths >= 1, got '5'"),
+            ('{"heldout_paths": false}', "need an integer heldout_paths >= 1, got False"),
+            ('{"heldout_paths": 5.5}', "need an integer heldout_paths >= 1, got 5.5"),
+            ('{"segment_count": "4"}', "need an integer segment_count >= 1, got '4'"),
+            ('{"segment_count": true}', "need an integer segment_count >= 1, got True"),
+            ('{"segment_count": 4.0}', "need an integer segment_count >= 1, got 4.0"),
+            ('{"seed": "1"}', "need an integer seed >= 0, got '1'"),
+            ('{"seed": true}', "need an integer seed >= 0, got True"),
+            ('{"seed": 1.5}', "need an integer seed >= 0, got 1.5"),
+            ('{"r": "1.0"}', "config key 'r' must be a finite number, got '1.0'"),
+            ('{"r": true}', "config key 'r' must be a finite number, got True"),
+            ('{"noise_scale": "0"}', "config key 'noise_scale' must be a finite number, got '0'"),
+            ('{"noise_scale": false}', "config key 'noise_scale' must be a finite number, got False"),
+            ('{"ridge": "0"}', "config key 'ridge' must be a finite number, got '0'"),
+            ('{"ridge": true}', "config key 'ridge' must be a finite number, got True"),
+            ('{"noise_scale": NaN}', "config key 'noise_scale' must be a finite number, got nan"),
+            ('{"r": Infinity}', "config key 'r' must be a finite number, got inf"),
+            ('{"ridge": -Infinity}', "config key 'ridge' must be a finite number, got -inf"),
+        ]
     ],
 )
-def test_regress_config_numbers_are_json_numbers_of_the_key_type(capsys, tmp_path, config, fmt):
-    # integer keys take JSON integers only; float keys take finite JSON
-    # numbers; nothing is parsed from a string or truncated
+def test_regress_config_numbers_are_json_numbers_of_the_key_type(capsys, tmp_path, config, refusal, fmt):
+    # integer keys take JSON integers only, refused by the integer check
+    # with the key's name; real keys take finite JSON numbers; nothing is
+    # parsed from a string or truncated
     cfg = tmp_path / "config.json"
     cfg.write_text(config)
     code, out, err = run_main(capsys, ["regress", "--config", str(cfg), "--format", fmt])
     assert code == 2
     assert out == ""
-    assert err.startswith("sigpath: error: config key ") and "Traceback" not in err
+    assert err == f"sigpath: error: {refusal}\n"
 
 
 def test_regress_float_keys_accept_json_integers(capsys, tmp_path):

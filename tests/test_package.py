@@ -137,8 +137,8 @@ print(json.dumps(seen))
 
 
 # the shared decoding policy and the cli helpers it replaced
-_POLICY = {"_json_int", "_real", "_json_floats", "_json_bool", "_json_str", "_MALFORMED"}
-_RETIRED = {"_config_int", "_config_float", "_json_float"}
+_POLICY = {"_real", "_json_floats", "_json_bool", "_json_str", "_MALFORMED"}
+_RETIRED = {"_config_int", "_config_float", "_json_float", "_json_int"}
 # builtins that accept any JSON value and coerce it silently ("false" is truthy)
 _COERCIONS = {"int", "bool", "str"}
 
@@ -280,7 +280,7 @@ def _mentions(text):
 # two form outer products; floats become integers over a common power of two
 # (the exact dyadic arithmetic of exact_signature and the length bound's even
 # moments) in one function; one function interpolates a path on a time grid;
-# one function refuses a size argument that is not an integer in range, one
+# one function refuses an integer argument of the wrong type or range, one
 # an input array with a NaN or inf entry, and one a real argument that is
 # not a finite number meeting its condition; reduce and metric_d
 # share the row-level reduction, one_variation_distance and metric_d the
@@ -453,7 +453,24 @@ def _real_refusals():
             lambda: sp.TruncatedTensor(2, 1.0, [np.ones(1), np.zeros(2)]), "need an integer depth", id="tensor-depth"
         ),
         pytest.param(lambda: _SIG.level(1.5), "need an integer 0 <= level <= 4", id="level"),
-        pytest.param(lambda: sp.phi_contraction(_SIG, 1.5), "need an integer 0 <= level <= 4", id="phi_contraction"),
+        pytest.param(lambda: sp.phi_contraction(_SIG, 1.5), "need an integer 0 <= n <= 2", id="phi_contraction"),
+        pytest.param(lambda: sp.phi_contraction(_SIG, True), "need an integer 0 <= n <= 2", id="phi_contraction-True"),
+        # word letters and the dim of word_index
+        pytest.param(lambda: sp.word_index((1.5,), 2), "need an integer letter >= 1", id="word_index-letter=1.5"),
+        pytest.param(lambda: sp.word_index((True,), 2), "need an integer letter >= 1", id="word_index-letter=True"),
+        pytest.param(lambda: sp.word_index((1,), 2.5), "need an integer dim >= 1", id="word_index-dim=2.5"),
+        # the Monte Carlo's sample count, bounded like the coefficients
+        pytest.param(
+            lambda: sp.length_lower_bound(_PATH, mc_samples=2**62), "need an integer 1 <= mc_samples", id="mc_samples=2**62"
+        ),
+        # a report index, from which recheck_verdict divides and raises powers
+        pytest.param(
+            lambda: sp.ExperimentReport.from_dict(
+                {"name": "group-discontinuity", "indices": [0], "series": {}, "verdict": True}
+            ),
+            "need an integer report index >= 1, got 0",
+            id="report-index=0",
+        ),
         # seeds, refused before anything is drawn
         pytest.param(
             lambda: sp.generate_dataset(_FIELD, _Y0, 8, 3, 1.0, 0.0, 1.5), "need an integer seed", id="generate_dataset-seed"
@@ -461,6 +478,14 @@ def _real_refusals():
         pytest.param(lambda: sp.length_lower_bound(_PATH, seed=1.5), "need an integer seed", id="length_lower_bound-seed"),
         pytest.param(lambda: sp.check_group_like(_SIG, seed=1.5), "need an integer seed", id="check_group_like-seed"),
         pytest.param(lambda: sp.check_group_like(_SIG, seed=-1), "need an integer seed", id="check_group_like-seed=-1"),
+        *(
+            pytest.param(
+                lambda seed=seed: sp.RegressionDataset(_DATA.segments, _DATA.features, _DATA.responses, 2, 0.0, seed),
+                "need an integer seed >= 0",
+                id=f"dataset-seed={seed}",
+            )
+            for seed in (1.5, True, -1)
+        ),
         # input arrays, each refused by _finite with the array's name
         pytest.param(lambda: sp.PiecewiseLinearPath(2, [[_NAN, 0.0]]), "segments must be finite", id="path-nan"),
         pytest.param(
@@ -515,6 +540,10 @@ def test_the_boundary_takes_numpy_integer_sizes():
     assert sp.tensor_to_json(sp.signature(_PATH, three)) == sp.tensor_to_json(sp.signature(_PATH, 3))
     assert json.dumps(sp.path_to_dict(sp.PiecewiseLinearPath(two, [[1.0, 2.0]]))) == '{"dim": 2, "segments": [[1.0, 2.0]]}'
     assert type(sp.TruncatedTensor(two, np.int32(0), [[1.0]]).depth) is int
+    functional = sp.LinearFunctional(two, np.int64(1), np.zeros(3))
+    assert sp.functional_to_json(functional) == sp.functional_to_json(sp.LinearFunctional(2, 1, np.zeros(3)))
+    data = sp.RegressionDataset(_DATA.segments, _DATA.features, _DATA.responses, two, 0.0, np.int64(0))
+    assert sp.dataset_to_json(data) == sp.dataset_to_json(_DATA)
 
 
 def test_the_boundary_takes_numpy_reals():

@@ -685,6 +685,10 @@ def test_distances_at_extreme_scales(scale):
         assert sp.one_variation_distance(loop, origin) == pytest.approx(4 * scale, rel=1e-15, abs=0)
         assert sp.sup_distance(loop, origin) == pytest.approx(math.sqrt(2) * scale, rel=1e-15, abs=0)
         assert np.array_equal(loop.breakpoints, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.array_equal(loop.endpoint, [0.0, 0.0])
+        # a path with no length puts every vertex at time 0
+        assert np.array_equal(origin.breakpoints, [0.0])
+        assert np.array_equal(sp.PiecewiseLinearPath(2, np.zeros((3, 2))).breakpoints, np.zeros(4))
         assert np.array_equal(sp.difference_path(loop, origin).segments, square)
         # p-variation is 1-homogeneous, so it scales with the loop
         assert sp.p_variation(loop, 1.0) == pytest.approx(4 * scale, rel=1e-15, abs=0)

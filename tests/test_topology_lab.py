@@ -138,8 +138,12 @@ def test_recheck_refuses_reports_missing_what_the_check_reads():
     ):
         series = {k: [] for k in rep.series}
         records.append({"name": rep.name, "indices": [], "series": series, "verdict": True})
-    for record in records:
-        report = ExperimentReport.from_dict(record)
+    # indices the check's arithmetic cannot take: 2.0 ** 2001 overflows, and
+    # a report built directly can hold the index 0 that from_dict refuses
+    records.append(dict(sp.experiment_product_vs_metric(1).to_dict(), indices=[2000]))
+    reports = [ExperimentReport.from_dict(record) for record in records]
+    reports.append(dataclasses.replace(sp.experiment_group_discontinuity(1), indices=[0]))
+    for report in reports:
         with pytest.raises(ValueError, match="malformed experiment report"):
             sp.recheck_verdict(report)
 
@@ -258,6 +262,16 @@ def test_metric_d_loop_hand_values():
             id="length-mc_samples=nan",
         ),
         pytest.param(lambda: sp.length_lower_bound(sp.linear_path([1.0]), n_max=True), "n_max", id="length-n_max=True"),
+        # refused by name before the signature is formed or numpy's
+        # allocator is asked for the draws
+        pytest.param(
+            lambda: sp.length_lower_bound(sp.linear_path([1.0]), mc_samples=2**62), "mc_samples",
+            id="length-mc_samples=2**62",
+        ),
+        pytest.param(
+            lambda: sp.length_lower_bound(sp.linear_path([1.0]), mc_samples=_MAX_COEFFICIENTS + 1), "mc_samples",
+            id="length-mc_samples=limit+1",
+        ),
         pytest.param(lambda: sp.experiment_incompleteness(n_max=float("nan")), "n_max", id="incompleteness-n_max=nan"),
         pytest.param(lambda: sp.experiment_incompleteness(n_max=1), "n_max", id="incompleteness-n_max=1"),
         pytest.param(lambda: sp.experiment_product_vs_metric(2.0), "k_max", id="product-k_max=2.0"),
