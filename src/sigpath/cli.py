@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -49,23 +48,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_seed(args, environ) -> int:
-    # --seed, else SIGPATH_SEED, else the default; read only by the commands that draw
-    if args.seed is not None:
-        return args.seed
-    raw = environ.get("SIGPATH_SEED")
-    if raw is None:
-        return _DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"SIGPATH_SEED must be an integer, got {raw!r}") from None
-
-
-def _add_common(parser, seed=False):
-    # --seed only on the commands that draw
-    if seed:
-        parser.add_argument("--seed", type=int, default=None, help="random seed (default: SIGPATH_SEED or 0)")
+def _add_common(parser):
     parser.add_argument("--format", choices=("text", "json"), default=_DEFAULT_FORMAT)
 
 
@@ -76,7 +59,7 @@ _EXPERIMENTS = {
     "quotient-vs-metric": ("experiment_quotient_vs_metric", {}),
     "incompleteness": ("experiment_incompleteness", {"n_max": 10, "depth": _DEFAULT_DEPTH}),
     "group-discontinuity": ("experiment_group_discontinuity", {"n_max": 10}),
-    "length-bound": ("length_lower_bound", {"n_max": 4, "path": None, "seed": None}),
+    "length-bound": ("length_lower_bound", {"n_max": 4, "path": None, "seed": _DEFAULT_SEED}),
 }
 
 
@@ -99,9 +82,9 @@ def _build_parser() -> _Parser:
         for flag, default in flags.items():
             if flag == "path":
                 p_name.add_argument("--path", default=None, help="CSV path (default: a two-step staircase)")
-            elif flag != "seed":
+            else:
                 p_name.add_argument("--" + flag.replace("_", "-"), type=int, default=default)
-        _add_common(p_name, seed="seed" in flags)
+        _add_common(p_name)
 
     p_solve = sub.add_parser("solve", help="signature-series ODE solve")
     p_solve.add_argument("field_json")
@@ -112,7 +95,8 @@ def _build_parser() -> _Parser:
 
     p_reg = sub.add_parser("regress", help="seeded regression demo")
     p_reg.add_argument("--config", default=None, help="JSON config file")
-    _add_common(p_reg, seed=True)
+    p_reg.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="random seed (default: 0)")
+    _add_common(p_reg)
 
     return parser
 
@@ -127,7 +111,7 @@ def _emit(args, text_render, payload) -> None:
     print(doc if args.format == "json" else text_render())
 
 
-def _cmd_signature(args, environ) -> int:
+def _cmd_signature(args) -> int:
     path = read_csv(args.path_csv)
     sig = signature(path, args.depth)
     if args.format == "json":
@@ -143,19 +127,18 @@ def _default_staircase():
     return concat(linear_path([1.0, 0.0]), linear_path([0.0, 1.0]))
 
 
-def _cmd_experiment(args, environ) -> int:
+def _cmd_experiment(args) -> int:
     function, flags = _EXPERIMENTS[args.name]
     kwargs = {flag: getattr(args, flag) for flag in flags}
     if args.name == "length-bound":
         kwargs["path"] = read_csv(args.path) if args.path else _default_staircase()
-        kwargs["seed"] = _resolve_seed(args, environ)
     # looked up per call, so a patched or wrapped module function is the one run
     report = getattr(topology_lab, function)(**kwargs)
     _emit(args, report.render_text, report.to_dict())
     return EXIT_OK if report.verdict else EXIT_VERDICT
 
 
-def _cmd_solve(args, environ) -> int:
+def _cmd_solve(args) -> int:
     with open(args.field_json, "r", encoding="utf-8") as fh:
         field = field_from_json(fh.read())
     path = read_csv(args.path_csv)
@@ -194,7 +177,7 @@ _REGRESS_DEFAULTS = {
 }
 
 
-def _cmd_regress(args, environ) -> int:
+def _cmd_regress(args) -> int:
     config = dict(_REGRESS_DEFAULTS)
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -209,7 +192,7 @@ def _cmd_regress(args, environ) -> int:
         config.update(overrides)
     # check every value once, so a wrongly typed config is malformed input
     try:
-        seed = _resolve_seed(args, environ) if config["seed"] is None else _count("seed", config["seed"], 0)
+        seed = args.seed if config["seed"] is None else _count("seed", config["seed"], 0)
         if config["field"] is not None:
             field = field_from_dict(config["field"])
             if config["y0"] is None:
@@ -259,8 +242,7 @@ def _cmd_regress(args, environ) -> int:
     return EXIT_OK
 
 
-def main(argv=None, environ=None) -> int:
-    environ = os.environ if environ is None else environ
+def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -275,7 +257,7 @@ def main(argv=None, environ=None) -> int:
         "regress": _cmd_regress,
     }[args.command]
     try:
-        return handler(args, environ)
+        return handler(args)
     except FloatingPointError as exc:
         print(f"sigpath: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

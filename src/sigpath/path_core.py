@@ -74,7 +74,11 @@ class PiecewiseLinearPath:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _count("dim", self.dim, 1))
-        object.__setattr__(self, "segments", _finite("segments", self.segments).reshape(-1, self.dim))
+        segments = _finite("segments", self.segments)
+        # one row per segment; an empty array is the trivial path
+        if segments.size and segments.shape[1:] != (self.dim,):
+            raise ValueError(f"segments must have shape (m, {self.dim}), got {segments.shape}")
+        object.__setattr__(self, "segments", segments.reshape(-1, self.dim))
 
     @property
     def segment_count(self) -> int:

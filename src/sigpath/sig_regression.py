@@ -30,7 +30,7 @@ from .signature_engine import (
     _signature_levels,
     feature_count,
 )
-from .tensor_algebra import _MALFORMED, _count, _finite, _json_bool, _json_floats, _readonly, _real
+from .tensor_algebra import _MALFORMED, _count, _finite, _json_floats, _readonly, _real
 
 __all__ = [
     "RegressionDataset",
@@ -198,6 +198,9 @@ def fit(dataset: RegressionDataset, depth: int, ridge: float = 0.0) -> LinearFun
 
 
 def _metrics(functional: LinearFunctional, dataset: RegressionDataset) -> dict:
+    # predict reads only the column count, which a wrong dim can match
+    if functional.dim != dataset.dim:
+        raise ValueError(f"functional dim {functional.dim} does not match dataset dim {dataset.dim}")
     diff = functional.predict(dataset.features) - dataset.responses
     norms = np.linalg.norm(diff, axis=1)
     return {
@@ -247,7 +250,7 @@ def functional_to_dict(functional: LinearFunctional) -> dict:
         "dim": functional.dim,
         "depth": functional.depth,
         "weights": [[float(v) for v in row] for row in functional.weights],
-        "rank_deficient": bool(functional.rank_deficient),
+        "rank_deficient": functional.rank_deficient,
     }
 
 
@@ -257,7 +260,7 @@ def functional_from_dict(data: dict) -> LinearFunctional:
             dim=data["dim"],
             depth=data["depth"],
             weights=_json_floats("functional key 'weights'", data["weights"]),
-            rank_deficient=_json_bool("functional key 'rank_deficient'", data.get("rank_deficient", False)),
+            rank_deficient=data.get("rank_deficient", False),
         )
     except _MALFORMED as exc:
         raise ValueError(f"malformed functional: {exc}") from None

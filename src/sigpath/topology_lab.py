@@ -78,12 +78,23 @@ class ExperimentReport:
     verdict: bool
     seed: int | None = None
 
+    def __post_init__(self):
+        # built or decoded, a report holds what from_dict accepts, so it never
+        # writes JSON its own decoder refuses; computed series values may be
+        # non-finite, which serialising reports as a numerical failure
+        self.name = _json_str("report key 'name'", self.name)
+        self.indices = [_count("report index", i, 1) for i in self.indices]
+        self.verdict = _json_bool("report key 'verdict'", self.verdict)
+        self.seed = None if self.seed is None else _count("seed", self.seed, 0)
+        if any(len(vals) != len(self.indices) for vals in self.series.values()):
+            raise ValueError("every report series must hold one value per index")
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "indices": list(self.indices),
             "series": {k: [float(v) for v in vals] for k, vals in self.series.items()},
-            "verdict": bool(self.verdict),
+            "verdict": self.verdict,
             "seed": self.seed,
         }
 
@@ -95,21 +106,18 @@ class ExperimentReport:
         try:
             if not isinstance(data["indices"], list):
                 raise ValueError(f"report key 'indices' must be a list, got {data['indices']!r}")
-            report = cls(
-                name=_json_str("report key 'name'", data["name"]),
-                indices=[_count("report index", i, 1) for i in data["indices"]],
+            return cls(
+                name=data["name"],
+                indices=data["indices"],
                 series={
                     k: [_real(f"report series {k!r}", v) for v in vals]
                     for k, vals in data["series"].items()
                 },
-                verdict=_json_bool("report key 'verdict'", data["verdict"]),
-                seed=None if data.get("seed") is None else _count("seed", data["seed"], 0),
+                verdict=data["verdict"],
+                seed=data.get("seed"),
             )
-            if any(len(vals) != len(report.indices) for vals in report.series.values()):
-                raise ValueError("every report series must hold one value per index")
         except (ValueError, *_MALFORMED) as exc:
             raise ValueError(f"malformed experiment report: {exc}") from None
-        return report
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":

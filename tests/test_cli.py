@@ -25,8 +25,8 @@ def staircase_csv(tmp_path):
     return str(f)
 
 
-def run_main(capsys, argv, environ=None):
-    code = cli.main(argv, environ=environ if environ is not None else {})
+def run_main(capsys, argv):
+    code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -113,7 +113,7 @@ _FLAG_VALUES = {"k_max": "3", "n_max": "2", "depth": "2", "path": "missing.csv",
     ids=lambda argv: " ".join(argv[:2] + argv[-2:-1]),
 )
 def test_a_flag_its_command_does_not_read_is_a_usage_error(capsys, argv, fmt):
-    code, out, err = run_main(capsys, argv + ["--format", fmt], environ={"SIGPATH_SEED": "1"})
+    code, out, err = run_main(capsys, argv + ["--format", fmt])
     assert code == 3 and out == ""
     assert f"unrecognized arguments: {argv[-2]}" in err
 
@@ -136,39 +136,21 @@ def test_malformed_csv_is_input_error(capsys, tmp_path):
     assert code == 2
 
 
-def test_seed_resolution(capsys, staircase_csv):
+def test_seed_resolution(capsys, tmp_path, staircase_csv):
+    # --seed, else 0; a regress config seed beats --seed
     argv = ["experiment", "length-bound", "--path", staircase_csv, "--n-max", "1",
             "--format", "json"]
-    _, out, _ = run_main(capsys, argv + ["--seed", "5"], environ={"SIGPATH_SEED": "9"})
+    _, out, _ = run_main(capsys, argv + ["--seed", "5"])
     assert json.loads(out)["seed"] == 5
-    _, out, _ = run_main(capsys, argv, environ={"SIGPATH_SEED": "9"})
-    assert json.loads(out)["seed"] == 9
-    _, out, _ = run_main(capsys, argv, environ={})
+    _, out, _ = run_main(capsys, argv)
     assert json.loads(out)["seed"] == 0
-    code, _, err = run_main(capsys, argv, environ={"SIGPATH_SEED": "pi"})
-    assert code == 2
-    assert "SIGPATH_SEED" in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["signature"], ["regress", "--config"]]
-    + [["experiment", name] for name in topology_lab.EXPERIMENT_NAMES if name != "length-bound"],
-    ids=lambda argv: argv[-1] if argv[0] == "experiment" else argv[0],
-)
-def test_a_command_that_draws_nothing_never_reads_the_seed(capsys, tmp_path, staircase_csv, argv):
-    # signature and these experiments draw nothing, and a config seed
-    # overrides the environment, so a bad SIGPATH_SEED must not fail them
-    if argv[0] == "signature":
-        argv = argv + [staircase_csv]
-    if argv[0] == "regress":
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_paths": 12, "heldout_paths": 6, "depths": [1, 2], "seed": 4}))
-        argv = argv + [str(cfg)]
-    for fmt in ("text", "json"):
-        plain = run_main(capsys, argv + ["--format", fmt], environ={})
-        assert plain[0] == 0 and plain[1]
-        assert run_main(capsys, argv + ["--format", fmt], environ={"SIGPATH_SEED": "pi"}) == plain
+    code, out, err = run_main(capsys, argv + ["--seed", "x"])
+    assert code == 3 and out == ""
+    assert "--seed" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_paths": 12, "heldout_paths": 6, "depths": [1, 2], "seed": 4}))
+    code, out, _ = run_main(capsys, ["regress", "--config", str(cfg), "--seed", "5", "--format", "json"])
+    assert code == 0 and json.loads(out)["seed"] == 4
 
 
 def test_solve_matches_library(capsys, tmp_path, staircase_csv):
@@ -365,7 +347,7 @@ def test_solve_malformed_field_is_input_error(capsys, tmp_path, field_text, fmt)
 
 
 def test_memory_error_is_input_error(capsys, monkeypatch, staircase_csv):
-    def exhausted(args, seed):
+    def exhausted(args):
         raise MemoryError()
 
     monkeypatch.setattr(cli, "_cmd_signature", exhausted)
@@ -552,8 +534,7 @@ def test_cached_parser_output_matches_fresh_interpreters(capsys, monkeypatch, tm
     # --help wraps to the terminal width; pin it for both sides
     monkeypatch.setenv("COLUMNS", "80")
     src = os.path.dirname(os.path.dirname(sp.__file__))
-    env = {k: v for k, v in os.environ.items() if k != "SIGPATH_SEED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cfg = _small_regress_config(tmp_path)
     commands = [
         (["regress", "--config", cfg, "--seed", "3", "--format", "json"], 0),
@@ -570,16 +551,16 @@ def test_cached_parser_output_matches_fresh_interpreters(capsys, monkeypatch, tm
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
-def test_cached_parser_honours_the_seed_environment_per_call(capsys, tmp_path):
+def test_cached_parser_honours_the_seed_per_call(capsys, tmp_path):
     cli._build_parser()
     argv = ["regress", "--config", _small_regress_config(tmp_path), "--format", "json"]
     outs = []
-    for environ, want in (({"SIGPATH_SEED": "5"}, 5), ({"SIGPATH_SEED": "6"}, 6), ({}, 0)):
-        code, out, _ = run_main(capsys, argv, environ=environ)
+    for flags, want in ((["--seed", "5"], 5), (["--seed", "6"], 6), ([], 0)):
+        code, out, _ = run_main(capsys, argv + flags)
         assert code == 0 and json.loads(out)["seed"] == want
         outs.append(out)
     assert len(set(outs)) == 3
-    assert run_main(capsys, argv, environ={"SIGPATH_SEED": "5"})[1] == outs[0]
+    assert run_main(capsys, argv + ["--seed", "5"])[1] == outs[0]
 
 
 GOLDEN_FIELD = {

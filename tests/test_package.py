@@ -124,7 +124,7 @@ runs = [
 ]
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
-        if sigpath.cli.main(argv, environ={{}}) != 0:
+        if sigpath.cli.main(argv) != 0:
             raise SystemExit(f"{{argv}} failed")
     seen.append("scipy" in sys.modules)
 print(json.dumps(seen))
@@ -136,9 +136,9 @@ print(json.dumps(seen))
     assert json.loads(proc.stdout) == [False, False, False, False, True]
 
 
-# the shared decoding policy and the cli helpers it replaced
+# the shared decoding policy, and the cli helpers it replaced or retired
 _POLICY = {"_real", "_json_floats", "_json_bool", "_json_str", "_MALFORMED"}
-_RETIRED = {"_config_int", "_config_float", "_json_float", "_json_int"}
+_RETIRED = {"_config_int", "_config_float", "_json_float", "_json_int", "_resolve_seed"}
 # builtins that accept any JSON value and coerce it silently ("false" is truthy)
 _COERCIONS = {"int", "bool", "str"}
 
@@ -596,6 +596,41 @@ def test_the_import_detector_sees_unused_names():
         "    return scipy.linalg.lstsq\n"
     )
     assert _unused_imports(tree) == [(2, "os"), (3, "field")]
+
+
+_ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree):
+    # (line, name) of each os.environ, os.environb or os.getenv(b) the
+    # module reads, or imports from os under any name
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT_READERS:
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in _ENVIRONMENT_READERS]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment(source):
+    # what the library computes and the CLI prints depends only on the
+    # arguments and the files they name
+    assert _environment_reads(ast.parse(source.read_text(encoding="utf-8"))) == []
+
+
+def test_the_environment_detector_sees_attributes_and_imports():
+    tree = ast.parse(
+        "import os\n"
+        "from os import getenv as g, path\n"
+        "a = os.environ.get('X')\n"
+        "def f():\n"
+        "    return os.getenv('Y'), os.environb, os.path.join('a')\n"
+        "b = config.environ\n"
+    )
+    assert _environment_reads(tree) == [(2, "getenv"), (3, "os.environ"), (5, "os.environb"), (5, "os.getenv")]
 
 
 def test_checked_arrays_stay_read_only_copies():

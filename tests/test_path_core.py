@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -392,6 +393,20 @@ def test_path_validation():
         sp.PiecewiseLinearPath(2, np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(ValueError):
         sp.PiecewiseLinearPath(2, np.array([[np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 2, 2), (5,), (4,), ()], ids=str)
+def test_segments_of_the_wrong_shape_are_refused_by_name(shape):
+    # a reshape would reread a (3, 4) array at dim 2 as 6 segments and
+    # (2, 2, 2) as 4; refused, as is a size no reshape takes
+    with pytest.raises(ValueError, match=r"segments must have shape \(m, 2\), got " + re.escape(str(shape))):
+        sp.PiecewiseLinearPath(2, np.ones(shape))
+
+
+@pytest.mark.parametrize("empty", [[], np.zeros(0), np.zeros((0, 2)), np.zeros((0, 5))], ids=str)
+def test_an_empty_segment_array_is_the_trivial_path(empty):
+    path = sp.PiecewiseLinearPath(2, empty)
+    assert path.segments.shape == (0, 2) and path.length == 0.0
 
 
 def test_reduce_is_bitwise_the_loop_reference():

@@ -75,6 +75,15 @@ def test_linear_functional_shapes():
         f.predict(np.zeros((3, 6)))
 
 
+@pytest.mark.parametrize("bad", ["no", 1, 0, None, np.True_])
+def test_rank_deficient_must_be_a_bool(bad):
+    # a truthy string once serialised as "rank_deficient": true
+    with pytest.raises(ValueError, match="rank_deficient must be a boolean"):
+        sp.LinearFunctional(1, 1, [1.0, 2.0], rank_deficient=bad)
+    f = sp.LinearFunctional(1, 1, [1.0, 2.0], rank_deficient=True)
+    assert json.loads(functional_to_json(f))["rank_deficient"] is True
+
+
 def test_predict_matches_per_path():
     field, y0 = sp.demo_field()
     ds = sp.generate_dataset(field, y0, n_paths=12, segment_count=3, r=1.0,
@@ -191,6 +200,21 @@ def test_evaluate_metric_keys():
     assert m["uniform_gap_train"] >= m["rmse_train"] - 1e-15
     m2 = evaluate(f, ds, heldout=ds)
     assert m2["rmse_heldout"] == m["rmse_train"]
+
+
+def test_evaluate_refuses_a_functional_of_another_dim():
+    # a dim-3 depth-1 functional has 4 weight rows, and a dim-2 dataset
+    # has 4 feature columns and more: prediction alone would not notice
+    field, y0 = sp.demo_field()
+    ds = sp.generate_dataset(field, y0, n_paths=4, segment_count=2, r=1.0, noise_scale=0.0, seed=4)
+    wrong = sp.LinearFunctional(3, 1, np.ones(4))
+    assert wrong.predict(ds.features).shape == (4, 1)
+    with pytest.raises(ValueError, match="functional dim 3 does not match dataset dim 2"):
+        evaluate(wrong, ds)
+    field3 = sp.LinearVectorField(matrices=np.zeros((3, 1, 1)), offsets=np.ones((3, 1)))
+    ds3 = sp.generate_dataset(field3, [0.0], n_paths=4, segment_count=2, r=1.0, noise_scale=0.0, seed=4)
+    with pytest.raises(ValueError, match="functional dim 3 does not match dataset dim 2"):
+        evaluate(sp.fit(ds3, depth=1), ds3, heldout=ds)
 
 
 def test_scaling_equivariance_bitwise():

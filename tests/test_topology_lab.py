@@ -139,10 +139,12 @@ def test_recheck_refuses_reports_missing_what_the_check_reads():
         series = {k: [] for k in rep.series}
         records.append({"name": rep.name, "indices": [], "series": series, "verdict": True})
     # indices the check's arithmetic cannot take: 2.0 ** 2001 overflows, and
-    # a report built directly can hold the index 0 that from_dict refuses
+    # a report changed after construction can hold the index 0 it refuses
     records.append(dict(sp.experiment_product_vs_metric(1).to_dict(), indices=[2000]))
     reports = [ExperimentReport.from_dict(record) for record in records]
-    reports.append(dataclasses.replace(sp.experiment_group_discontinuity(1), indices=[0]))
+    zero = sp.experiment_group_discontinuity(1)
+    zero.indices = [0]
+    reports.append(zero)
     for report in reports:
         with pytest.raises(ValueError, match="malformed experiment report"):
             sp.recheck_verdict(report)
@@ -567,6 +569,30 @@ def test_report_values_must_have_their_json_types(key, bad):
     assert ExperimentReport.from_dict(doc).to_dict() == doc
     with pytest.raises(ValueError, match=key):
         ExperimentReport.from_json(with_value(doc, key, bad))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"indices": [0.5, True]}, "report index"),
+        ({"indices": [1, 0]}, "report index"),
+        ({"indices": [1]}, "one value per index"),
+        ({"name": 5}, "name"),
+        ({"verdict": "false"}, "verdict"),
+        ({"verdict": np.True_}, "verdict"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+    ],
+)
+def test_a_report_checks_itself_on_construction(change, message):
+    # what from_dict refuses a built report refuses too, so to_json never
+    # writes a record its own decoder refuses
+    rep = sp.experiment_group_discontinuity(2)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(rep, **change)
+    built = dataclasses.replace(rep, indices=[np.int64(1), 2], seed=np.int64(4))
+    assert built.indices == [1, 2] and built.seed == 4
+    assert ExperimentReport.from_json(built.to_json()) == built
 
 
 def test_report_from_json_rejects_invalid_json_with_value_error():
