@@ -230,7 +230,7 @@ class LinearFunctional:
         object.__setattr__(self, "depth", _count("depth", self.depth, 0))
         _check_feature_count(w.shape[0], self.dim, self.depth, "weight rows")
         object.__setattr__(self, "weights", _readonly(w))
-        object.__setattr__(self, "rank_deficient", _json_bool("rank_deficient", self.rank_deficient))
+        _json_bool("rank_deficient", self.rank_deficient)
 
     def evaluate(self, tensor: TruncatedTensor) -> np.ndarray:
         """Pair with a truncated tensor, level by level in ascending order.

@@ -79,12 +79,12 @@ class ExperimentReport:
     seed: int | None = None
 
     def __post_init__(self):
-        # built or decoded, a report holds what from_dict accepts, so it never
-        # writes JSON its own decoder refuses; computed series values may be
-        # non-finite, which serialising reports as a numerical failure
-        self.name = _json_str("report key 'name'", self.name)
+        # built or decoded, a report holds only what from_dict accepts; its
+        # series values are left to serialisation, which reports a computed
+        # non-finite value as a numerical failure
+        _json_str("report key 'name'", self.name)
+        _json_bool("report key 'verdict'", self.verdict)
         self.indices = [_count("report index", i, 1) for i in self.indices]
-        self.verdict = _json_bool("report key 'verdict'", self.verdict)
         self.seed = None if self.seed is None else _count("seed", self.seed, 0)
         if any(len(vals) != len(self.indices) for vals in self.series.values()):
             raise ValueError("every report series must hold one value per index")
