@@ -50,8 +50,9 @@ __all__ = [
 class LinearVectorField:
     """Affine-in-state vector field: d driving matrices A_j with offsets b_j.
 
-    matrices has shape (d, w, w), offsets shape (d, w).  growth_constant is
-    a recorded upper bound used in remainder certificates, see below.
+    matrices has shape (d, w, w) and offsets shape (d, w), with d, w >= 1.
+    growth_constant is a recorded upper bound used in remainder
+    certificates, see below.
     """
 
     matrices: np.ndarray
@@ -59,8 +60,8 @@ class LinearVectorField:
 
     def __post_init__(self):
         mats = _finite("field matrices", self.matrices)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValueError(f"matrices must have shape (d, w, w), got {mats.shape}")
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or not mats.size:
+            raise ValueError(f"matrices must have shape (d, w, w) with d, w >= 1, got {mats.shape}")
         offs = _finite("field offsets", self.offsets)
         if offs.shape != mats.shape[:2]:
             raise ValueError(
@@ -97,12 +98,8 @@ class LinearVectorField:
     @property
     def _raw_growth(self) -> float:
         d = self.input_dim
-        max_op = max(
-            (float(np.linalg.norm(a, ord=2)) for a in self.matrices), default=0.0
-        )
-        max_off = max(
-            (float(np.linalg.norm(b)) for b in self.offsets), default=0.0
-        )
+        max_op = max(float(np.linalg.norm(a, ord=2)) for a in self.matrices)
+        max_off = max(float(np.linalg.norm(b)) for b in self.offsets)
         return math.sqrt(d) * max_op + math.sqrt(d) * max_off
 
 

@@ -62,7 +62,7 @@ def featurize(path: PiecewiseLinearPath, depth: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RegressionDataset:
-    """n paths as one (n, m, d) segment block, with their features and responses."""
+    """n >= 1 paths as one (n, m, d) segment block, with their features and responses."""
 
     segments: np.ndarray
     features: np.ndarray
@@ -77,6 +77,8 @@ class RegressionDataset:
         resp = np.atleast_2d(np.asarray(self.responses, dtype=float))
         if segs.ndim != 3:
             raise ValueError(f"segments must be an (n, m, d) block, got shape {segs.shape}")
+        if not segs.shape[0]:
+            raise ValueError("dataset is empty")
         if feats.ndim != 2 or not segs.shape[0] == feats.shape[0] == resp.shape[0]:
             raise ValueError("segments, features and responses must align")
         object.__setattr__(self, "depth", _count("depth", self.depth, 0))
@@ -174,8 +176,6 @@ def fit(dataset: RegressionDataset, depth: int, ridge: float = 0.0) -> LinearFun
     numpy.linalg.lstsq with the same cutoff calls another LAPACK build and
     changes the last bits of some fits.
     """
-    if dataset.n_samples == 0:
-        raise ValueError("dataset is empty")
     depth = _count("depth", depth, 0, dataset.depth)
     ridge = _real("ridge", ridge, "nonnegative")
     dim = dataset.dim

@@ -68,7 +68,7 @@ _EXACT_SLACK = 1e-12
 _MC_SLACK = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentReport:
     """Named numeric series over an index list, with a re-checkable verdict."""
 
@@ -84,8 +84,8 @@ class ExperimentReport:
         # non-finite value as a numerical failure
         _json_str("report key 'name'", self.name)
         _json_bool("report key 'verdict'", self.verdict)
-        self.indices = [_count("report index", i, 1) for i in self.indices]
-        self.seed = None if self.seed is None else _count("seed", self.seed, 0)
+        object.__setattr__(self, "indices", [_count("report index", i, 1) for i in self.indices])
+        object.__setattr__(self, "seed", None if self.seed is None else _count("seed", self.seed, 0))
         if any(len(vals) != len(self.indices) for vals in self.series.values()):
             raise ValueError("every report series must hold one value per index")
 

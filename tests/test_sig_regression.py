@@ -245,9 +245,8 @@ def test_rank_deficiency_flag_and_ridge():
         sp.fit(small, depth=3, ridge=-1.0)
     with pytest.raises(ValueError):
         sp.fit(small, depth=5)  # beyond generation depth
-    empty = sp.RegressionDataset(np.zeros((0, 1, 2)), np.zeros((0, 7)), np.zeros((0, 2)), 2, 0.0)
     with pytest.raises(ValueError, match="dataset is empty"):
-        sp.fit(empty, depth=1)
+        sp.RegressionDataset(np.zeros((0, 1, 2)), np.zeros((0, 7)), np.zeros((0, 2)), 2, 0.0)
 
 
 def test_feature_injectivity_on_corpus():
