@@ -198,7 +198,8 @@ def fit(dataset: RegressionDataset, depth: int, ridge: float = 0.0) -> LinearFun
 
 
 def _metrics(functional: LinearFunctional, dataset: RegressionDataset) -> dict:
-    # predict reads only the column count, which a wrong dim can match
+    # predict sees only the width, and a dim-1 depth-3 block has the 4
+    # columns of a dim-3 depth-1 functional
     if functional.dim != dataset.dim:
         raise ValueError(f"functional dim {functional.dim} does not match dataset dim {dataset.dim}")
     diff = functional.predict(dataset.features) - dataset.responses

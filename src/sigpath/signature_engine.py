@@ -251,13 +251,17 @@ class LinearFunctional:
         return acc
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Batched prediction from rows of flattened features."""
+        """Batched prediction from rows of flattened features.
+
+        The rows must be features of this dim at this depth or deeper: a
+        width feature_count(dim, D) for some D >= depth, whose leading
+        columns are then the features at this depth."""
         features = np.asarray(features, dtype=float)
-        expected = self.weights.shape[0]
-        if features.shape[-1] < expected:
-            raise ValueError(
-                f"features have {features.shape[-1]} columns, need {expected}"
-            )
+        width, expected, depth = features.shape[-1], self.weights.shape[0], self.depth
+        while feature_count(self.dim, depth) < width:
+            depth += 1
+        if feature_count(self.dim, depth) != width:
+            raise ValueError(f"features have {width} columns, need {expected} or a deeper dim-{self.dim} count")
         return features[..., :expected] @ self.weights
 
 

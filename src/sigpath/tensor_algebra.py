@@ -225,19 +225,33 @@ def _check_match(x, y):
         )
 
 
+def _result(x, levels) -> TruncatedTensor:
+    # an operation's levels as a tensor of x's dim and depth: a level that
+    # overflowed is a numerical failure, refused here before the constructor
+    # would call it a bad input; the operations silence numpy's overflow
+    # warnings, as this check reports them
+    for k, lvl in enumerate(levels):
+        if not np.isfinite(lvl).all():
+            raise FloatingPointError(f"level {k} overflowed to non-finite values")
+    return TruncatedTensor(x.dim, x.depth, levels)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def add(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
     _check_match(x, y)
-    return TruncatedTensor(x.dim, x.depth, [a + b for a, b in zip(x.levels, y.levels)])
+    return _result(x, [a + b for a, b in zip(x.levels, y.levels)])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sub(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
     _check_match(x, y)
-    return TruncatedTensor(x.dim, x.depth, [a - b for a, b in zip(x.levels, y.levels)])
+    return _result(x, [a - b for a, b in zip(x.levels, y.levels)])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def scale(x: TruncatedTensor, c: float) -> TruncatedTensor:
     c = _real("scale factor c", c)
-    return TruncatedTensor(x.dim, x.depth, [c * a for a in x.levels])
+    return _result(x, [c * a for a in x.levels])
 
 
 def _mul_levels(x, y):
@@ -257,13 +271,15 @@ def _mul_levels(x, y):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mul(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
     """Truncated tensor product: level k of the result is sum over i+j=k of
     x_i tensor y_j; levels above the common depth are discarded."""
     _check_match(x, y)
-    return TruncatedTensor(x.dim, x.depth, _mul_levels(x.levels, y.levels))
+    return _result(x, _mul_levels(x.levels, y.levels))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def exp(x: TruncatedTensor) -> TruncatedTensor:
     """Truncated exponential series; requires a vanishing level-0 part."""
     if x.scalar != 0.0:
@@ -273,7 +289,7 @@ def exp(x: TruncatedTensor) -> TruncatedTensor:
     # Horner form of sum_{n=0}^{depth} x^n / n!
     for n in range(x.depth, 0, -1):
         acc = [e + (1.0 / n) * a for e, a in zip(one, _mul_levels(x.levels, acc))]
-    return TruncatedTensor(x.dim, x.depth, acc)
+    return _result(x, acc)
 
 
 def _power_sum(start, z, coefficients):
@@ -292,13 +308,15 @@ def _log_levels(x, dim):
     return _power_sum(z, z, [(-1.0) ** (n + 1) / n for n in range(2, len(x))])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def log(x: TruncatedTensor) -> TruncatedTensor:
     """Truncated logarithm series; requires level-0 coefficient exactly 1."""
     if x.scalar != 1.0:
         raise ValueError("log requires level-0 coefficient exactly 1")
-    return TruncatedTensor(x.dim, x.depth, _log_levels(x.levels, x.dim))
+    return _result(x, _log_levels(x.levels, x.dim))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def inverse_psi(x: TruncatedTensor) -> TruncatedTensor:
     """Multiplicative inverse via the terminating geometric series.
 
@@ -312,7 +330,7 @@ def inverse_psi(x: TruncatedTensor) -> TruncatedTensor:
     one = _unit_levels(x.dim, x.depth)
     z = [e - a for e, a in zip(one, x.levels)]
     # a + 1.0 * b is a + b bit for bit
-    return TruncatedTensor(x.dim, x.depth, _power_sum(one, z, [1.0] * x.depth))
+    return _result(x, _power_sum(one, z, [1.0] * x.depth))
 
 
 def project(x: TruncatedTensor, n: int):

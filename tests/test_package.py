@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import pathlib
@@ -644,3 +645,107 @@ def test_checked_arrays_stay_read_only_copies():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
+
+
+# a boundary instance of each decodable record, built directly, with the
+# to_dict and from_dict that serialise it
+_BOUNDARY_RECORDS = [
+    ("depth-0-tensor", sp.TruncatedTensor(3, 0, [[2.5]]), sp.tensor_to_dict, sp.tensor_from_dict),
+    ("empty-path", sp.PiecewiseLinearPath(2, np.zeros((0, 2))), sp.path_to_dict, sp.path_from_dict),
+    ("d1-w1-field", sp.LinearVectorField([[[0.5]]], [[0.25]]), sp.field_to_dict, sp.field_from_dict),
+    (
+        "zero-output-functional",
+        sp.LinearFunctional(2, 1, np.zeros((3, 0))),
+        sp.functional_to_dict,
+        sp.functional_from_dict,
+    ),
+    (
+        "one-path-no-segment-dataset",
+        sp.RegressionDataset(np.zeros((1, 0, 2)), [[1.0, 0.0, 0.0]], [[0.5]], 1, 0.0, seed=3),
+        sp.dataset_to_dict,
+        sp.dataset_from_dict,
+    ),
+    (
+        "empty-index-report",
+        sp.ExperimentReport("group-discontinuity", [], {"d_product_to_origin": []}, False),
+        sp.ExperimentReport.to_dict,
+        sp.ExperimentReport.from_dict,
+    ),
+]
+
+
+def _same_value(a, b):
+    # arrays by shape and bits, tuples entry by entry, anything else by ==
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.shape == b.shape and np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same_value, a, b))
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize(
+    "record, to_dict, from_dict", [case[1:] for case in _BOUNDARY_RECORDS], ids=[case[0] for case in _BOUNDARY_RECORDS]
+)
+def test_a_record_built_directly_decodes_back_unchanged(record, to_dict, from_dict):
+    # an object built directly never writes JSON its decoder refuses
+    back = from_dict(json.loads(json.dumps(to_dict(record), allow_nan=False)))
+    assert type(back) is type(record)
+    for field in dataclasses.fields(record):
+        assert _same_value(getattr(back, field.name), getattr(record, field.name)), field.name
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: sp.RegressionDataset(np.zeros((0, 1, 2)), np.zeros((0, 7)), np.zeros((0, 2)), 2, 0.0), "dataset is empty"),
+        (lambda: sp.LinearVectorField(np.zeros((0, 2, 2)), np.zeros((0, 2))), r"d, w >= 1, got \(0, 2, 2\)"),
+        (lambda: sp.LinearVectorField(np.zeros((2, 0, 0)), np.zeros((2, 0))), r"d, w >= 1, got \(2, 0, 0\)"),
+    ],
+    ids=["empty-dataset", "d0-field", "w0-field"],
+)
+def test_a_record_its_decoder_would_refuse_is_refused_when_built(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def _mutable_dataclasses(tree):
+    # (line, class) of each class decorated with dataclass without frozen=True
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            func = deco.func if isinstance(deco, ast.Call) else deco
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name != "dataclass":
+                continue
+            keywords = deco.keywords if isinstance(deco, ast.Call) else []
+            if not any(k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True for k in keywords):
+                found.append((node.lineno, node.name))
+    return found
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_every_dataclass_is_frozen(source):
+    # a record checks its fields once, in __post_init__, so no field may be
+    # reassigned after construction
+    assert _mutable_dataclasses(ast.parse(source.read_text(encoding="utf-8"))) == []
+
+
+def test_the_dataclass_detector_sees_bare_calls_and_attributes():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "@dataclass\n"
+        "class A: pass\n"
+        "@dataclass(eq=False)\n"
+        "class B: pass\n"
+        "@dataclasses.dataclass(frozen=False)\n"
+        "class C: pass\n"
+        "@dataclasses.dataclass\n"
+        "class D: pass\n"
+        "@dataclass(frozen=True, eq=False)\n"
+        "class E: pass\n"
+        "@functools.total_ordering\n"
+        "class F: pass\n"
+    )
+    assert _mutable_dataclasses(tree) == [(3, "A"), (5, "B"), (7, "C"), (9, "D")]

@@ -203,18 +203,40 @@ def test_evaluate_metric_keys():
 
 
 def test_evaluate_refuses_a_functional_of_another_dim():
-    # a dim-3 depth-1 functional has 4 weight rows, and a dim-2 dataset
-    # has 4 feature columns and more: prediction alone would not notice
+    # a dim-3 depth-1 functional has 4 weight rows, and a dim-2 depth-4
+    # dataset 31 feature columns, no dim-3 feature count
     field, y0 = sp.demo_field()
     ds = sp.generate_dataset(field, y0, n_paths=4, segment_count=2, r=1.0, noise_scale=0.0, seed=4)
     wrong = sp.LinearFunctional(3, 1, np.ones(4))
-    assert wrong.predict(ds.features).shape == (4, 1)
+    with pytest.raises(ValueError, match="features have 31 columns, need 4 or a deeper dim-3 count"):
+        wrong.predict(ds.features)
     with pytest.raises(ValueError, match="functional dim 3 does not match dataset dim 2"):
         evaluate(wrong, ds)
     field3 = sp.LinearVectorField(matrices=np.zeros((3, 1, 1)), offsets=np.ones((3, 1)))
     ds3 = sp.generate_dataset(field3, [0.0], n_paths=4, segment_count=2, r=1.0, noise_scale=0.0, seed=4)
     with pytest.raises(ValueError, match="functional dim 3 does not match dataset dim 2"):
         evaluate(sp.fit(ds3, depth=1), ds3, heldout=ds)
+
+
+def test_predict_reads_only_features_of_its_dim():
+    # a width feature_count(dim, D) for some D >= depth, read through its
+    # leading columns: 7 or 15 columns at dim 2 from depth 2, never 8
+    w = np.zeros(7)
+    w[0] = 2.0
+    f = sp.LinearFunctional(dim=2, depth=2, weights=w)
+    for width in (7, 15, 31):
+        assert np.array_equal(f.predict(np.ones((3, width))), np.full((3, 1), 2.0))
+    for width in (8, 14, 16):
+        with pytest.raises(ValueError, match=f"features have {width} columns, need 7 or a deeper dim-2 count"):
+            f.predict(np.zeros((3, width)))
+    # a dim-1 depth-3 block has the 4 columns of a dim-3 depth-1 functional,
+    # so only evaluate, which sees the dataset's dim, can refuse it
+    wrong = sp.LinearFunctional(3, 1, np.ones(4))
+    field1 = sp.LinearVectorField(matrices=np.zeros((1, 1, 1)), offsets=np.ones((1, 1)))
+    ds1 = sp.generate_dataset(field1, [0.0], n_paths=4, segment_count=2, r=1.0, noise_scale=0.0, seed=4, depth=3)
+    assert wrong.predict(ds1.features).shape == (4, 1)
+    with pytest.raises(ValueError, match="functional dim 3 does not match dataset dim 1"):
+        evaluate(wrong, ds1)
 
 
 def test_scaling_equivariance_bitwise():

@@ -108,6 +108,33 @@ def test_exp_log_domain_errors():
         sp.log(random_tensor(rng, 2, 2, scalar=0.0))
 
 
+# finite inputs whose sums (1e308 + 1e308), scalings (1e200 * 1e200) and
+# level-2 products (1e200 tensor 1e200) leave float range
+_HUGE = sp.TruncatedTensor(2, 2, [[0.0], [1e308, -1e308], np.zeros(4)])
+_BIG = sp.TruncatedTensor(2, 2, [[0.0], [1e200, -1e200], np.zeros(4)])
+_BIG_UNIT = sp.TruncatedTensor(2, 2, [[1.0], [1e200, -1e200], np.zeros(4)])
+
+
+@pytest.mark.parametrize(
+    "op, level",
+    [
+        (lambda: sp.add(_HUGE, _HUGE), 1),
+        (lambda: sp.sub(_HUGE, sp.scale(_HUGE, -1.0)), 1),
+        (lambda: sp.scale(_BIG, 1e200), 1),
+        (lambda: sp.mul(_BIG, _BIG), 2),
+        (lambda: sp.exp(_BIG), 2),
+        (lambda: sp.log(_BIG_UNIT), 2),
+        (lambda: sp.inverse_psi(_BIG_UNIT), 2),
+    ],
+    ids=["add", "sub", "scale", "mul", "exp", "log", "inverse_psi"],
+)
+def test_an_operation_that_overflows_is_a_numerical_failure(op, level):
+    # the inputs are finite, so the fault is the result's, not an argument's;
+    # numpy's overflow warning stays silent (warnings are errors here)
+    with pytest.raises(FloatingPointError, match=f"^level {level} overflowed to non-finite values$"):
+        op()
+
+
 def test_inverse_psi_two_sided():
     rng = np.random.default_rng(5)
     for _ in range(20):
