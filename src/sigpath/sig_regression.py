@@ -77,7 +77,7 @@ class RegressionDataset:
         resp = np.atleast_2d(np.asarray(self.responses, dtype=float))
         if segs.ndim != 3:
             raise ValueError(f"segments must be an (n, m, d) block, got shape {segs.shape}")
-        if not segs.shape[0]:
+        if segs.shape[0] == 0:
             raise ValueError("dataset is empty")
         if feats.ndim != 2 or not segs.shape[0] == feats.shape[0] == resp.shape[0]:
             raise ValueError("segments, features and responses must align")
