@@ -14,6 +14,7 @@ same unparameterised trajectory up to back-tracking, and share a signature.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -48,12 +49,9 @@ __all__ = [
 # relative tolerance for the collinearity rejection test in reduce()
 COLLINEAR_TOL = 1e-12
 
-# numpy sums fewer than 8 terms in order and pairwise from 8 up (np.sum and
-# np.add.reduce, along either axis), so a scalar loop that sums in order has
-# numpy's bits only on sums of fewer terms.  It bounds the row length and the
-# step count of one_variation_distance's scalar route.  reduce, whose scalar
-# loop matches at any size, uses it too: its screen over all pairs pays for
-# its numpy calls from about 7 rows on random planar paths
+# reduce runs its numpy screen over all adjacent pairs only on more rows
+# than this: the screen pays for its numpy calls from about 7 rows on random
+# planar paths, and below that the merge loop alone is faster
 _IN_ORDER_TERMS = 8
 
 
@@ -106,7 +104,7 @@ class PiecewiseLinearPath:
     @property
     def breakpoints(self) -> np.ndarray:
         """Constant-speed times of the vertices (repeats at zero segments)."""
-        cum = np.cumsum(self.segment_lengths)
+        cum = np.cumsum(_row_norms(self.segments, self.segment_count))
         if not cum.size or cum[-1] == 0.0:
             return np.zeros(self.segment_count + 1)
         return np.concatenate([[0.0], cum / cum[-1]])
@@ -144,20 +142,29 @@ def reverse(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
 
 
 def _scaled_rows(rows: np.ndarray) -> tuple:
-    # (rows / 2**e, e) with e per row from np.frexp of its largest |component|
-    exps = np.frexp(np.abs(rows).max(axis=1))[1]
+    # (rows / 2**e, e) with e per row from np.frexp of its largest |component|,
+    # taken one column at a time: numpy's max along a short last axis is
+    # many times slower, and a maximum is the same in any order
+    exps = np.frexp(functools.reduce(np.maximum, np.abs(rows).T))[1]
     return np.ldexp(rows, -exps[:, None]), exps
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
+def _row_norms(rows: np.ndarray, terms: int = 0) -> np.ndarray:
     """Euclidean norms of the rows of a 2-D array, at any magnitude.
 
     Each row v is scaled to v / 2**e, e from np.frexp of its largest
     component, so no square under- or overflows, and its squares are
     summed as np.linalg.norm sums them.  The scaling is exact in the normal
     range, where the result is therefore bit-identical to np.linalg.norm.
+
+    Given terms, the norms come scaled by 2**-s, s >= 0 the least shift
+    that keeps a sum of that many of them below 2**1023: a norm is below
+    sqrt(d) 2**e, so s is 0 unless the largest e is within
+    log2(terms * d) of 1023.
     """
     scaled, exps = _scaled_rows(rows)
+    if terms:
+        exps = exps - max(0, int(exps.max()) + (terms * rows.shape[1]).bit_length() - 1023)
     return np.ldexp(np.sqrt(np.add.reduce(scaled * scaled, axis=1)), exps)
 
 
@@ -302,15 +309,31 @@ def constant_speed(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
     return a
 
 
-def _grid(segs: np.ndarray):
-    """Strictly increasing constant-speed times with vertex positions."""
-    lens = _row_norms(segs)
-    mask = lens > 0.0
-    if not mask.any():
-        return np.array([0.0, 1.0]), np.zeros((2, segs.shape[1]))
-    cum = np.cumsum(lens[mask])
-    times = np.concatenate([[0.0], cum / cum[-1]])
-    return times, np.concatenate([np.zeros((1, segs.shape[1])), np.cumsum(segs[mask], axis=0)])
+def _grids(stack: np.ndarray):
+    """Constant-speed knot times, shape (n, k + 1), and vertices, shape
+    (n, k + 1, d), of a stack (n, k, d) of paths of k nonzero segments
+    each; a path with no segment has the knots 0 and 1, both at the origin.
+
+    The times divide running sums of the segment lengths by the total, as
+    the lengths come from _row_norms: scaled by a power of two where the
+    total could overflow, which leaves every ratio as it was.
+    """
+    n, k, d = stack.shape
+    if not k:
+        return np.tile([0.0, 1.0], (n, 1)), np.zeros((n, 2, d))
+    cum = np.cumsum(_row_norms(stack.reshape(-1, d), k).reshape(n, k), axis=1)
+    times = np.zeros((n, k + 1))
+    np.divide(cum, cum[:, -1:], out=times[:, 1:])
+    pts = np.zeros((n, k + 1, d))
+    np.cumsum(stack, axis=1, out=pts[:, 1:])
+    return times, pts
+
+
+def _nonzero(segs: np.ndarray) -> np.ndarray:
+    # the nonzero segments of one path, as a stack of one; the test runs one
+    # column at a time and compress selects the rows, each many times faster
+    # than numpy's any along a short last axis and a boolean row index
+    return segs.compress(functools.reduce(np.logical_or, segs.T != 0.0), axis=0)[None]
 
 
 def positions_at(a: PiecewiseLinearPath, ts) -> np.ndarray:
@@ -318,7 +341,8 @@ def positions_at(a: PiecewiseLinearPath, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
         raise ValueError("times must lie in [0, 1]")
-    return _interp(ts, *_grid(a.segments))
+    times, pts = _grids(_nonzero(a.segments))
+    return _interp(ts, times[0], pts[0])
 
 
 def _interp(ts, times, pts) -> np.ndarray:
@@ -327,115 +351,109 @@ def _interp(ts, times, pts) -> np.ndarray:
     return np.column_stack([np.interp(ts, times, pts[:, j]) for j in range(pts.shape[1])])
 
 
-def _difference(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-    """Values of t -> a(t) - b(t) at the vertex times of both paths, given
-    their segment arrays.
+def _at(t, times, pts, j) -> np.ndarray:
+    # np.interp's formula at the times t, with j the flat index of the last
+    # knot whose time is at most t: the knot's value where t is its time.
+    # pts holds one coordinate per row, shape (d, knots), so that every
+    # operation runs along the knots
+    t0, p0 = times.take(j), pts.take(j, axis=1)
+    j = j + 1
+    # the last t is the last row's final knot, time 1, and has no successor
+    j[-1] -= 1
+    slope = (pts.take(j, axis=1) - p0) / (times.take(j) - t0)
+    return np.where(t == t0, p0, slope * (t - t0) + p0)
 
-    The difference is piecewise linear with vertices on the union of the two
-    breakpoint grids, so these values determine it exactly.
+
+def _in_range(what: str, x):
+    # x, refused by name where an entry left float range
+    if not np.isfinite(x).all():
+        raise FloatingPointError(f"{what} is beyond float range")
+    return x
+
+
+# the slopes at knot times are discarded unread, and may overflow or divide
+# by zero; a value beyond float range is refused at the end
+@np.errstate(all="ignore")
+def _differences(sa: np.ndarray, sb: np.ndarray):
+    """Values of t -> a(t) - b(t) for the rows of two stacks of paths,
+    (n, ka, d) and (n, kb, d), of nonzero segments, at the union of each
+    pair's knot times: the difference is piecewise linear with vertices
+    there, so these values determine it exactly.
+
+    Each row's two grids are merged by a stable argsort, so the knots of a
+    come first among equal times, and only the last knot of each run of
+    equal times is kept.  All kept knots of the stack, row after row, form
+    one flat array: the a-knots counted up to a kept knot index the last
+    knot of a at or before its time, over the flattened grids of a, and
+    the other knots so far index b's.  Each value is np.interp's at that
+    time, so the result has the bits of np.interp on the union grid.
+    Returns the values, shape (M, d), and each row's count of kept knots.
     """
-    (ta, pa), (tb, pb) = _grid(sa), _grid(sb)
-    times = np.union1d(ta, tb)
-    return _interp(times, ta, pa) - _interp(times, tb, pb)
+    (ta, pa), (tb, pb) = _grids(sa), _grids(sb)
+    n, ka = ta.shape
+    d = pa.shape[2]
+    times = np.concatenate([ta, tb], axis=1)
+    width = times.shape[1]
+    order = np.argsort(times, axis=1, kind="stable")
+    from_a = order < ka
+    order += np.arange(0, n * width, width)[:, None]
+    ts = times.ravel()[order]
+    # each row ends at time 1, so its last knot ends a run
+    last = np.concatenate([ts[:, 1:] > ts[:, :-1], np.ones((n, 1), dtype=bool)], axis=1)
+    at = np.flatnonzero(last)
+    seen = np.cumsum(from_a.ravel())[at]
+    t = ts.ravel()[at]
+    values = _at(t, ta.ravel(), pa.reshape(-1, d).T, seen - 1) - _at(t, tb.ravel(), pb.reshape(-1, d).T, at - seen)
+    return _in_range("the difference of the paths", np.ascontiguousarray(values.T)), last.sum(axis=1)
+
+
+# a step norm or a sum beyond float range is refused at the end
+@np.errstate(over="ignore")
+def _distances(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """1-variation of t -> a(t) - b(t) for the rows of two stacks, as
+    _differences takes them.
+
+    Each row's step norms are summed by .sum(axis=1), which sums each row
+    of a C-contiguous array pairwise as the 1-D .sum() does; rows with
+    different counts of kept knots are summed in separate groups, so no
+    row sums a step it does not have.
+    """
+    values, counts = _differences(sa, sb)
+    d = values.shape[1]
+    sums = np.empty(len(counts))
+    for c in set(counts.tolist()):
+        rows = counts == c
+        v = values.compress(np.repeat(rows, counts), axis=0).reshape(-1, c, d)
+        sums[rows] = _row_norms((v[:, 1:] - v[:, :-1]).reshape(-1, d)).reshape(-1, c - 1).sum(axis=1)
+    return _in_range("the 1-variation distance", sums)
 
 
 def one_variation_distance(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
     """Exact 1-variation of t -> a(t) - b(t) on the constant-speed clock.
 
-    Short paths take a scalar route on Python floats, where numpy's per-call
-    cost would exceed the arithmetic: the same grids, np.interp's formula and
-    _row_norms' scaled norms, with every sum taken in order.  numpy sums
-    fewer than _IN_ORDER_TERMS = 8 terms in order too, so the route gives
-    the numpy route's bits when a row has at most 7 coordinates and the
-    union grid at most 7 steps; the union of grids of ka and kb steps
-    (a path with no nonzero segment has one) has at most ka + kb - 1.  A
-    result that is not finite, from an overflow or from a point where the
-    formula gives nan and np.interp retries it, is recomputed on the numpy
-    route.
+    The sum of the step norms between the values at the union of the two
+    breakpoint grids (_distances on stacks of one).  A vertex, a value or
+    the distance beyond float range raises FloatingPointError.
     """
     _check_dim(a, b)
-    return _distance(a.segments, b.segments, a.dim)
+    return float(_distances(_nonzero(a.segments), _nonzero(b.segments))[0])
 
 
-def _distance(rows_a, rows_b, dim: int) -> float:
-    # one_variation_distance on the segments of two checked paths of
-    # dimension dim, each given as a 2-D array or as a list of rows
-    if dim < _IN_ORDER_TERMS and max(len(rows_a), 1) + max(len(rows_b), 1) <= _IN_ORDER_TERMS:
-        lists = [rows if isinstance(rows, list) else rows.tolist() for rows in (rows_a, rows_b)]
-        dist = _scalar_one_variation_distance(*lists, dim)
-        if math.isfinite(dist):
-            return dist
-    values = _difference(np.reshape(rows_a, (-1, dim)), np.reshape(rows_b, (-1, dim)))
-    return float(_row_norms(values[1:] - values[:-1]).sum())
-
-
-def _scalar_norm(row: list) -> float:
-    # _row_norms on one row given as a list
-    _, _, sq, exp = _scaled_row(row)
-    return math.ldexp(math.sqrt(sq), exp)
-
-
-def _scalar_grid(rows: list, dim: int):
-    # _grid on a list of rows, as lists; an overflowing length raises
-    # OverflowError, as math.ldexp does where np.ldexp returns inf
-    times, pts, total, pos = [0.0], [[0.0] * dim], 0.0, None
-    for row in rows:
-        norm = _scalar_norm(row)
-        if norm > 0.0:
-            total += norm
-            pos = row if pos is None else [p + c for p, c in zip(pos, row)]
-            times.append(total)
-            pts.append(pos)
-    if pos is None:
-        return [0.0, 1.0], pts * 2
-    if total == math.inf:
-        raise OverflowError("path length overflows")
-    return [t / total for t in times], pts
-
-
-def _scalar_interp(ts: list, times: list, pts: list) -> list:
-    # np.interp at the increasing times ts, knot j the last with times[j] <= t
-    out, j, last = [], 0, len(times) - 1
-    for t in ts:
-        while j < last and times[j + 1] <= t:
-            j += 1
-        if j == last or times[j] == t:
-            out.append(pts[j])
-        else:
-            t0, dt = times[j], times[j + 1] - times[j]
-            out.append([(q - p) / dt * (t - t0) + p for p, q in zip(pts[j], pts[j + 1])])
-    return out
-
-
-def _scalar_one_variation_distance(rows_a: list, rows_b: list, dim: int) -> float:
-    # the sum of |step| over the union grid, or inf where anything overflows
-    try:
-        ta, pa = _scalar_grid(rows_a, dim)
-        tb, pb = _scalar_grid(rows_b, dim)
-        times = sorted(set(ta).union(tb))
-        values = [
-            [p - q for p, q in zip(u, v)]
-            for u, v in zip(_scalar_interp(times, ta, pa), _scalar_interp(times, tb, pb))
-        ]
-        total = 0.0
-        for prev, cur in zip(values, values[1:]):
-            total += _scalar_norm([c - p for p, c in zip(prev, cur)])
-        return total
-    except OverflowError:
-        return math.inf
-
-
+# a norm beyond float range is refused at the end
+@np.errstate(over="ignore")
 def sup_distance(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
     """Uniform distance sup_t |a(t) - b(t)| on the constant-speed clock."""
     # |a - b| is convex on each grid interval, so the sup sits at a vertex
     _check_dim(a, b)
-    return float(_row_norms(_difference(a.segments, b.segments)).max())
+    values = _differences(_nonzero(a.segments), _nonzero(b.segments))[0]
+    return float(_in_range("the uniform distance", _row_norms(values).max()))
 
 
 def difference_path(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> PiecewiseLinearPath:
     """The path t -> a(t) - b(t), as a segment list on the union grid."""
     _check_dim(a, b)
-    return PiecewiseLinearPath(a.dim, np.diff(_difference(a.segments, b.segments), axis=0))
+    values = _differences(_nonzero(a.segments), _nonzero(b.segments))[0]
+    return PiecewiseLinearPath(a.dim, np.diff(values, axis=0))
 
 
 # Candidate coefficients p_variation holds at once (2**17 float64 values,

@@ -60,7 +60,9 @@ __all__ = [
 
 
 def _check_budget(copies: int, d: int, depth: int, what: str) -> None:
-    # for d >= 2, d**26 alone is over budget: the count stops there, so any depth is quick
+    # the depth is taken here, before anything is counted; for d >= 2,
+    # d**26 alone is over budget: the count stops there, so any depth is quick
+    depth = _count("depth", depth, 0)
     per_copy = feature_count(d, depth if d == 1 else min(depth, 26))
     if copies * per_copy > _MAX_COEFFICIENTS:
         raise ValueError(
@@ -257,6 +259,8 @@ class LinearFunctional:
         width feature_count(dim, D) for some D >= depth, whose leading
         columns are then the features at this depth."""
         features = np.asarray(features, dtype=float)
+        if not features.ndim:
+            raise ValueError(f"features must be rows of columns, got the 0-d value {features!r}")
         width, expected, depth = features.shape[-1], self.weights.shape[0], self.depth
         while feature_count(self.dim, depth) < width:
             depth += 1

@@ -28,7 +28,7 @@ import numpy as np
 from .path_core import (
     PiecewiseLinearPath,
     _check_dim,
-    _distance,
+    _distances,
     _reduced_rows,
     concat,
     constant_path,
@@ -147,7 +147,8 @@ def metric_d(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
     same bits) and are never built as paths.
     """
     _check_dim(a, b)
-    return _distance(_reduced_rows(a.segments), _reduced_rows(b.segments), a.dim)
+    stacks = [np.reshape(_reduced_rows(p.segments), (1, -1, a.dim)) for p in (a, b)]
+    return float(_distances(*stacks)[0])
 
 
 def ball_br_membership(a: PiecewiseLinearPath, r: float) -> bool:
@@ -312,9 +313,16 @@ def experiment_product_vs_metric(k_max: int = 5, depth: int | None = None) -> Ex
     return _report("product-vs-metric", indices, series)
 
 
+def _thin_rectangles(eps) -> np.ndarray:
+    # the segments of the rectangles of widths eps, shape (len(eps), 4, 2):
+    # up eps, along e1, down eps, back
+    eps = np.asarray(eps, dtype=float)
+    zero, one = np.zeros_like(eps), np.ones_like(eps)
+    return np.stack([zero, eps, one, zero, zero, -eps, -one, zero], axis=1).reshape(-1, 4, 2)
+
+
 def _thin_rectangle(eps: float) -> PiecewiseLinearPath:
-    segs = np.array([[0.0, eps], [1.0, 0.0], [0.0, -eps], [-1.0, 0.0]])
-    return PiecewiseLinearPath(2, segs)
+    return PiecewiseLinearPath(2, _thin_rectangles([eps])[0])
 
 
 def experiment_quotient_vs_metric(eps_list=(1e-1, 1e-2, 1e-3)) -> ExperimentReport:
@@ -340,9 +348,9 @@ def experiment_quotient_vs_metric(eps_list=(1e-1, 1e-2, 1e-3)) -> ExperimentRepo
     return _report("quotient-vs-metric", indices, series)
 
 
-# Segment-exponential coefficients experiment_incompleteness batches into one
-# kernel call (1 MiB): batching saves per-call overhead on shallow
-# signatures, and more would only raise the peak memory of deep ones.
+# Coefficients the family experiments batch into one kernel call (1 MiB):
+# batching saves per-call overhead on short paths and shallow signatures,
+# and more would only raise the peak memory of deep ones.
 _BATCH_COEFFICIENTS = 2**17
 
 
@@ -355,40 +363,44 @@ def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentRepo
     zero, yet each rho_n keeps metric_d distance 2 + 2/n >= 2 from the
     trivial path, so no reduced limit can exist.  n_max is at most
     _MAX_COEFFICIENTS // 256 = 131072, a memory bound: untraced on a
-    2-core Intel Xeon VM an index takes about 0.2 ms, so about 30 s there.
+    2-core Intel Xeon VM an index takes about 0.1 ms, so a run at the
+    bound about 14 s.
+
+    Each rectangle is its own reduced representative (its consecutive
+    segments are nonzero and orthogonal, so reduce merges none), so the
+    distances run on blocks of rectangles at once (_distances), with the
+    bits of metric_d on each pair.
     """
-    # each index holds two rectangles as paths, a row of the segment block
-    # and nine series values: about 150 float-sized values (tracemalloc at
-    # n_max = 8000), under 256
+    # each index holds nine series values: about 34 float-sized values with
+    # their Python objects (tracemalloc, from n_max = 4000 to 8000), under 256
     n_max = _count("n_max", n_max, 2, _MAX_COEFFICIENTS // 256)
-    origin = constant_path(2)
     _check_budget(1, 2, depth, "one tensor of dimension 2")
     one = unit(2, depth)
     indices = list(range(1, n_max + 1))
-    rects = [_thin_rectangle(1.0 / n) for n in indices]
-    # rho_2n is rects[2n - 1] while 2n <= n_max
-    doubles = rects[1::2] + [_thin_rectangle(1.0 / (2 * n)) for n in range(n_max // 2 + 1, n_max + 1)]
-    d_origin = [metric_d(origin, rect) for rect in rects]
-    d_double = [metric_d(rect, double) for rect, double in zip(rects, doubles)]
-    scaled = [n * dd for n, dd in zip(indices, d_double)]
-    pm, level_max = [], {k: [] for k in range(1, 5)}
-    # batched kernel calls, whose rows are bit-identical to signature(rect);
-    # from depth 14 each call takes one rectangle, so deep runs accept the
-    # depths signature(rect) does and need no more memory
-    segs = np.stack([rect.segments for rect in rects])
-    per_call = max(1, _BATCH_COEFFICIENTS // (4 * feature_count(2, depth)))
-    for start in range(0, n_max, per_call):
-        levels = _signature_levels(segs[start : start + per_call], depth)
-        for row in range(levels[0].shape[0]):
+    d_origin, d_double, pm, level_max = [], [], [], {k: [] for k in range(1, 5)}
+    # blocks of rectangles for the batched kernels, whose rows are
+    # bit-identical to signature(rect) and metric_d: a signature row holds
+    # about 4 * feature_count(2, depth) float-sized values in its kernel and
+    # a rectangle pair's distance about 170, counted as 256.  From depth 14
+    # a block is one rectangle, so deep runs accept the depths
+    # signature(rect) does and need no more memory
+    per_call = max(1, _BATCH_COEFFICIENTS // max(4 * feature_count(2, depth), 256))
+    for start in range(1, n_max + 1, per_call):
+        ns = np.arange(start, min(start + per_call, n_max + 1))
+        rects = _thin_rectangles(1.0 / ns)
+        d_origin += _distances(np.zeros((len(ns), 0, 2)), rects).tolist()
+        d_double += _distances(rects, _thin_rectangles(1.0 / (2 * ns))).tolist()
+        levels = _signature_levels(rects, depth)
+        for row in range(len(ns)):
             pm.append(product_metric(GroupTensor(2, depth, [lvl[row] for lvl in levels]), one))
             for k in range(1, 5):
                 level_max[k].append(float(np.max(np.abs(levels[k][row]))) if k <= depth else 0.0)
-    fitted_c = max(scaled)
+    scaled = [n * dd for n, dd in zip(indices, d_double)]
     series = {
         "d_to_origin": d_origin,
         "d_to_double": d_double,
         "scaled_d_to_double": scaled,
-        "fitted_c": [fitted_c] * n_max,
+        "fitted_c": [max(scaled)] * n_max,
         "product_metric_to_unit": pm,
     }
     for k in range(1, 5):
@@ -406,22 +418,28 @@ def experiment_group_discontinuity(n_max: int = 10) -> ExperimentReport:
     length 2 + 2/n, so the product stays at metric_d distance at least 2
     from the trivial path.  n_max is at most _MAX_COEFFICIENTS // 32 =
     1048576, a memory bound: untraced on a 2-core Intel Xeon VM an index
-    takes about 0.14 ms, so about 2.5 min there.
+    takes about 8 us, so a run at the bound about 8 s.
+
+    rho_n * sigma_n is the rectangle of width 1/n, rho_n its first half and
+    sigma_n its second.  Each of them is its own reduced representative
+    (consecutive segments nonzero and orthogonal), so the distances run on
+    blocks of them at once (_distances), with the bits of metric_d.
     """
-    # each index holds four series values: about 21 float-sized values with
-    # their Python objects (tracemalloc at n_max = 8000), under 32
+    # each index holds four series values: about 17 float-sized values
+    # with their Python objects (tracemalloc, from n_max = 4000 to 8000),
+    # under 32
     n_max = _count("n_max", n_max, 1, _MAX_COEFFICIENTS // 32)
-    origin = constant_path(2)
-    limit_rho = linear_path([1.0, 0.0])
-    limit_sigma = linear_path([-1.0, 0.0])
     indices = list(range(1, n_max + 1))
     d_rho, d_sigma, d_prod = [], [], []
-    for n in indices:
-        rho = PiecewiseLinearPath(2, np.array([[0.0, 1.0 / n], [1.0, 0.0]]))
-        sigma = PiecewiseLinearPath(2, np.array([[0.0, -1.0 / n], [-1.0, 0.0]]))
-        d_rho.append(metric_d(rho, limit_rho))
-        d_sigma.append(metric_d(sigma, limit_sigma))
-        d_prod.append(metric_d(concat(rho, sigma), origin))
+    # a rectangle's distance to the origin holds about 120 float-sized
+    # values per row in the kernel, counted as 128
+    per_call = max(1, _BATCH_COEFFICIENTS // 128)
+    for start in range(1, n_max + 1, per_call):
+        ns = np.arange(start, min(start + per_call, n_max + 1))
+        rects = _thin_rectangles(1.0 / ns)
+        d_rho += _distances(rects[:, :2], np.tile([1.0, 0.0], (len(ns), 1, 1))).tolist()
+        d_sigma += _distances(rects[:, 2:], np.tile([-1.0, 0.0], (len(ns), 1, 1))).tolist()
+        d_prod += _distances(rects, np.zeros((len(ns), 0, 2))).tolist()
     series = {
         "d_rho_to_limit": d_rho,
         "d_sigma_to_limit": d_sigma,

@@ -284,8 +284,9 @@ def _mentions(text):
 # one function refuses an integer argument of the wrong type or range, one
 # an input array with a NaN or inf entry, and one a real argument that is
 # not a finite number meeting its condition; reduce and metric_d
-# share the row-level reduction, one_variation_distance and metric_d the
-# row-level distance
+# share the row-level reduction; every distance and difference of two paths
+# runs on one stacked kernel, and the 1-variation distances, single or of a
+# family, on its one sum
 _OWNERS = {
     "np.convolve": (_calls("convolve"), {("signature_engine.py", "_one_letter_series")}),
     "_mul_levels": (_calls("_mul_levels"), {("tensor_algebra.py", f) for f in ("mul", "exp", "_power_sum")}),
@@ -305,7 +306,15 @@ _OWNERS = {
         {("tensor_algebra.py", "_real")},
     ),
     "_reduced_rows": (_calls("_reduced_rows"), {("path_core.py", "reduce"), ("topology_lab.py", "metric_d")}),
-    "_distance": (_calls("_distance"), {("path_core.py", "one_variation_distance"), ("topology_lab.py", "metric_d")}),
+    "_differences": (
+        _calls("_differences"),
+        {("path_core.py", f) for f in ("_distances", "sup_distance", "difference_path")},
+    ),
+    "_distances": (
+        _calls("_distances"),
+        {("path_core.py", "one_variation_distance")}
+        | {("topology_lab.py", f) for f in ("metric_d", "experiment_incompleteness", "experiment_group_discontinuity")},
+    ),
 }
 
 
@@ -518,6 +527,15 @@ def _real_refusals():
         pytest.param(lambda: sp.check_group_like(_SIG, tolerance=_INF), "tolerance", id="tolerance-inf"),
         pytest.param(lambda: sp.scale(_SIG, _NAN), "scale factor c", id="scale-nan"),
         pytest.param(lambda: sp.scale(_SIG, -_INF), "scale factor c", id="scale-inf"),
+        # a depth that is no number is refused by _count before any budget
+        pytest.param(lambda: sp.signature(_PATH, None), "depth", id="signature-depth-None"),
+        pytest.param(lambda: sp.log_signature(_PATH, None), "depth", id="log-signature-depth-None"),
+        pytest.param(lambda: sp.featurize(_PATH, "2"), "depth", id="featurize-depth-str"),
+        pytest.param(lambda: sp.word_coefficients(_FIELD, _Y0, None), "depth", id="word-coefficients-depth-None"),
+        pytest.param(lambda: sp.ito_series(_FIELD, _PATH, _Y0, None), "depth", id="ito-series-depth-None"),
+        pytest.param(lambda: sp.experiment_incompleteness(3, depth=None), "depth", id="incompleteness-depth-None"),
+        # a 0-d value has no columns to read features from
+        pytest.param(lambda: sp.LinearFunctional(1, 1, [1.0, 2.0]).predict(3.0), "features", id="predict-0-d"),
         # every real argument, each refused by _real with the argument's name
         *_real_refusals(),
     ],

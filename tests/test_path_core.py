@@ -479,40 +479,45 @@ def test_scalar_routes_are_bitwise_the_numpy_routes(monkeypatch, scale):
     assert all(math.isfinite(x) and x > 0.0 for x in scalar[2][: len(pairs)])
 
 
-def test_one_variation_distance_takes_the_scalar_route_below_the_caps(monkeypatch):
-    rng = np.random.default_rng(17)
-
-    def path(d, m):
-        return sp.PiecewiseLinearPath(d, rng.normal(size=(m, d)))
-
-    scalar = [(path(2, 4), path(2, 4)), (path(2, 0), path(2, 7)), (path(2, 1), path(2, 7)), (path(7, 3), path(7, 2))]
-    numpy = [(path(2, 4), path(2, 5)), (path(2, 0), path(2, 8)), (path(8, 1), path(8, 1))]
-    want = [reference_one_variation_distance(a, b) for a, b in scalar + numpy]
-
-    def refuse(*args):
-        raise AssertionError("wrong route")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(sp.path_core, "_difference", refuse)
-        assert [sp.one_variation_distance(a, b) for a, b in scalar] == want[: len(scalar)]
-    with monkeypatch.context() as patch:
-        patch.setattr(sp.path_core, "_scalar_one_variation_distance", refuse)
-        assert [sp.one_variation_distance(a, b) for a, b in numpy] == want[len(scalar) :]
+def test_stacked_distances_are_the_single_pair_distances():
+    # rows whose merged grids keep different numbers of knots are summed
+    # apart: a pair with equal knot times keeps each time once, so its row
+    # has 13 knots where the others have 24, and each row sums pairwise
+    # (12 and more steps) exactly as its own single pair does
+    rng = np.random.default_rng(29)
+    sa, sb = rng.normal(size=(6, 12, 2)), rng.normal(size=(6, 12, 2))
+    sb[::2] = 2.0 * sa[::2]
+    got = sp.path_core._distances(sa, sb)
+    for row, (a, b) in enumerate(zip(sa, sb)):
+        a, b = sp.PiecewiseLinearPath(2, a), sp.PiecewiseLinearPath(2, b)
+        assert got[row] == sp.one_variation_distance(a, b) == reference_one_variation_distance(a, b)
 
 
-def test_scalar_route_hands_an_overflow_to_the_numpy_route(monkeypatch):
-    # a step norm or a length beyond float range: math.ldexp raises where
-    # np.ldexp returns inf, so these pairs end on the numpy route
+def test_distances_refuse_overflow_and_survive_an_overflowing_length():
+    # a length beyond float range leaves the grid times exact: a path
+    # against itself is at distance 0, with no warning
+    a = sp.PiecewiseLinearPath(2, [[1e308, 0.0], [0.0, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sp.one_variation_distance(a, a) == 0.0
+        assert sp.metric_d(a, a) == 0.0
+        assert sp.sup_distance(a, a) == 0.0
+        assert a.breakpoints.tolist() == [0.0, 0.5, 1.0]
+    # a step norm, a distance or a vertex beyond float range is refused
     pairs = [
         ([[1.7e308, 1.7e308]], []),
         ([[1e308, 0.0], [0.0, 1e308]], [[1.0, 0.0]]),
         ([[1e308, 0.0], [-1e308, 0.0]], [[0.0, 1e308], [0.0, 1e308]]),
     ]
-    paths = [(sp.PiecewiseLinearPath(2, a), sp.PiecewiseLinearPath(2, b)) for a, b in pairs]
-    with np.errstate(all="ignore"):
-        got = [repr(sp.one_variation_distance(a, b)) for a, b in paths]
-        monkeypatch.setattr(sp.path_core, "_IN_ORDER_TERMS", 0)
-        assert got == [repr(sp.one_variation_distance(a, b)) for a, b in paths]
+    paths = [(sp.PiecewiseLinearPath(2, sa), sp.PiecewiseLinearPath(2, sb)) for sa, sb in pairs]
+    for a, b in paths:
+        with pytest.raises(FloatingPointError, match="beyond float range"):
+            sp.one_variation_distance(a, b)
+    # a uniform distance or a vertex beyond float range, for the other callers
+    calls = [(sp.sup_distance, *paths[0]), (sp.sup_distance, *paths[2]), (sp.difference_path, *paths[2])]
+    for call, a, b in calls:
+        with pytest.raises(FloatingPointError, match="beyond float range"):
+            call(a, b)
 
 
 def test_reduce_excises_mirrors_before_merging():

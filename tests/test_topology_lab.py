@@ -525,6 +525,54 @@ def test_incompleteness_memory_is_one_rectangle_at_a_time_when_deep():
     assert traced_peak_bytes(sp.experiment_incompleteness, n_max=10, depth=16) < 16 * 2**20
 
 
+@pytest.mark.parametrize("experiment, bound", [(sp.experiment_group_discontinuity, 32), (sp.experiment_incompleteness, 256)])
+def test_family_experiments_hold_a_bounded_share_per_index(experiment, bound):
+    # the marginal traced peak per index, in float-sized values, stays under
+    # the share the n_max bound counts: the families are measured block by
+    # block, so only the series grow with n_max
+    low, high = (traced_peak_bytes(experiment, n) for n in (4000, 8000))
+    assert (high - low) / 4000 / 8 < bound
+
+
+def _family_members(n):
+    # the paths the two family experiments measure at index n, built one
+    # by one: rho_n, sigma_n, their product (the rectangle of width 1/n),
+    # the rectangle of width 1/(2n), and the limits e1 and -e1
+    rho = sp.PiecewiseLinearPath(2, [[0.0, 1.0 / n], [1.0, 0.0]])
+    sigma = sp.PiecewiseLinearPath(2, [[0.0, -1.0 / n], [-1.0, 0.0]])
+    limits = sp.linear_path([1.0, 0.0]), sp.linear_path([-1.0, 0.0])
+    return rho, sigma, sp.concat(rho, sigma), _thin_rectangle(1.0 / (2 * n)), *limits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, _MAX_COEFFICIENTS // 256, _MAX_COEFFICIENTS // 32])
+def test_family_members_are_their_own_reduced_representatives(n):
+    # the experiments measure their families without reduce, which must
+    # leave every member as it is, up to each n_max bound
+    assert _thin_rectangle(1.0 / n).segments.tobytes() == _family_members(n)[2].segments.tobytes()
+    for path in _family_members(n):
+        reduced = sp.reduce(path).segments
+        assert reduced.shape == path.segments.shape and reduced.tobytes() == path.segments.tobytes()
+
+
+def test_family_distances_are_bitwise_metric_d():
+    # beyond the pinned defaults: every series value is the public per-pair call
+    n_max = 64
+    discontinuity = sp.experiment_group_discontinuity(n_max).series
+    incompleteness = sp.experiment_incompleteness(n_max).series
+    origin = sp.constant_path(2)
+    want = {key: [] for key in ("d_rho_to_limit", "d_sigma_to_limit", "d_product_to_origin", "d_to_origin", "d_to_double")}
+    for n in range(1, n_max + 1):
+        rho, sigma, product, double, e1, back = _family_members(n)
+        want["d_rho_to_limit"].append(sp.metric_d(rho, e1))
+        want["d_sigma_to_limit"].append(sp.metric_d(sigma, back))
+        want["d_product_to_origin"].append(sp.metric_d(product, origin))
+        want["d_to_origin"].append(sp.metric_d(origin, product))
+        want["d_to_double"].append(sp.metric_d(product, double))
+    for key, values in want.items():
+        got = (discontinuity if key in discontinuity else incompleteness)[key]
+        assert np.array(got).tobytes() == np.array(values).tobytes(), key
+
+
 @pytest.mark.parametrize(
     "doc",
     [
