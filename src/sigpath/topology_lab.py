@@ -363,8 +363,8 @@ def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentRepo
     zero, yet each rho_n keeps metric_d distance 2 + 2/n >= 2 from the
     trivial path, so no reduced limit can exist.  n_max is at most
     _MAX_COEFFICIENTS // 256 = 131072, a memory bound: untraced on a
-    2-core Intel Xeon VM an index takes about 0.1 ms, so a run at the
-    bound about 14 s.
+    2-core Intel Xeon VM an index takes about 60 us, so a run at the
+    bound about 8 s.
 
     Each rectangle is its own reduced representative (its consecutive
     segments are nonzero and orthogonal, so reduce merges none), so the
@@ -418,7 +418,7 @@ def experiment_group_discontinuity(n_max: int = 10) -> ExperimentReport:
     length 2 + 2/n, so the product stays at metric_d distance at least 2
     from the trivial path.  n_max is at most _MAX_COEFFICIENTS // 32 =
     1048576, a memory bound: untraced on a 2-core Intel Xeon VM an index
-    takes about 8 us, so a run at the bound about 8 s.
+    takes about 4 us, so a run at the bound about 4 s.
 
     rho_n * sigma_n is the rectangle of width 1/n, rho_n its first half and
     sigma_n its second.  Each of them is its own reduced representative

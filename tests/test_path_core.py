@@ -460,8 +460,9 @@ def test_distances_are_bitwise_the_reference():
 
 @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e200])
 def test_scalar_routes_are_bitwise_the_numpy_routes(monkeypatch, scale):
-    # the loop references lose their squares at these scales, so the scalar
-    # routes are checked against the numpy routes, forced by a cap of 0
+    # the loop references lose their squares at these scales, so reduce's
+    # scalar merge loop is checked against its numpy screen, forced by a cap
+    # of 0; the distances have one route, which the cap does not change
     paths = [sp.PiecewiseLinearPath(p.dim, p.segments * scale) for p in _small_corpus()]
     pairs = [(a, b) for a, b in zip(paths, paths[1:]) if a.dim == b.dim]
 
@@ -716,6 +717,21 @@ def test_distances_at_extreme_scales(scale):
         for q in (2.0, 2.5):
             want = scale * sp.p_variation(unit_loop, q)
             assert sp.p_variation(loop, q) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("d", [2, 7, 8, 64])
+def test_rows_are_read_in_every_column(d):
+    # row maxima and the nonzero-row test take few columns one at a time
+    # and many in one call: the entries that decide both sit in the last
+    # column, past a first column of 0 or 1e-300
+    segs = np.zeros((3, d))
+    segs[0, -1], segs[1, 0], segs[1, -1], segs[2, 0] = 1e200, 1e-300, 3e200, 1.0
+    wide, step = sp.PiecewiseLinearPath(d, segs), sp.PiecewiseLinearPath(d, segs[:1] * 1e-200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wide.segment_lengths.tolist() == [1e200, 3e200, 1.0]
+        assert step.evaluate(1.0).tolist() == step.segments[0].tolist()
+        assert sp.one_variation_distance(step, sp.constant_path(d)) == 1.0
 
 
 def test_segment_lengths_are_bitwise_numpy_norms():

@@ -554,8 +554,12 @@ def test_family_members_are_their_own_reduced_representatives(n):
         assert reduced.shape == path.segments.shape and reduced.tobytes() == path.segments.tobytes()
 
 
-def test_family_distances_are_bitwise_metric_d():
-    # beyond the pinned defaults: every series value is the public per-pair call
+@pytest.mark.parametrize("batch_coefficients", [128, 700, 2**17])
+def test_family_distances_are_bitwise_metric_d(monkeypatch, batch_coefficients):
+    # beyond the pinned defaults: every series value is the public per-pair
+    # call, with blocks of one row, of a few rows (5 for group-discontinuity,
+    # 2 for incompleteness) and the default blocks, all 64 indices in one
+    monkeypatch.setattr(sp.topology_lab, "_BATCH_COEFFICIENTS", batch_coefficients)
     n_max = 64
     discontinuity = sp.experiment_group_discontinuity(n_max).series
     incompleteness = sp.experiment_incompleteness(n_max).series
