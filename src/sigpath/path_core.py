@@ -259,23 +259,31 @@ def _reduced_rows(segs: np.ndarray):
     # pass 1: excise exactly mirrored adjacent pairs without any arithmetic,
     # so out-and-back insertions vanish bitwise even when every segment of
     # the path is collinear with its neighbours (d = 1); merging only after
-    # this pass keeps [0.1], [0.2], [-0.2] at [0.1] rather than 0.1 + 0.2 - 0.2
-    rows = segs.tolist()
+    # this pass keeps [0.1], [0.2], [-0.2] at [0.1] rather than 0.1 + 0.2 - 0.2.
+    # Rows and their negations are compared as the bytes of x + 0.0, which
+    # turns -0.0 into 0.0, so two rows' bytes are equal exactly when their
+    # finite entries are equal floats, and a zero row's bytes are all zero.
+    # Unlike a list of floats per row, bytes give the cyclic garbage
+    # collector nothing to track: thousands of lists per call made it run
+    # several times per call, and every few calls collect every tracked
+    # object (about 8 ms)
+    count, width = segs.shape[0], segs.itemsize * segs.shape[1]
+    keys = (np.concatenate((segs, -segs)) + 0.0).view(np.dtype((np.void, width))).ravel().tolist()
+    rows, negated, zero = keys[:count], keys[count:], bytes(width)
     stack: list[int] = []
-    for i, negated in enumerate((-segs).tolist()):
-        if not any(negated):
+    for i, row in enumerate(rows):
+        if row == zero:
             continue
-        if stack and rows[stack[-1]] == negated:
+        if stack and rows[stack[-1]] == negated[i]:
             stack.pop()
         else:
             stack.append(i)
     # pass 2: merge adjacent collinear segments to a fixpoint; pass 1 left no
     # mirrored neighbours, so a long path none of whose pairs is collinear is done
-    if len(stack) > _IN_ORDER_TERMS:
-        kept = segs[stack]
-        if not _pair_tests(kept).any():
-            return kept
-    return _merge_collinear([rows[i] for i in stack])
+    kept = segs.take(stack, axis=0)
+    if len(stack) > _IN_ORDER_TERMS and not _pair_tests(kept).any():
+        return kept
+    return _merge_collinear(kept.tolist())
 
 
 def _merge_collinear(rows: list) -> list:

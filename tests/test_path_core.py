@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -529,6 +530,37 @@ def test_reduce_excises_mirrors_before_merging():
     ):
         red = sp.reduce(sp.PiecewiseLinearPath(len(want[0]), segs))
         assert red.segments.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("zero, negated_zero", [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+def test_mirrors_match_as_floats_whatever_the_sign_of_zero(zero, negated_zero):
+    # a row and the negation of its successor are compared as floats, so
+    # 0.0 and -0.0 match in either place and the mirrored pair is excised
+    # before any merge (merging first would leave 0.10000000000000003)
+    path = sp.PiecewiseLinearPath(2, [[0.1, 0.0], [0.2, zero], [-0.2, negated_zero]])
+    assert sp.reduce(path).segments.tobytes() == np.array([[0.1, 0.0]]).tobytes()
+    assert sp.metric_d(path, sp.linear_path([0.1, 0.0])) == 0.0
+
+
+def test_metric_d_hands_the_garbage_collector_no_object_per_row():
+    # a list per row would hold thousands of tracked objects at once, and
+    # the collector would run many times per call, now and then a full
+    # collection of every tracked object
+    rng = np.random.default_rng(5)
+    a, b = (sp.PiecewiseLinearPath(2, rng.normal(size=(4000, 2))) for _ in range(2))
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        sp.metric_d(a, sp.concat(b, sp.reverse(sp.PiecewiseLinearPath(2, b.segments[:100]))))
+    finally:
+        gc.callbacks.remove(count)
+    assert started == []
 
 
 def test_reduce_refuses_a_merge_that_overflows():
