@@ -27,8 +27,8 @@ import numpy as np
 
 from . import signature_engine
 from .path_core import PiecewiseLinearPath
-from .signature_engine import LinearFunctional, _check_budget, signature
-from .tensor_algebra import _MALFORMED, _count, _finite, _json_floats, _readonly, _real
+from .signature_engine import LinearFunctional, signature
+from .tensor_algebra import _MALFORMED, _check_budget, _count, _finite, _json_floats, _readonly, _real
 
 __all__ = [
     "LinearVectorField",

@@ -109,12 +109,14 @@ class PiecewiseLinearPath:
         return self.points[-1]
 
     @property
+    # the vertices _grids forms beside the times go unread, and may overflow
+    @np.errstate(over="ignore")
     def breakpoints(self) -> np.ndarray:
-        """Constant-speed times of the vertices (repeats at zero segments)."""
-        cum = np.cumsum(_row_norms(self.segments, self.segment_count))
-        if not cum.size or cum[-1] == 0.0:
+        """Constant-speed times of the vertices (repeats at zero segments),
+        all 0 when no segment is nonzero."""
+        if not self.segments.any():
             return np.zeros(self.segment_count + 1)
-        return np.concatenate([[0.0], cum / cum[-1]])
+        return _grids(self.segments[None])[0][0]
 
     def evaluate(self, t: float) -> np.ndarray:
         """Position at time t in [0, 1] under the constant-speed clock."""
@@ -123,8 +125,8 @@ class PiecewiseLinearPath:
 
 def linear_path(v) -> PiecewiseLinearPath:
     """One-segment path along the displacement v."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    return PiecewiseLinearPath(v.size, v.reshape(1, -1))
+    v = np.reshape(v, (1, -1))
+    return PiecewiseLinearPath(v.shape[1], v)
 
 
 def constant_path(dim: int) -> PiecewiseLinearPath:
@@ -149,8 +151,10 @@ def reverse(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
 
 
 def _across(ufunc, rows: np.ndarray) -> np.ndarray:
-    # ufunc.reduce(rows, axis=1) for a ufunc whose result does not depend on
-    # the order (np.maximum, np.logical_or), column by column on few columns
+    # ufunc.reduce(rows, axis=1), column by column on few columns, with its
+    # bits: np.maximum and np.logical_or do not depend on the order, and
+    # numpy sums fewer than 8 terms of a row in order, from 0, as the column
+    # loop does (a sum from 0 differs only at -0.0, which no square is)
     return functools.reduce(ufunc, rows.T) if rows.shape[1] < _FEW_COLUMNS else ufunc.reduce(rows, axis=1)
 
 
@@ -176,7 +180,7 @@ def _row_norms(rows: np.ndarray, terms: int = 0) -> np.ndarray:
     scaled, exps = _scaled_rows(rows)
     if terms:
         exps = exps - max(0, int(exps.max()) + (terms * rows.shape[1]).bit_length() - 1023)
-    return np.ldexp(np.sqrt(np.add.reduce(scaled * scaled, axis=1)), exps)
+    return np.ldexp(np.sqrt(_across(np.add, scaled * scaled)), exps)
 
 
 def _pair_tests(segs: np.ndarray) -> np.ndarray:
@@ -330,8 +334,10 @@ def constant_speed(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
 
 def _grids(stack: np.ndarray):
     """Constant-speed knot times, shape (n, k + 1), and vertices, shape
-    (n, k + 1, d), of a stack (n, k, d) of paths of k nonzero segments
-    each; a path with no segment has the knots 0 and 1, both at the origin.
+    (n, k + 1, d), of a stack (n, k, d) of paths of k segments each; a
+    path with no segment has the knots 0 and 1, both at the origin.  A zero
+    segment repeats a knot, and a path of only zero segments has no times
+    (0 / 0): the distances pass nonzero segments only.
 
     The times divide running sums of the segment lengths by the total, as
     the lengths come from _row_norms: scaled by a power of two where the

@@ -25,12 +25,11 @@ from .ito_solver import LinearVectorField, _check_y0, _flow_end_states
 from .path_core import PiecewiseLinearPath, path_from_dict, path_to_dict
 from .signature_engine import (
     LinearFunctional,
-    _check_budget,
     _check_feature_count,
     _signature_levels,
     feature_count,
 )
-from .tensor_algebra import _MALFORMED, _count, _finite, _json_floats, _readonly, _real
+from .tensor_algebra import _MALFORMED, _check_budget, _count, _finite, _json_floats, _real
 
 __all__ = [
     "RegressionDataset",
@@ -73,8 +72,8 @@ class RegressionDataset:
 
     def __post_init__(self):
         segs = _finite("segments", self.segments)
-        feats = np.asarray(self.features, dtype=float)
-        resp = np.atleast_2d(np.asarray(self.responses, dtype=float))
+        feats = _finite("features", self.features)
+        resp = np.atleast_2d(_finite("responses", self.responses))
         if segs.ndim != 3:
             raise ValueError(f"segments must be an (n, m, d) block, got shape {segs.shape}")
         if segs.shape[0] == 0:
@@ -84,8 +83,8 @@ class RegressionDataset:
         object.__setattr__(self, "depth", _count("depth", self.depth, 0))
         _check_feature_count(feats.shape[1], segs.shape[2], self.depth, "feature columns")
         object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "features", _readonly(feats))
-        object.__setattr__(self, "responses", _readonly(resp))
+        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "responses", resp)
         object.__setattr__(self, "noise_scale", _real("noise_scale", self.noise_scale, "nonnegative"))
         object.__setattr__(self, "seed", None if self.seed is None else _count("seed", self.seed, 0))
 
@@ -192,6 +191,10 @@ def fit(dataset: RegressionDataset, depth: int, ridge: float = 0.0) -> LinearFun
         X_aug = np.vstack([X, np.sqrt(ridge) * np.eye(F)])
         Y_aug = np.vstack([Y, np.zeros((F, Y.shape[1]))])
         sol, _, _, _ = scipy.linalg.lstsq(X_aug, Y_aug)
+    # finite features and responses can still give weights beyond float
+    # range, a numerical failure that the functional would call a bad input
+    if not np.isfinite(sol).all():
+        raise FloatingPointError("the fitted weights overflowed to non-finite values")
     return LinearFunctional(
         dim=dim, depth=depth, weights=sol, rank_deficient=rank_deficient
     )

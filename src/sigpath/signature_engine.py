@@ -39,11 +39,13 @@ from .tensor_algebra import (
     GroupTensor,
     TruncatedTensor,
     _MAX_COEFFICIENTS,
+    _check_budget,
     _count,
+    _finite,
     _json_bool,
     _log_levels,
-    _readonly,
     _real,
+    feature_count,
     log,
 )
 
@@ -57,17 +59,6 @@ __all__ = [
     "GroupLikeReport",
     "check_group_like",
 ]
-
-
-def _check_budget(copies: int, d: int, depth: int, what: str) -> None:
-    # the depth is taken here, before anything is counted; for d >= 2,
-    # d**26 alone is over budget: the count stops there, so any depth is quick
-    depth = _count("depth", depth, 0)
-    per_copy = feature_count(d, depth if d == 1 else min(depth, 26))
-    if copies * per_copy > _MAX_COEFFICIENTS:
-        raise ValueError(
-            f"depth {depth} over {what} exceeds the limit of {_MAX_COEFFICIENTS} coefficients"
-        )
 
 
 def _outer(x, y, out):
@@ -193,14 +184,6 @@ def log_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedTensor:
     return log(signature(path, depth))
 
 
-def feature_count(dim: int, depth: int) -> int:
-    """Number of tensor coefficients across levels 0..depth."""
-    dim, depth = _count("dim", dim, 1), _count("depth", depth, 0)
-    if dim == 1:
-        return depth + 1
-    return (dim ** (depth + 1) - 1) // (dim - 1)
-
-
 def _check_feature_count(count: int, dim: int, depth: int, what: str) -> None:
     # feature_count(dim, depth) > depth, so a depth of at least count is
     # refused before dim**(depth + 1) is formed
@@ -223,7 +206,7 @@ class LinearFunctional:
     rank_deficient: bool = False
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = _finite("weights", self.weights)
         if w.ndim == 1:
             w = w[:, None]
         if w.ndim != 2:
@@ -231,7 +214,7 @@ class LinearFunctional:
         object.__setattr__(self, "dim", _count("dim", self.dim, 1))
         object.__setattr__(self, "depth", _count("depth", self.depth, 0))
         _check_feature_count(w.shape[0], self.dim, self.depth, "weight rows")
-        object.__setattr__(self, "weights", _readonly(w))
+        object.__setattr__(self, "weights", w)
         _json_bool("rank_deficient", self.rank_deficient)
 
     def evaluate(self, tensor: TruncatedTensor) -> np.ndarray:

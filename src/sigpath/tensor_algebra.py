@@ -59,8 +59,16 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def _finite(what, value) -> np.ndarray:
-    # _readonly of an input array, refusing NaN and inf entries
-    out = _readonly(value)
+    # _readonly of an input array, refused by name where it is complex (the
+    # float cast would drop the imaginary part), holds what is no number (a
+    # dict, a word) or has a NaN or inf entry
+    try:
+        arr = np.asarray(value)
+        if np.iscomplexobj(arr):
+            raise TypeError(f"got the complex dtype {arr.dtype}")
+        out = _readonly(arr)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{what} must be real numbers: {err}") from None
     if not np.isfinite(out).all():
         raise ValueError(f"{what} must be finite, got non-finite entries")
     return out
@@ -75,6 +83,25 @@ def _finite(what, value) -> np.ndarray:
 # regression shapes its traced peak measured 1.6-1.85 times the counted
 # bytes (the factors, the first round's products and the scratch array).
 _MAX_COEFFICIENTS = 2**25
+
+
+def feature_count(dim: int, depth: int) -> int:
+    """Number of tensor coefficients across levels 0..depth."""
+    dim, depth = _count("dim", dim, 1), _count("depth", depth, 0)
+    if dim == 1:
+        return depth + 1
+    return (dim ** (depth + 1) - 1) // (dim - 1)
+
+
+def _check_budget(copies: int, d: int, depth: int, what: str) -> None:
+    # the depth is taken here, before anything is counted; for d >= 2,
+    # d**26 alone is over budget: the count stops there, so any depth is quick
+    depth = _count("depth", depth, 0)
+    per_copy = feature_count(d, depth if d == 1 else min(depth, 26))
+    if copies * per_copy > _MAX_COEFFICIENTS:
+        raise ValueError(
+            f"depth {depth} over {what} exceeds the limit of {_MAX_COEFFICIENTS} coefficients"
+        )
 
 
 # what every *_from_dict turns into its ValueError: a missing key or entry,
@@ -210,11 +237,13 @@ def _unit_levels(dim, depth):
 def unit(dim: int, depth: int) -> GroupTensor:
     """Multiplicative unit: 1 at level 0, zero elsewhere."""
     dim, depth = _count("dim", dim, 1), _count("depth", depth, 0)
+    _check_budget(1, dim, depth, f"one tensor of dimension {dim}")
     return GroupTensor(dim, depth, _unit_levels(dim, depth))
 
 
 def zero(dim: int, depth: int) -> TruncatedTensor:
     dim, depth = _count("dim", dim, 1), _count("depth", depth, 0)
+    _check_budget(1, dim, depth, f"one tensor of dimension {dim}")
     return TruncatedTensor(dim, depth, [np.zeros(dim**k) for k in range(depth + 1)])
 
 
@@ -348,13 +377,26 @@ def product_metric(x: TruncatedTensor, y: TruncatedTensor) -> float:
     """Levelwise metric sum_k 2**-k * min(1, ||x_k - y_k||).
 
     Metrises levelwise (product-topology style) convergence on the truncated
-    algebra; requires matching dim and depth.
+    algebra; requires matching dim and depth.  The kernel, _product_metric,
+    takes a batch of rows; here x is a batch of one.
     """
     _check_match(x, y)
-    total = 0.0
-    for k in range(x.depth + 1):
-        total += 0.5**k * min(1.0, float(np.linalg.norm(x.levels[k] - y.levels[k])))
-    return total
+    return float(_product_metric([lvl[None] for lvl in x.levels], y.levels)[0])
+
+
+def _product_metric(xs, ys) -> np.ndarray:
+    """product_metric on plain level arrays of shape (n, d**k), row by row:
+    the rows of ys, or one unbatched tensor's levels, against those of xs.
+
+    A row's norm is the square root of its dot product with itself, the
+    sum np.linalg.norm forms for a 1-D row: numpy's stacked matmul of
+    (n, 1, d**k) by (n, d**k, 1) reaches the same dot routine, so each row
+    has the bits of the unbatched metric, whatever the batch.
+    """
+    diffs = ((x - y)[:, None, :] for x, y in zip(xs, ys))
+    norms = (np.sqrt(np.matmul(v, v.transpose(0, 2, 1))[:, 0, 0]) for v in diffs)
+    # level by level from 0, the order that fixes each row's bits
+    return sum(0.5**k * np.minimum(1.0, norm) for k, norm in enumerate(norms))
 
 
 def phi_contraction(x: TruncatedTensor, n: int) -> float:

@@ -37,14 +37,14 @@ from .path_core import (
     one_variation_distance,
     reduce,
 )
-from .signature_engine import _check_budget, _dyadic, _signature_levels, exact_signature, feature_count, signature
+from .signature_engine import _dyadic, _signature_levels, exact_signature, feature_count, signature
 from .tensor_algebra import (
     _MALFORMED,
     _MAX_COEFFICIENTS,
-    GroupTensor,
     _count,
     _json_bool,
     _json_str,
+    _product_metric,
     _real,
     phi_contraction,
     product_metric,
@@ -296,7 +296,8 @@ def experiment_product_vs_metric(k_max: int = 5, depth: int | None = None) -> Ex
     origin = constant_path(2)
     indices = list(range(1, k_max + 1))
     loops = [gamma_loop(k) for k in indices]
-    # exact_signature rejects the depths it cannot afford before unit() allocates
+    # exact_signature refuses the depths it cannot afford (dim**depth over
+    # 5000) before any loop is folded, and unit() checks its own budget
     sigs = [exact_signature(loop, depth) for loop in loops]
     one = unit(2, depth)
     pm, dm, low = [], [], []
@@ -363,21 +364,24 @@ def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentRepo
     zero, yet each rho_n keeps metric_d distance 2 + 2/n >= 2 from the
     trivial path, so no reduced limit can exist.  n_max is at most
     _MAX_COEFFICIENTS // 256 = 131072, a memory bound: untraced on a
-    2-core Intel Xeon VM an index takes about 60 us, so a run at the
-    bound about 8 s.
+    2-core Intel Xeon VM an index takes about 10 us at depth 4, so a run
+    at the bound about 1.4 s.
 
     Each rectangle is its own reduced representative (its consecutive
     segments are nonzero and orthogonal, so reduce merges none), so the
     distances run on blocks of rectangles at once (_distances), with the
-    bits of metric_d on each pair.
+    bits of metric_d on each pair.  The product metric to the unit and the
+    level maxima are read off each block's signature level arrays
+    (_product_metric, one max per level), with the bits of product_metric
+    and np.max on each rectangle's signature; no tensor is built per row.
     """
     # each index holds nine series values: about 34 float-sized values with
     # their Python objects (tracemalloc, from n_max = 4000 to 8000), under 256
     n_max = _count("n_max", n_max, 2, _MAX_COEFFICIENTS // 256)
-    _check_budget(1, 2, depth, "one tensor of dimension 2")
     one = unit(2, depth)
     indices = list(range(1, n_max + 1))
-    d_origin, d_double, pm, level_max = [], [], [], {k: [] for k in range(1, 5)}
+    d_origin, d_double, pm = [], [], []
+    level_max = {f"sig_max_level_{k}": [] for k in range(1, 5)}
     # blocks of rectangles for the batched kernels, whose rows are
     # bit-identical to signature(rect) and metric_d: a signature row holds
     # about 4 * feature_count(2, depth) float-sized values in its kernel and
@@ -391,10 +395,9 @@ def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentRepo
         d_origin += _distances(np.zeros((len(ns), 0, 2)), rects).tolist()
         d_double += _distances(rects, _thin_rectangles(1.0 / (2 * ns))).tolist()
         levels = _signature_levels(rects, depth)
-        for row in range(len(ns)):
-            pm.append(product_metric(GroupTensor(2, depth, [lvl[row] for lvl in levels]), one))
-            for k in range(1, 5):
-                level_max[k].append(float(np.max(np.abs(levels[k][row]))) if k <= depth else 0.0)
+        pm += _product_metric(levels, one.levels).tolist()
+        for k, column in enumerate(level_max.values(), 1):
+            column += np.abs(levels[k]).max(axis=1).tolist() if k <= depth else [0.0] * len(ns)
     scaled = [n * dd for n, dd in zip(indices, d_double)]
     series = {
         "d_to_origin": d_origin,
@@ -402,9 +405,8 @@ def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentRepo
         "scaled_d_to_double": scaled,
         "fitted_c": [max(scaled)] * n_max,
         "product_metric_to_unit": pm,
+        **level_max,
     }
-    for k in range(1, 5):
-        series[f"sig_max_level_{k}"] = level_max[k]
     return _report("incompleteness", indices, series)
 
 

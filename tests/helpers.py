@@ -183,6 +183,14 @@ def max_coeff_gap(x, y):
     )
 
 
+def reference_product_metric(x, y):
+    """sum_k 2**-k min(1, ||x_k - y_k||), one np.linalg.norm per level."""
+    total = 0.0
+    for k in range(x.depth + 1):
+        total += 0.5**k * min(1.0, float(np.linalg.norm(x.levels[k] - y.levels[k])))
+    return total
+
+
 def reference_mul(x, y):
     """Truncated product of two level lists, one outer product at a time."""
     depth = len(x) - 1

@@ -49,8 +49,9 @@ def test_the_top_level_names_are_the_submodules_lists():
 
 
 def test_each_name_is_listed_by_one_submodule():
-    # LinearFunctional and feature_count live beside the signature kernel;
-    # sig_regression imports them without listing them again
+    # signature_engine lists LinearFunctional, defined beside the signature
+    # kernel, and feature_count, defined beside the coefficient budget in
+    # tensor_algebra; sig_regression imports both without listing them again
     owners = {}
     for module in SUBMODULES:
         for name in module.__all__:
@@ -286,7 +287,8 @@ def _mentions(text):
 # not a finite number meeting its condition; reduce and metric_d
 # share the row-level reduction; every distance and difference of two paths
 # runs on one stacked kernel, and the 1-variation distances, single or of a
-# family, on its one sum
+# family, on its one sum; the product metric, of one pair or of a family's
+# rows, has one kernel, and the coefficient budget one check
 _OWNERS = {
     "np.convolve": (_calls("convolve"), {("signature_engine.py", "_one_letter_series")}),
     "_mul_levels": (_calls("_mul_levels"), {("tensor_algebra.py", f) for f in ("mul", "exp", "_power_sum")}),
@@ -315,6 +317,11 @@ _OWNERS = {
         {("path_core.py", "one_variation_distance")}
         | {("topology_lab.py", f) for f in ("metric_d", "experiment_incompleteness", "experiment_group_discontinuity")},
     ),
+    "_product_metric": (
+        _calls("_product_metric"),
+        {("tensor_algebra.py", "product_metric"), ("topology_lab.py", "experiment_incompleteness")},
+    ),
+    "coefficient budget": (_mentions("exceeds the limit of"), {("tensor_algebra.py", "_check_budget")}),
 }
 
 
@@ -327,6 +334,13 @@ def test_each_series_and_input_check_has_one_owner(what):
         for function, _ in _sites(ast.parse(source.read_text(encoding="utf-8")), hit)
     }
     assert where == owners
+
+
+def test_the_experiments_build_no_tensor_record():
+    # the experiments read signatures as plain level arrays, a family's rows
+    # in one batch; a tensor record per row validates every level again
+    tree = ast.parse(pathlib.Path(sp.topology_lab.__file__).read_text(encoding="utf-8"))
+    assert _sites(tree, lambda n: _calls("GroupTensor")(n) or _calls("TruncatedTensor")(n)) == []
 
 
 def test_exact_signature_folds_once_for_both_integer_types():
@@ -512,6 +526,29 @@ def _real_refusals():
             id="field-offsets-inf",
         ),
         pytest.param(lambda: sp.oracle_solve(_FIELD, _PATH, [_NAN, 0.0]), "y0 must be finite", id="y0-nan"),
+        pytest.param(lambda: sp.PiecewiseLinearPath(1, [["nan"]]), "segments must be finite", id="path-nan-word"),
+        # ... and refused by name where it is complex or no number at all,
+        # before a float cast could drop an imaginary part or raise a TypeError
+        pytest.param(lambda: sp.linear_path(np.array([1 + 2j, 3.0])), "segments must be real", id="path-complex"),
+        pytest.param(lambda: sp.exp_segment([1j, 0.0], 2), "segments must be real", id="exp_segment-complex"),
+        pytest.param(lambda: sp.PiecewiseLinearPath(2, {"a": 1}), "segments must be real", id="path-dict"),
+        pytest.param(lambda: sp.PiecewiseLinearPath(1, [["one"]]), "segments must be real", id="path-word"),
+        pytest.param(lambda: sp.linear_path("one"), "segments must be real", id="linear_path-word"),
+        pytest.param(
+            lambda: sp.LinearVectorField(1j * np.ones((1, 2, 2)), np.zeros((1, 2))),
+            "field matrices must be real",
+            id="field-matrices-imaginary",
+        ),
+        pytest.param(lambda: sp.oracle_solve(_FIELD, _PATH, {"y": 0}), "y0 must be real", id="y0-dict"),
+        pytest.param(
+            lambda: sp.TruncatedTensor(1, 1, [[1.0], [2j]]), "level 1 must be real", id="tensor-complex"
+        ),
+        pytest.param(lambda: sp.LinearFunctional(1, 1, [1j, 1.0]), "weights must be real", id="functional-complex"),
+        pytest.param(
+            lambda: sp.RegressionDataset(_DATA.segments, {"x": 1}, _DATA.responses, 2, 0.0),
+            "features must be real",
+            id="dataset-features-dict",
+        ),
         pytest.param(
             lambda: sp.RegressionDataset(np.full((1, 1, 2), _INF), np.ones((1, 1)), np.ones((1, 1)), 0, 0.0),
             "segments must be finite",
@@ -718,8 +755,11 @@ def test_a_record_built_directly_decodes_back_unchanged(record, to_dict, from_di
         (lambda: sp.RegressionDataset(np.zeros((0, 1, 2)), np.zeros((0, 7)), np.zeros((0, 2)), 2, 0.0), "dataset is empty"),
         (lambda: sp.LinearVectorField(np.zeros((0, 2, 2)), np.zeros((0, 2))), r"d, w >= 1, got \(0, 2, 2\)"),
         (lambda: sp.LinearVectorField(np.zeros((2, 0, 0)), np.zeros((2, 0))), r"d, w >= 1, got \(2, 0, 0\)"),
+        (lambda: sp.LinearFunctional(1, 1, [_NAN, 1.0]), "weights must be finite"),
+        (lambda: sp.RegressionDataset(_DATA.segments, _DATA.features * _NAN, _DATA.responses, 2, 0.0), "features must be finite"),
+        (lambda: sp.RegressionDataset(_DATA.segments, _DATA.features, _DATA.responses + _INF, 2, 0.0), "responses must be finite"),
     ],
-    ids=["empty-dataset", "d0-field", "w0-field"],
+    ids=["empty-dataset", "d0-field", "w0-field", "nan-weights", "nan-features", "inf-responses"],
 )
 def test_a_record_its_decoder_would_refuse_is_refused_when_built(build, message):
     with pytest.raises(ValueError, match=message):

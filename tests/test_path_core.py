@@ -770,6 +770,15 @@ def test_segment_lengths_are_bitwise_numpy_norms():
     for p in _bitwise_corpus():
         want = np.linalg.norm(p.segments, axis=1) if p.segment_count else np.zeros(0)
         assert p.segment_lengths.tobytes() == want.tobytes()
+    # random rows on both sides of _FEW_COLUMNS = 8, where the squares are
+    # summed column by column (d 6, 7) or in numpy's one call (d 8, 9): row
+    # scales over 900 binades, entries within a row over sixty, so that every
+    # square stays in the normal range of the unscaled reference
+    rng = np.random.default_rng(16)
+    for d in (6, 7, 8, 9):
+        scales = 2.0 ** (rng.integers(-450, 450, size=(20000, 1)) + rng.integers(-30, 30, size=(20000, d)))
+        rows = rng.normal(size=(20000, d)) * scales
+        assert sp.PiecewiseLinearPath(d, rows).segment_lengths.tobytes() == np.linalg.norm(rows, axis=1).tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 64])

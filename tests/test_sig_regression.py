@@ -271,6 +271,15 @@ def test_rank_deficiency_flag_and_ridge():
         sp.RegressionDataset(np.zeros((0, 1, 2)), np.zeros((0, 7)), np.zeros((0, 2)), 2, 0.0)
 
 
+def test_weights_beyond_float_range_are_a_numerical_failure():
+    # finite, nearly collinear features with responses near float range: the
+    # least-squares weights overflow, which is a FloatingPointError (exit 4
+    # in the command line), not the functional's refusal of a bad input
+    data = sp.RegressionDataset([[[1.0]], [[1.0 + 1e-12]]], [[1.0, 1.0], [1.0, 1.0 + 1e-12]], [[1e300], [-1e300]], 1, 0.0)
+    with pytest.raises(FloatingPointError, match="fitted weights"):
+        sp.fit(data, 1)
+
+
 def test_feature_injectivity_on_corpus():
     field, y0 = sp.demo_field()
     ds = sp.generate_dataset(field, y0, n_paths=60, segment_count=4, r=1.0,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sigpath as sp
-from sigpath.tensor_algebra import _count, _json_floats, tensor_from_dict, tensor_from_json, tensor_to_json
+from sigpath.tensor_algebra import _count, _json_floats, _product_metric, tensor_from_dict, tensor_from_json, tensor_to_json
 
 from helpers import (
     malformed_record_params,
@@ -12,6 +12,7 @@ from helpers import (
     reference_exp,
     reference_inverse_psi,
     reference_log,
+    reference_product_metric,
     reference_shuffle_words,
     same_bits,
     traced_peak_bytes,
@@ -204,6 +205,54 @@ def test_product_metric_is_metric():
             sp.product_metric(x, z)
             <= sp.product_metric(x, y) + sp.product_metric(y, z) + 1e-12
         )
+
+
+def _spread_tensor(rng, d, depth):
+    # levels at scales 2**-12 to 2**2, so their norms fall on both sides of 1
+    return sp.TruncatedTensor(d, depth, [rng.normal(size=d**k) * 2.0 ** rng.integers(-12, 3) for k in range(depth + 1)])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_product_metric_is_bitwise_the_per_level_norms(d):
+    rng = np.random.default_rng(40 + d)
+    for depth in range(7):
+        for _ in range(40):
+            x, y = _spread_tensor(rng, d, depth), _spread_tensor(rng, d, depth)
+            assert _bits(sp.product_metric(x, y)) == _bits(reference_product_metric(x, y))
+
+
+@pytest.mark.parametrize("rows", [1, 5, 80])
+def test_the_product_metric_kernel_is_bitwise_the_reference_on_every_row(rows):
+    # a batch of rows against a batch of rows, and against one unbatched
+    # tensor's levels, as experiment_incompleteness passes the unit
+    rng = np.random.default_rng(rows)
+    for d, depth in ((1, 6), (2, 4), (2, 6), (3, 3)):
+        xs = [_spread_tensor(rng, d, depth) for _ in range(rows)]
+        ys = [_spread_tensor(rng, d, depth) for _ in range(rows)]
+        stacked = [[np.stack([t.levels[k] for t in ts]) for k in range(depth + 1)] for ts in (xs, ys)]
+        want = [reference_product_metric(x, y) for x, y in zip(xs, ys)]
+        assert _bits(_product_metric(*stacked)) == _bits(want)
+        want = [reference_product_metric(x, ys[0]) for x in xs]
+        assert _bits(_product_metric(stacked[0], ys[0].levels)) == _bits(want)
+
+
+def test_unit_and_zero_check_the_budget_before_they_allocate(monkeypatch):
+    # a level array allocated before the check would fail the test here,
+    # not ask numpy for gigabytes: unit(2, 30) would take 16 GiB in all
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level was allocated before the budget check")
+
+    for make in (sp.unit, sp.zero):
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "zeros", refuse)
+            for dim, depth in ((2, 25), (2, 30), (10**6, 2), (1, 2**25)):
+                with pytest.raises(ValueError, match=f"depth {depth} over one tensor of dimension {dim} exceeds the limit"):
+                    make(dim, depth)
+        assert make(2, 3).levels[3].shape == (8,)
 
 
 def test_product_metric_gamma_loops_decreasing():

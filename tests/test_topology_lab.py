@@ -14,6 +14,7 @@ from sigpath.topology_lab import ExperimentReport, _thin_rectangle
 from helpers import (
     BAD_INTEGERS,
     BIG_INT,
+    reference_product_metric,
     reference_sign_dots,
     rotated_orthogonal_path,
     same_bits,
@@ -511,6 +512,9 @@ def test_incompleteness_signatures_are_bitwise_per_rectangle(monkeypatch, depth,
         sig = sp.signature(rect, depth)
         assert same_bits([lvl[row] for lvl in levels], list(sig.levels))
         pm.append(product_metric(sig, one))
+        # product_metric is the experiment's own kernel on a batch of one,
+        # so the per-level np.linalg.norm loop checks both
+        assert pm[-1] == reference_product_metric(sig, one)
         for k in range(1, 5):
             level_max[k].append(float(np.max(np.abs(sig.levels[k]))) if k <= depth else 0.0)
     rep = sp.experiment_incompleteness(n_max=n_max, depth=depth)
