@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_algebra import _MALFORMED, _MAX_COEFFICIENTS, _count, _finite, _json_floats, _real
+from .tensor_algebra import _BLOCK_COEFFICIENTS, _MALFORMED, _MAX_COEFFICIENTS, _count, _finite, _json_floats, _real
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -360,30 +360,36 @@ def _nonzero(segs: np.ndarray) -> np.ndarray:
     return segs.compress(_across(np.logical_or, segs != 0.0), axis=0)[None]
 
 
+# the slopes at knot times are discarded unread, and may divide by zero; a
+# vertex or a position beyond float range is refused at the end
+@np.errstate(all="ignore")
 def positions_at(a: PiecewiseLinearPath, ts) -> np.ndarray:
-    """Positions at an array of times in [0, 1] (constant-speed clock)."""
-    ts = np.asarray(ts, dtype=float)
+    """Positions at an array of times in [0, 1] (constant-speed clock), one
+    row per time, as a C-contiguous (k, d) array (k = 1 for a 0-d time).
+
+    The distances' kernel on a stack of one: the clock of _grids, j the
+    last knot at or before each time (np.searchsorted), and _at's values,
+    which are np.interp's bit for bit.  A position beyond float range
+    raises FloatingPointError, as every distance does.
+    """
+    ts = np.asarray(ts, dtype=float).ravel()
     if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
         raise ValueError("times must lie in [0, 1]")
     times, pts = _grids(_nonzero(a.segments))
-    return _interp(ts, times[0], pts[0])
-
-
-def _interp(ts, times, pts) -> np.ndarray:
-    # positions at ts of the path through the vertices pts at the times,
-    # one np.interp per coordinate
-    return np.column_stack([np.interp(ts, times, pts[:, j]) for j in range(pts.shape[1])])
+    j = np.searchsorted(times[0], ts, side="right") - 1
+    return _in_range("a position of the path", np.ascontiguousarray(_at(ts, times[0], pts[0].T, j).T))
 
 
 def _at(t, times, pts, j) -> np.ndarray:
     # np.interp's formula at the times t, with j the flat index of the last
     # knot whose time is at most t: the knot's value where t is its time.
     # pts holds one coordinate per row, shape (d, knots), so that every
-    # operation runs along the knots
+    # operation runs along the knots.  A knot's successor is clipped to the
+    # stack's last knot, which has none; the slope from a row's final knot,
+    # into the next row or onto itself, goes unread, since its time is 1
+    # and no t exceeds it
     t0, p0 = times.take(j), pts.take(j, axis=1)
-    j = j + 1
-    # the last t is the last row's final knot, time 1, and has no successor
-    j[-1] -= 1
+    j = np.minimum(j + 1, times.size - 1)
     slope = (pts.take(j, axis=1) - p0) / (times.take(j) - t0)
     return np.where(t == t0, p0, slope * (t - t0) + p0)
 
@@ -480,10 +486,6 @@ def difference_path(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> Piecewise
     return PiecewiseLinearPath(a.dim, np.diff(values, axis=0))
 
 
-# Candidate coefficients p_variation holds at once (2**17 float64 values,
-# 1 MiB per temporary): the DP's block of vertices shrinks as paths grow.
-_PVAR_BLOCK_COEFFICIENTS = 2**17
-
 # Vertices per block of p_variation, below that cap.  Smaller blocks have
 # tighter boxes, so fewer candidates survive, and a shorter recurrence on
 # Python floats, but more numpy calls per vertex.  On planar random walks of
@@ -520,7 +522,7 @@ def _pvar_total(coords, costs) -> float:
     """best[m] of p_variation's pruned programme on the vertices coords,
     shape (d, m + 1), with costs(steps) the p-th powers of the distances."""
     m = coords.shape[1] - 1
-    block = max(1, min(_PVAR_BLOCK, _PVAR_BLOCK_COEFFICIENTS // (m + 1)))
+    block = max(1, min(_PVAR_BLOCK, _BLOCK_COEFFICIENTS // (m + 1)))
     starts = np.arange(0, m + 1, block)
     count = len(starts)
     lows = np.minimum.reduceat(coords, starts, axis=1)
@@ -530,7 +532,7 @@ def _pvar_total(coords, costs) -> float:
     near = np.maximum(np.maximum(lows - before, before - highs), 0.0)
     floors = (costs(near) * (1.0 - _PVAR_SLACK) - _PVAR_TINY).tolist()
     vertices = np.arange(count * block).reshape(count, block)
-    chunk = max(1, _PVAR_BLOCK_COEFFICIENTS // count)
+    chunk = max(1, _BLOCK_COEFFICIENTS // count)
     best = np.zeros(m + 1)
     for t, first in enumerate(starts.tolist()):
         lo, hi = max(first, 1), min(first + block, m + 1)
@@ -564,9 +566,9 @@ def p_variation(a: PiecewiseLinearPath, p: float) -> float:
     best[j] = max over i < j of best[i] + |a_j - a_i|**p.
 
     The vertices are split into blocks of B = 24 (fewer when B * (m + 1)
-    would exceed 2**17, at least 1), each with its bounding box, and the
-    programme runs one target block at a time.  As in Butkus and
-    Norvaisa's pruning for 1-D paths, a candidate block is skipped when it
+    would exceed _BLOCK_COEFFICIENTS, at least 1), each with its bounding
+    box, and the programme runs one target block at a time.  As in Butkus
+    and Norvaisa's pruning for 1-D paths, a candidate block is skipped when it
     cannot win: best never decreases, so no vertex i of a block beats
     best[last of the block] + (largest box-to-box distance)**p, and every
     best[j] of the target is at least best[lo - 1] + (smallest distance
@@ -579,8 +581,9 @@ def p_variation(a: PiecewiseLinearPath, p: float) -> float:
     kept one from lo - 1, so the max is the same double.  The kept
     candidates get the costs |a_j - a_i|**p of the unpruned programme,
     elementwise as one (B, i) array, and the recurrence inside the block
-    runs on Python floats.  Each temporary holds at most about 2**17
-    coefficients (1 MiB) whatever the segment count m, up to m = 2**17.
+    runs on Python floats.  Each temporary holds at most about
+    _BLOCK_COEFFICIENTS = 2**17 coefficients (1 MiB, tensor_algebra's one
+    block size) whatever the segment count m, up to m = 2**17.
 
     Squared differences are summed coordinate by coordinate in order: for
     d <= 7 the result is bit-identical to summing each row with
@@ -600,7 +603,9 @@ def p_variation(a: PiecewiseLinearPath, p: float) -> float:
     """
     p = _real("p", p, "at least 1")
     m = a.segment_count
-    coords = np.ascontiguousarray(a.points.T)
+    # a vertex beyond float range is inf here, and gives inf below
+    with np.errstate(over="ignore"):
+        coords = np.ascontiguousarray(a.points.T)
     if not coords.any():
         return 0.0
     if not np.isfinite(coords).all():
@@ -615,7 +620,7 @@ def p_variation(a: PiecewiseLinearPath, p: float) -> float:
         return float(np.ldexp(total ** (1.0 / p), shift))
     coords = np.ldexp(coords, -e)
     # D a block of rows at a time, each distance formed as the costs form it
-    rows = max(1, _PVAR_BLOCK_COEFFICIENTS // (m + 1))
+    rows = max(1, _BLOCK_COEFFICIENTS // (m + 1))
     unit = max(float(_pvar_costs((x[i : i + rows, None] - x for x in coords), 1.0).max()) for i in range(0, m + 1, rows))
     total = _pvar_total(coords, lambda steps: _pvar_costs(steps, p, unit))
     return float(np.ldexp(unit * total ** (1.0 / p), e))

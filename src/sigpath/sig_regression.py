@@ -117,7 +117,8 @@ def generate_dataset(
     partition of a total drawn from [r/4, r), so every path lies strictly
     inside the ball.  Responses are oracle_solve's exact flows, computed
     for all paths at once and row for row bit-identical to it, with centred
-    Gaussian noise added when noise_scale > 0.  Features for all paths come
+    Gaussian noise added when noise_scale > 0; noise that takes a response
+    beyond float range raises FloatingPointError.  Features for all paths come
     from one batched signature call, row for row bit-identical to
     featurize.  Everything is a pure function of the seed.
 
@@ -154,7 +155,12 @@ def generate_dataset(
     features = np.concatenate(_signature_levels(segments, depth), axis=1)
     responses = _flow_end_states(segments, field, y0)
     if noise_scale > 0:
-        responses = responses + noise_scale * rng.standard_normal(responses.shape)
+        # noisy responses beyond float range are a numerical failure, not
+        # the malformed input that RegressionDataset would call them
+        with np.errstate(over="ignore"):
+            responses = responses + noise_scale * rng.standard_normal(responses.shape)
+        if not np.isfinite(responses).all():
+            raise FloatingPointError("the noisy responses overflowed to non-finite values")
     return RegressionDataset(
         segments=segments,
         features=features,

@@ -76,24 +76,29 @@ def _outer(x, y, out):
     return out
 
 
-def _segment_levels(v, depth: int, divide: bool = True) -> list:
+def _segment_levels(v, depth: int) -> list:
     """Segment exponentials of the rows of v, shape (N, m, d), as levels
     0..depth: level 0 is one (N, 1, 1) array of ones that stands for every
     factor's unit, level 1 is v itself, and level k is level k-1 (x) v,
-    formed by _outer into a new array and divided by k in place.  With
-    divide False the levels are the powers v^(x)k (exact_signature)."""
+    formed by _outer into a new array.  Float levels are divided by k in
+    place; integer levels (int64, or Python ints in an object array) stay
+    the powers v^(x)k, which exact_signature folds with _fold's binomial
+    weights.  A path with no segment (m = 0) runs as one zero segment, whose
+    exponential is exactly the unit."""
+    if not v.shape[1]:
+        v = np.zeros((v.shape[0], 1, v.shape[2]), dtype=v.dtype)
     n, m, d = v.shape
     levels = [np.ones((n, 1, 1), dtype=v.dtype), v][: depth + 1]
     for k in range(2, depth + 1):
         lvl = _outer(levels[-1], v, np.empty((n, m, d ** (k - 1), d), dtype=v.dtype))
         lvl = lvl.reshape(n, m, d**k)
-        if divide:
+        if v.dtype.kind == "f":
             lvl /= k
         levels.append(lvl)
     return levels
 
 
-def _fold(levels, binomial: bool = False) -> list:
+def _fold(levels) -> list:
     """Balanced-tree product of the m factors in levels[k], shape (N, m, d**k)
     for k >= 1; levels[0] is not read and comes back as levels[0][:, 0].
     Each round multiplies the pairs (0, 1), (2, 3), ... in one pass over
@@ -105,8 +110,9 @@ def _fold(levels, binomial: bool = False) -> list:
     x_i (x) y_(k-i) for i = 1..k-1 in that order, each formed by _outer
     into one reused scratch array, and then adds x_k.  On floats these are
     the bits of _mul_levels, which sums the same terms from zero: adding 0
-    turns -0.0 into +0.0 as 0 + y_k does.  With binomial set the levels
-    hold exact_signature's integers T_k and term i is weighted by C(k, i).
+    turns -0.0 into +0.0 as 0 + y_k does.  Integer levels (int64 or Python
+    ints) are exact_signature's T_k, and their term i is weighted by
+    C(k, i); float levels are folded plainly.
 
     The levels go from the top down, and each round's array replaces the
     last round's in the list as soon as it is complete, so the caller's
@@ -126,7 +132,7 @@ def _fold(levels, binomial: bool = False) -> list:
                 x, y = levels[i][:, 0 : count - 1 : 2], levels[k - i][:, 1:count:2]
                 term = scratch[: acc.size].reshape(acc.shape[:2] + (x.shape[-1], y.shape[-1]))
                 _outer(x, y, term)
-                if binomial:
+                if term.dtype.kind != "f":
                     term *= math.comb(k, i)
                 acc += term.reshape(acc.shape)
             acc += levels[k][:, 0 : count - 1 : 2]
@@ -145,13 +151,11 @@ def _signature_levels(segments, depth: int) -> list:
     exponentials are formed in one pass, then multiplied by _fold.  Every
     product runs the same arithmetic in the same order as a pairwise fold of
     single paths with _mul_levels, so the result does not depend on the
-    batch.  Finiteness is checked once, on the result.
+    batch.  A path with no segment has the unit as its signature.
+    Finiteness is checked once, on the result.
     """
     n, m, d = segments.shape
     _check_budget(n * max(m, 1), d, depth, f"{n} x {m} segments of dimension {d}")
-    if m == 0:
-        # the exponential of a zero segment is exactly the unit
-        segments = np.zeros((n, 1, d))
     with np.errstate(over="ignore", invalid="ignore"):
         levels = _fold(_segment_levels(segments, depth))
     for k, lvl in enumerate(levels):
@@ -255,9 +259,9 @@ class LinearFunctional:
 def _dyadic(values) -> tuple:
     """(ints, q): the floats values written exactly as ints[i] / q over
     one power of two q, the largest of their denominators, which every
-    other divides.  values must not be empty."""
+    other divides; q = 1 when there are no values."""
     ratios = [float(c).as_integer_ratio() for c in values]
-    scale = max(q for _, q in ratios)
+    scale = max((q for _, q in ratios), default=1)
     return [p * (scale // q) for p, q in ratios], scale
 
 
@@ -267,7 +271,9 @@ def exact_signature(path: PiecewiseLinearPath, depth: int) -> GroupTensor:
     Float coordinates are dyadic, so v * 2**s is an integer vector for one
     common s.  Level k is held as T_k = k! 2**(s k) S_k in integers: a
     segment gives T_k = w^(x)k with w = v 2**s, the Chen product T_k =
-    sum_i C(k, i) X_i (x) Y_(k-i), folded like signature.  Each
+    sum_i C(k, i) X_i (x) Y_(k-i), folded like signature by the same
+    _segment_levels and _fold, which read that arithmetic from the integer
+    dtype.  The empty path has s = 0 and runs as one zero segment.  Each
     coefficient is divided by k! 2**(s k) once, as Python ints, which
     round correctly at any size (an int64 is never made a float64 first,
     which would round twice).  That gives the same bits as exact rational
@@ -293,11 +299,10 @@ def exact_signature(path: PiecewiseLinearPath, depth: int) -> GroupTensor:
     too_deep = depth > 100 if path.dim == 1 else path.dim ** min(depth, 13) > 5000
     if too_deep:
         raise ValueError("exact arithmetic is limited to dim**depth <= 5000, or depth <= 100 at dim 1")
-    segments = path.segments if len(path.segments) else np.zeros((1, path.dim))
-    ints, scale = _dyadic(segments.flat)
+    ints, scale = _dyadic(path.segments.flat)
     fits = max(2, sum(map(abs, ints))) ** max(depth, 1) < 2**63
-    v = np.array(ints, dtype=np.int64 if fits else object).reshape(1, *segments.shape)
-    levels = _fold(_segment_levels(v, depth, divide=False), binomial=True)
+    v = np.array(ints, dtype=np.int64 if fits else object).reshape(1, *path.segments.shape)
+    levels = _fold(_segment_levels(v, depth))
     for k, lvl in enumerate(levels):
         # Python ints divide with one correct rounding, at any size
         den = math.factorial(k) * scale**k

@@ -84,6 +84,12 @@ def _finite(what, value) -> np.ndarray:
 # bytes (the factors, the first round's products and the scratch array).
 _MAX_COEFFICIENTS = 2**25
 
+# Coefficients a blocked loop holds per temporary (2**17 float64 values,
+# 1 MiB): p_variation's blocks of vertices and the family experiments'
+# blocks of rows.  Blocks save per-call overhead on small inputs, and larger
+# ones would only raise the peak memory of large ones.
+_BLOCK_COEFFICIENTS = 2**17
+
 
 def feature_count(dim: int, depth: int) -> int:
     """Number of tensor coefficients across levels 0..depth."""

@@ -39,6 +39,7 @@ from .path_core import (
 )
 from .signature_engine import _dyadic, _signature_levels, exact_signature, feature_count, signature
 from .tensor_algebra import (
+    _BLOCK_COEFFICIENTS,
     _MALFORMED,
     _MAX_COEFFICIENTS,
     _count,
@@ -163,12 +164,12 @@ def _strictly_decreasing(xs) -> bool:
     return all(b < a for a, b in zip(xs, xs[1:]))
 
 
-def _nonincreasing(xs, slack=1e-15) -> bool:
-    return all(b <= a + slack for a, b in zip(xs, xs[1:]))
+def _nonincreasing(xs) -> bool:
+    return all(b <= a + 1e-15 for a, b in zip(xs, xs[1:]))
 
 
-def _nondecreasing(xs, slack=1e-9) -> bool:
-    return all(b >= a - slack for a, b in zip(xs, xs[1:]))
+def _nondecreasing(xs) -> bool:
+    return all(b >= a - _MC_SLACK for a, b in zip(xs, xs[1:]))
 
 
 def _check_product_vs_metric(indices, series) -> bool:
@@ -349,12 +350,6 @@ def experiment_quotient_vs_metric(eps_list=(1e-1, 1e-2, 1e-3)) -> ExperimentRepo
     return _report("quotient-vs-metric", indices, series)
 
 
-# Coefficients the family experiments batch into one kernel call (1 MiB):
-# batching saves per-call overhead on short paths and shallow signatures,
-# and more would only raise the peak memory of deep ones.
-_BATCH_COEFFICIENTS = 2**17
-
-
 def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentReport:
     """A metric_d-Cauchy sequence with no limit among reduced paths.
 
@@ -388,7 +383,7 @@ def experiment_incompleteness(n_max: int = 10, depth: int = 4) -> ExperimentRepo
     # a rectangle pair's distance about 170, counted as 256.  From depth 14
     # a block is one rectangle, so deep runs accept the depths
     # signature(rect) does and need no more memory
-    per_call = max(1, _BATCH_COEFFICIENTS // max(4 * feature_count(2, depth), 256))
+    per_call = max(1, _BLOCK_COEFFICIENTS // max(4 * feature_count(2, depth), 256))
     for start in range(1, n_max + 1, per_call):
         ns = np.arange(start, min(start + per_call, n_max + 1))
         rects = _thin_rectangles(1.0 / ns)
@@ -435,7 +430,7 @@ def experiment_group_discontinuity(n_max: int = 10) -> ExperimentReport:
     d_rho, d_sigma, d_prod = [], [], []
     # a rectangle's distance to the origin holds about 120 float-sized
     # values per row in the kernel, counted as 128
-    per_call = max(1, _BATCH_COEFFICIENTS // 128)
+    per_call = max(1, _BLOCK_COEFFICIENTS // 128)
     for start in range(1, n_max + 1, per_call):
         ns = np.arange(start, min(start + per_call, n_max + 1))
         rects = _thin_rectangles(1.0 / ns)

@@ -15,7 +15,7 @@ from sigpath import TruncatedTensor, add, mul, scale, shuffle_pairing, signature
 from sigpath.ito_solver import _flow_end_states, word_coefficients
 from sigpath.sig_regression import RegressionDataset
 from sigpath.signature_engine import _signature_levels
-from sigpath.path_core import COLLINEAR_TOL, positions_at
+from sigpath.path_core import COLLINEAR_TOL
 
 
 def random_path(rng, dim=None, max_segments=6, scale=0.5):
@@ -315,9 +315,19 @@ def _reference_grid_times(a):
     return np.concatenate([[0.0], cum / cum[-1]])
 
 
+def reference_positions_at(a, ts):
+    """Positions at the times ts, one np.interp per coordinate through the
+    vertices of a's nonzero segments at their constant-speed times."""
+    segs = a.segments[a.segment_lengths > 0.0]
+    pts = np.zeros((max(len(segs), 1) + 1, a.dim))
+    np.cumsum(segs, axis=0, out=pts[1 : len(segs) + 1])
+    times = _reference_grid_times(a)
+    return np.column_stack([np.interp(ts, times, pts[:, j]) for j in range(a.dim)])
+
+
 def _reference_difference(a, b):
     times = np.union1d(_reference_grid_times(a), _reference_grid_times(b))
-    return positions_at(a, times) - positions_at(b, times)
+    return reference_positions_at(a, times) - reference_positions_at(b, times)
 
 
 def reference_one_variation_distance(a, b):

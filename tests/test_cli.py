@@ -520,6 +520,18 @@ def test_regress_flow_overflow_is_numerical_failure(capsys, tmp_path, fmt, A, r)
     assert err.startswith("sigpath: numerical failure: ")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_regress_noise_overflow_is_numerical_failure(capsys, tmp_path, fmt):
+    # noise draws that take a response beyond float range fail as arithmetic
+    # (exit 4), with no numpy warning (warnings are errors here), and the
+    # dataset never refuses them as a malformed input (exit 2)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"noise_scale": 1e308, "n_paths": 50, "heldout_paths": 2, "depths": [1]}))
+    code, out, err = run_main(capsys, ["regress", "--config", str(cfg), "--format", fmt])
+    assert (code, out) == (4, "")
+    assert err == "sigpath: numerical failure: the noisy responses overflowed to non-finite values\n"
+
+
 def test_parser_is_built_once_per_process():
     assert cli._build_parser() is cli._build_parser()
 

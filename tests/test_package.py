@@ -281,7 +281,8 @@ def _mentions(text):
 # exponentials and fold them through the same two functions, and only those
 # two form outer products; floats become integers over a common power of two
 # (the exact dyadic arithmetic of exact_signature and the length bound's even
-# moments) in one function; one function interpolates a path on a time grid;
+# moments) in one function; one function interpolates a path on a time grid,
+# for positions and for the distances, and none calls np.interp;
 # one function refuses an integer argument of the wrong type or range, one
 # an input array with a NaN or inf entry, and one a real argument that is
 # not a finite number meeting its condition; reduce and metric_d
@@ -300,7 +301,8 @@ _OWNERS = {
     "_fold": (_calls("_fold"), {("signature_engine.py", f) for f in ("_signature_levels", "exact_signature")}),
     "_outer": (_calls("_outer"), {("signature_engine.py", f) for f in ("_segment_levels", "_fold")}),
     "as_integer_ratio": (_calls("as_integer_ratio"), {("signature_engine.py", "_dyadic")}),
-    "np.interp": (_calls("interp"), {("path_core.py", "_interp")}),
+    "np.interp": (_calls("interp"), set()),
+    "_at": (_calls("_at"), {("path_core.py", f) for f in ("_differences", "positions_at")}),
     "size argument": (_mentions("need an integer"), {("tensor_algebra.py", "_count")}),
     "finite argument": (_mentions("non-finite entries"), {("tensor_algebra.py", "_finite")}),
     "real argument": (
@@ -687,6 +689,40 @@ def test_the_environment_detector_sees_attributes_and_imports():
         "b = config.environ\n"
     )
     assert _environment_reads(tree) == [(2, "getenv"), (3, "os.environ"), (5, "os.environb"), (5, "os.getenv")]
+
+
+def _mode_flags(tree):
+    # (function, parameter) of each parameter, positional or keyword-only,
+    # whose default is True or False
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults) :], args.defaults))
+            pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            name = getattr(node, "name", "<lambda>")
+            found += [(name, a.arg) for a, d in pairs if isinstance(d, ast.Constant) and isinstance(d.value, bool)]
+    return found
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_no_function_takes_a_mode_flag(source):
+    # a boolean default is a setting its caller's inputs usually decide
+    # (the integer fold reads its arithmetic from the dtype, for one)
+    assert _mode_flags(ast.parse(source.read_text(encoding="utf-8"))) == []
+
+
+def test_the_mode_flag_detector_sees_every_parameter_kind():
+    tree = ast.parse(
+        "def f(a, b=True, c=1, *, d, e=False, g=None):\n"
+        "    return lambda x=False: x\n"
+        "def h(p=False, /, q=0):\n"
+        "    pass\n"
+        "class K:\n"
+        "    flag: bool = False\n"
+    )
+    assert sorted(_mode_flags(tree)) == [("<lambda>", "x"), ("f", "b"), ("f", "e"), ("h", "p")]
 
 
 def test_checked_arrays_stay_read_only_copies():

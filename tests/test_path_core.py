@@ -29,6 +29,7 @@ from helpers import (
     reference_difference_path,
     reference_one_variation_distance,
     reference_p_variation,
+    reference_positions_at,
     reference_reduce,
     reference_sup_distance,
     resplit,
@@ -94,6 +95,51 @@ def test_evaluate_midpoints_constant_speed():
     assert np.allclose(p.evaluate(0.75), [1.0, 0.5])
     with pytest.raises(ValueError):
         p.evaluate(1.5)
+
+
+def _clock_probes(path, rng):
+    # every knot time (and 1, the last knot of a path with no nonzero
+    # segment), both of its float neighbours inside [0, 1], and random times
+    knots = np.append(path.breakpoints, 1.0)
+    ts = np.concatenate([knots, np.nextafter(knots, -1.0), np.nextafter(knots, 2.0), rng.random(16)])
+    return ts[(ts >= 0.0) & (ts <= 1.0)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 64])
+def test_positions_at_is_bitwise_the_np_interp_reference(d):
+    # the distance kernel's clock and values on a stack of one give the
+    # bits of one np.interp per coordinate, with zero segments, segments
+    # scaled by 1e-17 and the empty path, at 1-d and 0-d times
+    rng = np.random.default_rng(40 + d)
+    paths = [sp.constant_path(d), sp.PiecewiseLinearPath(d, np.zeros((3, d)))]
+    for _ in range(40):
+        m = int(rng.integers(1, 9))
+        segs = rng.normal(size=(m, d)) * 10.0 ** float(rng.integers(-3, 4))
+        segs[rng.random(m) < 0.25] = 0.0
+        segs[rng.random(m) < 0.25] *= 1e-17
+        paths.append(sp.PiecewiseLinearPath(d, segs))
+    for path in paths:
+        ts = _clock_probes(path, rng)
+        got = positions_at(path, ts)
+        assert got.shape == (len(ts), d) and got.flags.c_contiguous
+        assert got.tobytes() == reference_positions_at(path, ts).tobytes()
+        one = positions_at(path, np.float64(ts[1]))
+        assert one.shape == (1, d) and one.flags.c_contiguous
+        assert one.tobytes() == got[1:2].tobytes()
+        assert path.evaluate(ts[1]).tobytes() == got[1].tobytes()
+
+
+def test_a_position_beyond_float_range_is_refused_by_name():
+    # finite segments whose second vertex overflows: every distance refuses
+    # such a value, and so do positions, with no numpy warning; positions
+    # before the overflow are still read
+    path = sp.PiecewiseLinearPath(2, [[1.7e308, 0.0], [1.7e308, 0.0], [-1.7e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="a position of the path is beyond float range"):
+            path.evaluate(1.0)
+        assert path.evaluate(0.0).tolist() == [0.0, 0.0]
+        assert sp.p_variation(path, 2.0) == math.inf
 
 
 @pytest.mark.parametrize("ts", [[np.nan], [0.5, np.nan], [np.nan, 0.5], [-np.inf], [0.0, np.inf]])
@@ -603,7 +649,7 @@ def test_p_variation_spans_several_blocks(monkeypatch):
     p = sp.PiecewiseLinearPath(2, rng.normal(size=(40, 2)))
     want = reference_p_variation(p, 1.5)
     for cap in (1, 100, 300):
-        monkeypatch.setattr(sp.path_core, "_PVAR_BLOCK_COEFFICIENTS", cap)
+        monkeypatch.setattr(sp.path_core, "_BLOCK_COEFFICIENTS", cap)
         assert sp.p_variation(p, 1.5) == want
 
 

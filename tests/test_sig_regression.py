@@ -1,6 +1,7 @@
 import itertools
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,20 @@ def test_weights_beyond_float_range_are_a_numerical_failure():
     data = sp.RegressionDataset([[[1.0]], [[1.0 + 1e-12]]], [[1.0, 1.0], [1.0, 1.0 + 1e-12]], [[1e300], [-1e300]], 1, 0.0)
     with pytest.raises(FloatingPointError, match="fitted weights"):
         sp.fit(data, 1)
+
+
+def test_noise_beyond_float_range_is_a_numerical_failure():
+    # a finite noise_scale whose draws overflow some response: a
+    # FloatingPointError that names the responses, with no numpy warning,
+    # not the dataset's refusal of a non-finite (malformed) input
+    field, y0 = sp.demo_field()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="noisy responses"):
+            sp.generate_dataset(field, y0, n_paths=50, segment_count=4, r=1.0, noise_scale=1e308, seed=0)
+        # below float range the same draws are kept
+        ds = sp.generate_dataset(field, y0, n_paths=50, segment_count=4, r=1.0, noise_scale=1e300, seed=0)
+    assert np.isfinite(ds.responses).all()
 
 
 def test_feature_injectivity_on_corpus():

@@ -340,14 +340,31 @@ def test_exact_signature_is_bitwise_the_rational_fold():
         sp.exact_signature(sp.PiecewiseLinearPath(2, [[1e300, 1e300], [-1e300, 0.5]]), 2)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_paths_without_a_nonzero_segment_have_the_unit_signature(d):
+    # the empty path runs as one zero segment inside _segment_levels, on
+    # floats and on either integer type: every route gives the unit's bits
+    # (level 0 one, every other coefficient +0.0)
+    for depth in range(5):
+        want = sp.unit(d, depth).levels
+        for segs in (np.zeros((0, d)), np.zeros((1, d))):
+            path = sp.PiecewiseLinearPath(d, segs)
+            assert same_bits(sp.signature(path, depth).levels, want), (segs.shape, depth)
+            assert same_bits(sp.exact_signature(path, depth).levels, want), (segs.shape, depth)
+            assert same_bits([lvl[0] for lvl in _signature_levels(segs[None], depth)], want)
+        assert same_bits([lvl[1] for lvl in _signature_levels(np.zeros((2, 0, d)), depth)], want)
+    # Python ints at depth 100 in one dimension
+    assert same_bits(sp.exact_signature(sp.constant_path(1), 100).levels, sp.unit(1, 100).levels)
+
+
 def _fold_dtypes(monkeypatch):
     # the integer type of every fold exact_signature or the kernel runs
     seen = []
     fold = sp.signature_engine._fold
 
-    def recording(levels, binomial=False):
+    def recording(levels):
         seen.append(levels[-1].dtype)
-        return fold(levels, binomial)
+        return fold(levels)
 
     monkeypatch.setattr(sp.signature_engine, "_fold", recording)
     return seen

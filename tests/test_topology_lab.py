@@ -502,7 +502,7 @@ def test_length_bound_memory_is_one_block_of_draws():
 @pytest.mark.parametrize("batch_coefficients", [1, 700, 2**17])
 def test_incompleteness_signatures_are_bitwise_per_rectangle(monkeypatch, depth, batch_coefficients):
     # one rectangle per kernel call, a few per call, and all in one call
-    monkeypatch.setattr(sp.topology_lab, "_BATCH_COEFFICIENTS", batch_coefficients)
+    monkeypatch.setattr(sp.topology_lab, "_BLOCK_COEFFICIENTS", batch_coefficients)
     n_max = 12
     rects = [_thin_rectangle(1.0 / n) for n in range(1, n_max + 1)]
     levels = _signature_levels(np.stack([r.segments for r in rects]), depth)
@@ -563,7 +563,7 @@ def test_family_distances_are_bitwise_metric_d(monkeypatch, batch_coefficients):
     # beyond the pinned defaults: every series value is the public per-pair
     # call, with blocks of one row, of a few rows (5 for group-discontinuity,
     # 2 for incompleteness) and the default blocks, all 64 indices in one
-    monkeypatch.setattr(sp.topology_lab, "_BATCH_COEFFICIENTS", batch_coefficients)
+    monkeypatch.setattr(sp.topology_lab, "_BLOCK_COEFFICIENTS", batch_coefficients)
     n_max = 64
     discontinuity = sp.experiment_group_discontinuity(n_max).series
     incompleteness = sp.experiment_incompleteness(n_max).series
