@@ -8,6 +8,15 @@ Exit codes are a contract so the whole suite can run under CI:
 0 success / verdict pass, 1 experiment verdict failure, 2 malformed or
 oversized input, 3 usage error (bad flags, unknown names), 4 numerical
 failure.  The same flags and seed always produce byte-identical JSON output.
+
+A numerical failure is a computed result beyond float range, reported on
+stderr as "sigpath: numerical failure: <what> is beyond float range":
+tensor_algebra._in_range refuses every such array, series_error_bound its
+remainder bound and _emit a payload that JSON cannot hold.  A path's
+.length, .points and .endpoint and p_variation return inf instead of
+raising (solve on a path whose length overflows exits 2, as the remainder
+bound refuses the inf length as an argument); ROADMAP item 9 holds that
+policy question.
 """
 
 from __future__ import annotations
@@ -107,7 +116,7 @@ def _emit(args, text_render, payload) -> None:
     try:
         doc = json.dumps(payload, allow_nan=False, sort_keys=True, indent=2)
     except ValueError as exc:
-        raise FloatingPointError(f"result is not finite ({exc})") from None
+        raise FloatingPointError(f"the result is beyond float range ({exc})") from None
     print(doc if args.format == "json" else text_render())
 
 

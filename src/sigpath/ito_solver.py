@@ -25,10 +25,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import signature_engine
 from .path_core import PiecewiseLinearPath
 from .signature_engine import LinearFunctional, signature
-from .tensor_algebra import _MALFORMED, _check_budget, _count, _finite, _json_floats, _readonly, _real
+from .tensor_algebra import (
+    _MALFORMED, _MAX_COEFFICIENTS, _check_budget, _count, _finite, _in_range, _json_floats, _readonly, _real,
+)
 
 __all__ = [
     "LinearVectorField",
@@ -166,10 +167,7 @@ def word_coefficients(field: LinearVectorField, y0, depth: int) -> list[np.ndarr
     for k in range(2, depth + 1):
         c = np.einsum("pa,jba->pjb", c, field.matrices).reshape(d**k, w)
         coeffs.append(c)
-    for k, c in enumerate(coeffs):
-        if not np.isfinite(c).all():
-            raise FloatingPointError(f"word coefficient level {k} overflowed to non-finite values")
-    return coeffs
+    return [_in_range(f"word coefficient level {k}", c) for k, c in enumerate(coeffs)]
 
 
 def series_error_bound(
@@ -239,8 +237,7 @@ def _scaling_powers(norms: np.ndarray) -> np.ndarray:
     A non-finite norm raises FloatingPointError, so that no inf or NaN is
     ever cast to an integer.
     """
-    if not np.all(np.isfinite(norms)):
-        raise FloatingPointError("a segment's flow matrix has a non-finite norm")
+    _in_range("the norm of a segment's flow matrix", norms)
     # frexp's exponent e of the rounded quotient norm / theta13 has
     # norm <= theta13 * 2**e, as rounding is monotone and 2**e a double; e
     # is one too large when the quotient rounded up to a power of two
@@ -322,9 +319,8 @@ def _flow_end_states(
     aug_field[:, :w, :w] = field.matrices
     aug_field[:, :w, w] = field.offsets
     per_matrix = _EXPM_TEMPORARIES * (w + 1) ** 2
-    budget = signature_engine._MAX_COEFFICIENTS
-    rows = max(1, min(n, budget // per_matrix))
-    cols = max(1, budget // (rows * per_matrix))
+    rows = max(1, min(n, _MAX_COEFFICIENTS // per_matrix))
+    cols = max(1, _MAX_COEFFICIENTS // (rows * per_matrix))
     z = np.tile(np.append(y0, 1.0), (n, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(0, m, cols):
@@ -336,9 +332,7 @@ def _flow_end_states(
                     z[i : i + rows] = (flows[:, s] @ z[i : i + rows, :, None])[..., 0]
                 # freed before the next block's matrices are formed
                 del mats, flows
-    if not np.all(np.isfinite(z)):
-        raise FloatingPointError("the exact flow overflowed to non-finite values")
-    return z[:, :w]
+    return _in_range("the exact flow", z)[:, :w]
 
 
 def oracle_solve(field: LinearVectorField, path: PiecewiseLinearPath, y0) -> np.ndarray:

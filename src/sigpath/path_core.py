@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_algebra import _BLOCK_COEFFICIENTS, _MALFORMED, _MAX_COEFFICIENTS, _count, _finite, _json_floats, _real
+from .tensor_algebra import (
+    _BLOCK_COEFFICIENTS, _MALFORMED, _MAX_COEFFICIENTS, _count, _finite, _in_range, _json_floats, _real,
+)
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -49,10 +51,10 @@ __all__ = [
 # relative tolerance for the collinearity rejection test in reduce()
 COLLINEAR_TOL = 1e-12
 
-# reduce runs its numpy screen over all adjacent pairs only on more rows
-# than this: the screen pays for its numpy calls from about 7 rows on random
+# the rows above which reduce runs its vectorised screen over all adjacent
+# pairs: the screen pays for its numpy calls from about 7 rows on random
 # planar paths, and below that the merge loop alone is faster
-_IN_ORDER_TERMS = 8
+_SCREEN_ROWS = 8
 
 # numpy reduces along a short last axis several times slower than it
 # combines whole columns: below this many columns _across takes them one at
@@ -239,7 +241,7 @@ def reduce(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
     scaling, being exact, changes no decision in the normal range.
 
     The merge is one stack loop over Python floats that tests one pair at a
-    time.  When the excision leaves more than _IN_ORDER_TERMS = 8 segments,
+    time.  When the excision leaves more than _SCREEN_ROWS = 8 segments,
     the collinearity test first runs once over all adjacent pairs as numpy
     arrays (_pair_tests), and when none of them merges that list is the
     result.  A shorter list goes straight to the loop, since on a few rows
@@ -285,7 +287,7 @@ def _reduced_rows(segs: np.ndarray):
     # pass 2: merge adjacent collinear segments to a fixpoint; pass 1 left no
     # mirrored neighbours, so a long path none of whose pairs is collinear is done
     kept = segs.take(stack, axis=0)
-    if len(stack) > _IN_ORDER_TERMS and not _pair_tests(kept).any():
+    if len(stack) > _SCREEN_ROWS and not _pair_tests(kept).any():
         return kept
     return _merge_collinear(kept.tolist())
 
@@ -392,13 +394,6 @@ def _at(t, times, pts, j) -> np.ndarray:
     j = np.minimum(j + 1, times.size - 1)
     slope = (pts.take(j, axis=1) - p0) / (times.take(j) - t0)
     return np.where(t == t0, p0, slope * (t - t0) + p0)
-
-
-def _in_range(what: str, x):
-    # x, refused by name where an entry left float range
-    if not np.isfinite(x).all():
-        raise FloatingPointError(f"{what} is beyond float range")
-    return x
 
 
 # the slopes at knot times are discarded unread, and may overflow or divide

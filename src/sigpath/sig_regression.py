@@ -29,7 +29,7 @@ from .signature_engine import (
     _signature_levels,
     feature_count,
 )
-from .tensor_algebra import _MALFORMED, _check_budget, _count, _finite, _json_floats, _real
+from .tensor_algebra import _MALFORMED, _check_budget, _count, _finite, _in_range, _json_floats, _real
 
 __all__ = [
     "RegressionDataset",
@@ -158,9 +158,7 @@ def generate_dataset(
         # noisy responses beyond float range are a numerical failure, not
         # the malformed input that RegressionDataset would call them
         with np.errstate(over="ignore"):
-            responses = responses + noise_scale * rng.standard_normal(responses.shape)
-        if not np.isfinite(responses).all():
-            raise FloatingPointError("the noisy responses overflowed to non-finite values")
+            responses = _in_range("a noisy response", responses + noise_scale * rng.standard_normal(responses.shape))
     return RegressionDataset(
         segments=segments,
         features=features,
@@ -199,10 +197,8 @@ def fit(dataset: RegressionDataset, depth: int, ridge: float = 0.0) -> LinearFun
         sol, _, _, _ = scipy.linalg.lstsq(X_aug, Y_aug)
     # finite features and responses can still give weights beyond float
     # range, a numerical failure that the functional would call a bad input
-    if not np.isfinite(sol).all():
-        raise FloatingPointError("the fitted weights overflowed to non-finite values")
     return LinearFunctional(
-        dim=dim, depth=depth, weights=sol, rank_deficient=rank_deficient
+        dim=dim, depth=depth, weights=_in_range("a fitted weight", sol), rank_deficient=rank_deficient
     )
 
 

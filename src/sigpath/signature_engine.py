@@ -42,6 +42,7 @@ from .tensor_algebra import (
     _check_budget,
     _count,
     _finite,
+    _in_range,
     _json_bool,
     _log_levels,
     _real,
@@ -158,10 +159,7 @@ def _signature_levels(segments, depth: int) -> list:
     _check_budget(n * max(m, 1), d, depth, f"{n} x {m} segments of dimension {d}")
     with np.errstate(over="ignore", invalid="ignore"):
         levels = _fold(_segment_levels(segments, depth))
-    for k, lvl in enumerate(levels):
-        if not np.all(np.isfinite(lvl)):
-            raise FloatingPointError(f"signature level {k} overflowed to non-finite values")
-    return levels
+    return [_in_range(f"signature level {k}", lvl) for k, lvl in enumerate(levels)]
 
 
 def exp_segment(v, depth: int) -> GroupTensor:

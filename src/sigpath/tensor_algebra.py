@@ -74,6 +74,16 @@ def _finite(what, value) -> np.ndarray:
     return out
 
 
+def _in_range(what, x):
+    # a computed array x, refused by name where an entry left float range:
+    # _finite's twin on the output side, and the one place that raises a
+    # numerical failure for a result; the arithmetic silences numpy's
+    # overflow warnings where it runs, as this check reports them
+    if not np.isfinite(x).all():
+        raise FloatingPointError(f"{what} is beyond float range")
+    return x
+
+
 # Limit on the coefficients a call counts (2**25 float64 values, 256 MiB),
 # checked before anything is allocated: N * m * feature_count(d, depth) for
 # the batched kernel, w * feature_count(d, depth) for word_coefficients;
@@ -263,12 +273,8 @@ def _check_match(x, y):
 def _result(x, levels) -> TruncatedTensor:
     # an operation's levels as a tensor of x's dim and depth: a level that
     # overflowed is a numerical failure, refused here before the constructor
-    # would call it a bad input; the operations silence numpy's overflow
-    # warnings, as this check reports them
-    for k, lvl in enumerate(levels):
-        if not np.isfinite(lvl).all():
-            raise FloatingPointError(f"level {k} overflowed to non-finite values")
-    return TruncatedTensor(x.dim, x.depth, levels)
+    # would call it a bad input
+    return TruncatedTensor(x.dim, x.depth, [_in_range(f"level {k}", lvl) for k, lvl in enumerate(levels)])
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -43,6 +43,7 @@ from .tensor_algebra import (
     _MALFORMED,
     _MAX_COEFFICIENTS,
     _count,
+    _in_range,
     _json_bool,
     _json_str,
     _product_metric,
@@ -69,6 +70,14 @@ _EXACT_SLACK = 1e-12
 _MC_SLACK = 1e-9
 
 
+def _one_value_per_index(report):
+    # the report's series, which stay lists that can be appended to after
+    # construction, each hold one value per index
+    if any(len(vals) != len(report.indices) for vals in report.series.values()):
+        raise ValueError("every report series must hold one value per index")
+    return report.series
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     """Named numeric series over an index list, with a re-checkable verdict."""
@@ -87,14 +96,13 @@ class ExperimentReport:
         _json_bool("report key 'verdict'", self.verdict)
         object.__setattr__(self, "indices", [_count("report index", i, 1) for i in self.indices])
         object.__setattr__(self, "seed", None if self.seed is None else _count("seed", self.seed, 0))
-        if any(len(vals) != len(self.indices) for vals in self.series.values()):
-            raise ValueError("every report series must hold one value per index")
+        _one_value_per_index(self)
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "indices": list(self.indices),
-            "series": {k: [float(v) for v in vals] for k, vals in self.series.items()},
+            "series": {k: [float(v) for v in vals] for k, vals in _one_value_per_index(self).items()},
             "verdict": self.verdict,
             "seed": self.seed,
         }
@@ -252,21 +260,24 @@ EXPERIMENT_NAMES = tuple(_CHECKS)
 def recheck_verdict(report: ExperimentReport) -> bool:
     """Recompute the verdict from the stored series alone.
 
-    A report that lacks a series its check reads, or whose series are
-    shorter than the check reads (empty, say), is malformed: ValueError,
-    as from_dict raises for the records it refuses."""
+    A report that lacks a series its check reads, whose series are
+    shorter than the check reads (empty, say), or one of whose series no
+    longer holds one value per index (appended to after construction), is
+    malformed: ValueError, as from_dict raises for the records it refuses."""
     try:
         check = _CHECKS[report.name]
     except KeyError:
         raise ValueError(f"unknown experiment name: {report.name}") from None
     try:
-        return check(report.indices, report.series)
+        return check(report.indices, _one_value_per_index(report))
     except KeyError as exc:
         raise ValueError(f"malformed experiment report: {report.name} needs series {exc}") from None
     except IndexError:
         raise ValueError(f"malformed experiment report: a {report.name} series is too short") from None
     except ArithmeticError as exc:
         raise ValueError(f"malformed experiment report: {report.name} index or value out of range ({exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"malformed experiment report: {exc}") from None
 
 
 def _report(name: str, indices: list, series: dict, seed: int | None = None) -> ExperimentReport:
@@ -634,6 +645,5 @@ def length_lower_bound(
         "mc_se": mc_ses,
         "length": [L] * n_max,
     }
-    if not all(math.isfinite(v) for values in series.values() for v in values):
-        raise FloatingPointError("the length-bound series overflowed float range")
+    _in_range("the length-bound series", list(series.values()))
     return _report("length-bound", indices, series, seed)

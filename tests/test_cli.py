@@ -274,13 +274,17 @@ def test_signature_size_budget_and_overflow(capsys, tmp_path, staircase_csv, fmt
     big = tmp_path / "big.csv"
     big.write_text("# dim=2\n1e100,1e100\n-1e100,2e100\n")
     code, out, err = run_main(capsys, ["signature", str(big), "--depth", "4", "--format", fmt])
-    assert code == 4 and out == "" and "numerical failure" in err
+    assert (code, out) == (4, "")
+    assert err == "sigpath: numerical failure: signature level 4 is beyond float range\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("offset", [0.0, 1.0])
-def test_solve_overflow_is_numerical_failure(capsys, tmp_path, fmt, offset):
-    # exp(800) overflows the oracle; the affine variant overflows the discrepancy
+@pytest.mark.parametrize(
+    "offset, log_bound", [pytest.param(0.0, "829.329", id="0.0"), pytest.param(1.0, "830.335", id="1.0")]
+)
+def test_solve_overflow_is_numerical_failure(capsys, tmp_path, fmt, offset, log_bound):
+    # exp(800) would overflow the oracle, but the series' remainder bound,
+    # formed first, is already beyond float range
     field = sp.LinearVectorField(matrices=[[[800.0]]], offsets=[[offset]])
     fjson = tmp_path / "field.json"
     fjson.write_text(field_to_json(field))
@@ -290,7 +294,8 @@ def test_solve_overflow_is_numerical_failure(capsys, tmp_path, fmt, offset):
         code, out, err = run_main(
             capsys, ["solve", str(fjson), str(path_csv), "--y0", "1", "--N", "4", "--format", fmt]
         )
-    assert code == 4 and out == "" and "numerical failure" in err
+    assert (code, out) == (4, "")
+    assert err == f"sigpath: numerical failure: remainder bound exp({log_bound}) is beyond float range\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -302,7 +307,8 @@ def test_solve_word_coefficient_overflow_is_numerical_failure(capsys, tmp_path, 
     path_csv = tmp_path / "one.csv"
     write_csv(sp.linear_path([1.0]), path_csv)
     code, out, err = run_main(capsys, ["solve", str(fjson), str(path_csv), "--y0", "1", "--N", "4", "--format", fmt])
-    assert code == 4 and out == "" and "word coefficient level 4" in err
+    assert (code, out) == (4, "")
+    assert err == "sigpath: numerical failure: word coefficient level 4 is beyond float range\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -497,13 +503,15 @@ def test_regress_float_keys_accept_json_integers(capsys, tmp_path):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
-    "A, r",
+    "A, r, what",
     [
-        (1e308, 100.0),  # A(v) overflows: the flow matrix has an infinite norm
-        (800.0, 4.0),  # a finite flow matrix whose exponential overflows
+        # A(v) overflows: the flow matrix has an infinite norm
+        pytest.param(1e308, 100.0, "the norm of a segment's flow matrix", id="1e+308-100.0"),
+        # a finite flow matrix whose exponential overflows
+        pytest.param(800.0, 4.0, "the exact flow", id="800.0-4.0"),
     ],
 )
-def test_regress_flow_overflow_is_numerical_failure(capsys, tmp_path, fmt, A, r):
+def test_regress_flow_overflow_is_numerical_failure(capsys, tmp_path, fmt, A, r, what):
     config = {
         "field": {"d": 1, "w": 1, "A": [[[A]]], "b": [[0.0]]},
         "y0": [1.0],
@@ -517,7 +525,7 @@ def test_regress_flow_overflow_is_numerical_failure(capsys, tmp_path, fmt, A, r)
     cfg.write_text(json.dumps(config))
     code, out, err = run_main(capsys, ["regress", "--config", str(cfg), "--format", fmt])
     assert code == 4 and out == ""
-    assert err.startswith("sigpath: numerical failure: ")
+    assert err == f"sigpath: numerical failure: {what} is beyond float range\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -529,7 +537,7 @@ def test_regress_noise_overflow_is_numerical_failure(capsys, tmp_path, fmt):
     cfg.write_text(json.dumps({"noise_scale": 1e308, "n_paths": 50, "heldout_paths": 2, "depths": [1]}))
     code, out, err = run_main(capsys, ["regress", "--config", str(cfg), "--format", fmt])
     assert (code, out) == (4, "")
-    assert err == "sigpath: numerical failure: the noisy responses overflowed to non-finite values\n"
+    assert err == "sigpath: numerical failure: a noisy response is beyond float range\n"
 
 
 def test_parser_is_built_once_per_process():
@@ -649,13 +657,13 @@ def test_length_bound_overflow_exits_4(capsys, tmp_path, scale, fmt):
     argv = ["experiment", "length-bound", "--path", str(path), "--n-max", "5", "--format", fmt]
     code, out, err = run_main(capsys, argv)
     assert code == 4 and out == ""
-    assert err == "sigpath: numerical failure: the length-bound series overflowed float range\n"
+    assert err == "sigpath: numerical failure: the length-bound series is beyond float range\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_emit_refuses_a_non_finite_payload(capsys, fmt):
     args = cli._build_parser().parse_args(["regress", "--format", fmt])
-    with pytest.raises(FloatingPointError, match="result is not finite"):
+    with pytest.raises(FloatingPointError, match=r"^the result is beyond float range \(Out of range float values"):
         cli._emit(args, lambda: "text", {"value": [1.0, float("inf")]})
     assert capsys.readouterr().out == ""
 

@@ -289,7 +289,10 @@ def _mentions(text):
 # share the row-level reduction; every distance and difference of two paths
 # runs on one stacked kernel, and the 1-variation distances, single or of a
 # family, on its one sum; the product metric, of one pair or of a family's
-# rows, has one kernel, and the coefficient budget one check
+# rows, has one kernel, and the coefficient budget one check; a computed
+# result beyond float range is refused in one function, beside which only
+# the remainder bound's log-domain test and the JSON payload's check raise
+# a numerical failure
 _OWNERS = {
     "np.convolve": (_calls("convolve"), {("signature_engine.py", "_one_letter_series")}),
     "_mul_levels": (_calls("_mul_levels"), {("tensor_algebra.py", f) for f in ("mul", "exp", "_power_sum")}),
@@ -324,6 +327,10 @@ _OWNERS = {
         {("tensor_algebra.py", "product_metric"), ("topology_lab.py", "experiment_incompleteness")},
     ),
     "coefficient budget": (_mentions("exceeds the limit of"), {("tensor_algebra.py", "_check_budget")}),
+    "numerical failure": (
+        _calls("FloatingPointError"),
+        {("tensor_algebra.py", "_in_range"), ("ito_solver.py", "series_error_bound"), ("cli.py", "_emit")},
+    ),
 }
 
 

@@ -484,7 +484,7 @@ def test_reduce_is_idempotent(monkeypatch, cap):
     # reducing a reduced segment list again changes no bit; a cap of 0 runs
     # the numpy screen on every path
     if cap is not None:
-        monkeypatch.setattr(sp.path_core, "_IN_ORDER_TERMS", cap)
+        monkeypatch.setattr(sp.path_core, "_SCREEN_ROWS", cap)
     for p in _bitwise_corpus():
         once = sp.reduce(p)
         twice = sp.reduce(sp.PiecewiseLinearPath(p.dim, once.segments))
@@ -522,7 +522,7 @@ def test_scalar_routes_are_bitwise_the_numpy_routes(monkeypatch, scale):
             ] + [sp.metric_d(a, b) for a, b in pairs]
 
     scalar = run()
-    monkeypatch.setattr(sp.path_core, "_IN_ORDER_TERMS", 0)
+    monkeypatch.setattr(sp.path_core, "_SCREEN_ROWS", 0)
     assert run() == scalar
     assert all(math.isfinite(x) and x > 0.0 for x in scalar[2][: len(pairs)])
 

@@ -277,18 +277,18 @@ def test_weights_beyond_float_range_are_a_numerical_failure():
     # least-squares weights overflow, which is a FloatingPointError (exit 4
     # in the command line), not the functional's refusal of a bad input
     data = sp.RegressionDataset([[[1.0]], [[1.0 + 1e-12]]], [[1.0, 1.0], [1.0, 1.0 + 1e-12]], [[1e300], [-1e300]], 1, 0.0)
-    with pytest.raises(FloatingPointError, match="fitted weights"):
+    with pytest.raises(FloatingPointError, match="^a fitted weight is beyond float range$"):
         sp.fit(data, 1)
 
 
 def test_noise_beyond_float_range_is_a_numerical_failure():
     # a finite noise_scale whose draws overflow some response: a
-    # FloatingPointError that names the responses, with no numpy warning,
+    # FloatingPointError that names a response, with no numpy warning,
     # not the dataset's refusal of a non-finite (malformed) input
     field, y0 = sp.demo_field()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FloatingPointError, match="noisy responses"):
+        with pytest.raises(FloatingPointError, match="^a noisy response is beyond float range$"):
             sp.generate_dataset(field, y0, n_paths=50, segment_count=4, r=1.0, noise_scale=1e308, seed=0)
         # below float range the same draws are kept
         ds = sp.generate_dataset(field, y0, n_paths=50, segment_count=4, r=1.0, noise_scale=1e300, seed=0)

@@ -218,7 +218,7 @@ _STAIRCASE = np.array([[1, 0], [0, 2], [3, 0], [0, 1], [2, 0], [0, 3]] * 2, dtyp
 def test_length_bound_overflow_is_a_floating_point_error(scale):
     # under the suite's warnings-as-errors a RuntimeWarning would fail this
     path = sp.PiecewiseLinearPath(2, _STAIRCASE * scale)
-    with pytest.raises(FloatingPointError, match="length-bound series overflowed"):
+    with pytest.raises(FloatingPointError, match="^the length-bound series is beyond float range$"):
         sp.length_lower_bound(path, n_max=5, mc_samples=1000)
 
 
@@ -648,6 +648,19 @@ def test_a_report_checks_itself_on_construction(change, message):
     built = dataclasses.replace(rep, indices=[np.int64(1), 2], seed=np.int64(4))
     assert built.indices == [1, 2] and built.seed == 4
     assert ExperimentReport.from_json(built.to_json()) == built
+
+
+def test_a_series_grown_after_construction_is_refused():
+    # the series stay lists, so one can grow after the report is built:
+    # to_json refuses to write the record from_dict would refuse, and the
+    # verdict is not rechecked on a series with a value no index holds
+    rep = sp.experiment_group_discontinuity(2)
+    rep.series["d_product_to_origin"].append(1.0)
+    message = "every report series must hold one value per index$"
+    with pytest.raises(ValueError, match=f"^{message}"):
+        rep.to_json()
+    with pytest.raises(ValueError, match=f"^malformed experiment report: {message}"):
+        sp.recheck_verdict(rep)
 
 
 def test_report_from_json_rejects_invalid_json_with_value_error():
