@@ -118,7 +118,8 @@ class PiecewiseLinearPath:
         all 0 when no segment is nonzero."""
         if not self.segments.any():
             return np.zeros(self.segment_count + 1)
-        return _grids(self.segments[None])[0][0]
+        [(times, _)] = _grids(self.segments[None])
+        return times[0]
 
     def evaluate(self, t: float) -> np.ndarray:
         """Position at time t in [0, 1] under the constant-speed clock."""
@@ -334,26 +335,36 @@ def constant_speed(a: PiecewiseLinearPath) -> PiecewiseLinearPath:
     return a
 
 
-def _grids(stack: np.ndarray):
+def _grids(*stacks: np.ndarray) -> list:
     """Constant-speed knot times, shape (n, k + 1), and vertices, shape
-    (n, k + 1, d), of a stack (n, k, d) of paths of k segments each; a
+    (n, k + 1, d), of each stack (n, k, d) of paths of k segments each; a
     path with no segment has the knots 0 and 1, both at the origin.  A zero
     segment repeats a knot, and a path of only zero segments has no times
     (0 / 0): the distances pass nonzero segments only.
 
-    The times divide running sums of the segment lengths by the total, as
-    the lengths come from _row_norms: scaled by a power of two where the
-    total could overflow, which leaves every ratio as it was.
+    The times divide running sums of the segment lengths by the total.
+    The lengths of all stacks come from one _row_norms call: scaled by one
+    power of two where a total could overflow, which leaves every ratio as
+    it was unless a length falls below the normal range.
     """
-    n, k, d = stack.shape
-    if not k:
-        return np.tile([0.0, 1.0], (n, 1)), np.zeros((n, 2, d))
-    cum = np.cumsum(_row_norms(stack.reshape(-1, d), k).reshape(n, k), axis=1)
-    times = np.zeros((n, k + 1))
-    np.divide(cum, cum[:, -1:], out=times[:, 1:])
-    pts = np.zeros((n, k + 1, d))
-    np.cumsum(stack, axis=1, out=pts[:, 1:])
-    return times, pts
+    d = stacks[0].shape[2]
+    terms = max(stack.shape[1] for stack in stacks)
+    if terms:
+        norms = _row_norms(np.concatenate([stack.reshape(-1, d) for stack in stacks]), terms)
+    grids, start = [], 0
+    for stack in stacks:
+        n, k, _ = stack.shape
+        if not k:
+            grids.append((np.tile([0.0, 1.0], (n, 1)), np.zeros((n, 2, d))))
+            continue
+        cum = np.cumsum(norms[start : start + n * k].reshape(n, k), axis=1)
+        start += n * k
+        times = np.zeros((n, k + 1))
+        np.divide(cum, cum[:, -1:], out=times[:, 1:])
+        pts = np.zeros((n, k + 1, d))
+        np.cumsum(stack, axis=1, out=pts[:, 1:])
+        grids.append((times, pts))
+    return grids
 
 
 def _nonzero(segs: np.ndarray) -> np.ndarray:
@@ -377,7 +388,7 @@ def positions_at(a: PiecewiseLinearPath, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float).ravel()
     if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
         raise ValueError("times must lie in [0, 1]")
-    times, pts = _grids(_nonzero(a.segments))
+    [(times, pts)] = _grids(_nonzero(a.segments))
     j = np.searchsorted(times[0], ts, side="right") - 1
     return _in_range("a position of the path", np.ascontiguousarray(_at(ts, times[0], pts[0].T, j).T))
 
@@ -414,7 +425,7 @@ def _differences(sa: np.ndarray, sb: np.ndarray):
     time, so the result has the bits of np.interp on the union grid.
     Returns the values, shape (M, d), and each row's count of kept knots.
     """
-    (ta, pa), (tb, pb) = _grids(sa), _grids(sb)
+    (ta, pa), (tb, pb) = _grids(sa, sb)
     n, ka = ta.shape
     d = pa.shape[2]
     times = np.concatenate([ta, tb], axis=1)

@@ -9,14 +9,20 @@ involved.
 
 One kernel does the float work for signature, exp_segment and the
 regression features: it runs on plain per-level arrays with a batch axis,
-forms every segment exponential in one pass and folds them in a balanced
-tree, one vectorised product per round.  Every factor's level 0 is one, so
-the fold never forms the unit products: level k of a product starts at the
-right factor's level k, adds the middle terms and ends with the left
-factor's.  Products and an odd carried factor share one array per level
-and round, and each outer product runs numpy's inner loop over its longer
-factor.  The output is bit-identical to folding the same pairs one
-tensor_algebra product at a time.  exact_signature runs the same fold on
+in two stages.  First the segments are cut into chunks of _CHUNK: each
+chunk starts as its first segment's exponential and takes the others in
+by Horner steps that multiply by exp(v) without forming it ("fused
+multiply-exponentiate", as in Signatory and iisignature), every chunk of
+every path at once.  Then a balanced tree multiplies the chunk
+signatures, one vectorised product per round.  Every factor's level 0 is
+one, so the tree never forms the unit products: level k of a product
+starts at the right factor's level k, adds the middle terms and ends with
+the left factor's.  Products and an odd carried factor share one array per
+level and round, and each outer product runs numpy's inner loop over its
+longer factor.  Roundoff grows with _CHUNK + log2(m / _CHUNK) for m
+segments.  The result is not the bits of a fold of tensor_algebra
+products: it is the bits of the loop that takes the same Horner steps and
+tree products one at a time.  exact_signature runs the same two stages on
 integer-scaled steps, in int64 where an a-priori bound shows that every
 value fits and on Python integers otherwise.
 
@@ -77,25 +83,71 @@ def _outer(x, y, out):
     return out
 
 
+# segments per chunk: _segment_levels multiplies them in, one Horner step
+# each, and _fold multiplies the chunks
+_CHUNK = 8
+
+
 def _segment_levels(v, depth: int) -> list:
-    """Segment exponentials of the rows of v, shape (N, m, d), as levels
+    """Chunk signatures of the rows of v, shape (N, m, d), as levels
     0..depth: level 0 is one (N, 1, 1) array of ones that stands for every
-    factor's unit, level 1 is v itself, and level k is level k-1 (x) v,
-    formed by _outer into a new array.  Float levels are divided by k in
-    place; integer levels (int64, or Python ints in an object array) stay
-    the powers v^(x)k, which exact_signature folds with _fold's binomial
-    weights.  A path with no segment (m = 0) runs as one zero segment, whose
-    exponential is exactly the unit."""
+    factor's unit, and level k has shape (N, c, d**k), one row per chunk of
+    _CHUNK consecutive segments (the last chunk may be shorter), c =
+    ceil(m / _CHUNK).  The chunks are cut from m alone, so a row does not
+    depend on the batch.  A path with no segment (m = 0) runs as one zero
+    segment, whose exponential is exactly the unit.
+
+    Each chunk starts as its first segment's exponential: level 1 is a
+    copy of that segment v, and level k is level k-1 (x) v, formed by
+    _outer and divided by k.  Each later segment v is then multiplied in
+    without forming exp(v), by one Horner step per level: U_1 = v/k,
+    U_(j+1) = (U_j + S_j) (x) v/(k-j), and the new S_k = U_k + S_k.  The U
+    of every level are stacked, so the step makes one sum and one outer
+    product per degree j.
+
+    Integer levels (int64, or Python ints in an object array) are
+    exact_signature's T_k: a segment's are the powers v^(x)k, and the
+    step weighs S_j by C(k, j) where floats divide v by k - j."""
     if not v.shape[1]:
         v = np.zeros((v.shape[0], 1, v.shape[2]), dtype=v.dtype)
     n, m, d = v.shape
-    levels = [np.ones((n, 1, 1), dtype=v.dtype), v][: depth + 1]
+    exact = v.dtype.kind != "f"
+    heads = v[:, ::_CHUNK].copy()
+    levels = [np.ones((n, 1, 1), dtype=v.dtype), heads][: depth + 1]
     for k in range(2, depth + 1):
-        lvl = _outer(levels[-1], v, np.empty((n, m, d ** (k - 1), d), dtype=v.dtype))
-        lvl = lvl.reshape(n, m, d**k)
-        if v.dtype.kind == "f":
+        lvl = _outer(levels[-1], heads, np.empty(heads.shape[:2] + (d ** (k - 1), d), dtype=v.dtype))
+        lvl = lvl.reshape(n, -1, d**k)
+        if not exact:
             lvl /= k
         levels.append(lvl)
+    # at degree j, row r of factors multiplies U_j + S_j into level k =
+    # j + 1 + r: v/(r + 1) on floats, v itself on integers, where row r of
+    # weights[j] first weighs S_j by C(k, j)
+    if exact:
+        factors = v[None]
+        weights = [
+            np.array([math.comb(k, j) for k in range(j + 1, depth + 1)], dtype=v.dtype) for j in range(depth)
+        ]
+    else:
+        factors = v / np.arange(1.0, depth + 1)[:, None, None, None]
+    for p in range(1, min(m, _CHUNK)):
+        # the segments at place p of their chunks, in the first c chunks
+        w = factors[:, :, p::_CHUNK]
+        c = w.shape[2]
+        # u[r] is U_j of level j + r; u[0] is complete
+        u = np.broadcast_to(w, (depth,) + w.shape[1:])
+        for j in range(1, depth):
+            s = levels[j][:, :c]
+            if exact:
+                acc = weights[j][:, None, None, None] * s
+                acc += u[1:]
+            else:
+                acc = u[1:] + s
+            s += u[0]
+            u = _outer(acc, w[: depth - j], np.empty(acc.shape + (d,), dtype=v.dtype))
+            u = u.reshape(depth - j, n, c, d ** (j + 1))
+        if depth:
+            levels[depth][:, :c] += u[0]
     return levels
 
 
@@ -148,12 +200,12 @@ def _signature_levels(segments, depth: int) -> list:
     """Signatures of a batch of paths as plain level arrays.
 
     segments has shape (N, m, d): N paths of m segments each.  Returns one
-    array of shape (N, d**k) per level k = 0..depth.  All N*m segment
-    exponentials are formed in one pass, then multiplied by _fold.  Every
-    product runs the same arithmetic in the same order as a pairwise fold of
-    single paths with _mul_levels, so the result does not depend on the
-    batch.  A path with no segment has the unit as its signature.
-    Finiteness is checked once, on the result.
+    array of shape (N, d**k) per level k = 0..depth.  _segment_levels
+    forms the chunk signatures of all N paths in one pass, and _fold
+    multiplies them.  Every row runs the same arithmetic in the same order
+    as the one path alone, so the result does not depend on the batch.  A
+    path with no segment has the unit as its signature.  Finiteness is
+    checked once, on the result.
     """
     n, m, d = segments.shape
     _check_budget(n * max(m, 1), d, depth, f"{n} x {m} segments of dimension {d}")
@@ -170,12 +222,16 @@ def exp_segment(v, depth: int) -> GroupTensor:
 def signature(path: PiecewiseLinearPath, depth: int) -> GroupTensor:
     """Truncated signature: ordered product of segment exponentials.
 
-    The product is folded pairwise (balanced tree) rather than left to
-    right, so roundoff grows with the logarithm of the segment count.  The
-    fold runs vectorised over each round of the tree and gives the same
-    bits as multiplying the pairs one at a time.  On a 128-segment path
-    with steps in multiples of 1/16, every level at depth 6 stays within
-    1e-13 of exact_signature, relative to the level's largest coefficient.
+    Each chunk of _CHUNK segments is multiplied left to right by Horner
+    steps, and the chunks pairwise (balanced tree), so roundoff grows with
+    _CHUNK + log2(m / _CHUNK) for m segments.  The result is the bits of
+    the loop that takes the same steps and products one at a time, not of
+    a fold of tensor_algebra products.  On paths of 1 to 400 steps in
+    multiples of 1/16 (d 2-5, the deepest depth <= 8 that exact_signature
+    takes), every level stays within 1e-13 of exact_signature, relative
+    to max(1, the level's largest coefficient); at d = 1, where level k
+    may cancel far below the products that any fold sums, relative to
+    max(1, L**k / k!), L the path's length.
     """
     levels = _signature_levels(path.segments[None], depth)
     return GroupTensor(path.dim, depth, [lvl[0] for lvl in levels])
@@ -269,7 +325,7 @@ def exact_signature(path: PiecewiseLinearPath, depth: int) -> GroupTensor:
     Float coordinates are dyadic, so v * 2**s is an integer vector for one
     common s.  Level k is held as T_k = k! 2**(s k) S_k in integers: a
     segment gives T_k = w^(x)k with w = v 2**s, the Chen product T_k =
-    sum_i C(k, i) X_i (x) Y_(k-i), folded like signature by the same
+    sum_i C(k, i) X_i (x) Y_(k-i), computed like signature by the same
     _segment_levels and _fold, which read that arithmetic from the integer
     dtype.  The empty path has s = 0 and runs as one zero segment.  Each
     coefficient is divided by k! 2**(s k) once, as Python ints, which
@@ -280,17 +336,22 @@ def exact_signature(path: PiecewiseLinearPath, depth: int) -> GroupTensor:
     witness paths: dim**depth may be at most 5000 (depth 12 at dim 2), and
     depth at most 100 at dim 1, where the work per segment is comparable.
 
-    The fold runs on int64 when L**max(depth, 1) < 2**63, L = max(2, sum
-    of |w|_1 over the segments), and on Python ints otherwise (the steps
-    are converted even at depth 0).  The bound holds every int64 value:
-    the product over segments S has T_k = sum over i_1 + ... + i_n = k of
+    Both stages run on int64 when L**max(depth, 1) < 2**63, L = max(2,
+    sum of |w|_1 over the segments), and on Python ints otherwise (the
+    steps are converted even at depth 0).  The bound holds the values: the
+    product over segments S has T_k = sum over i_1 + ... + i_n = k of
     k! / (i_1! ... i_n!) w_1^(x)i_1 (x) ..., whose coefficients' absolute
     values sum to at most L_S**k, L_S the sum of |w|_1 over S.  So each
-    entry of a factor, each binomial term C(k, i) X_i (x) Y_(k-i) and
-    each partial sum of them is at most (L_X + L_Y)**k <= L**depth, and so
-    is the weight C(k, i) <= 2**k.  numpy's int64 wraps without a warning,
-    so this a-priori check is the only guard.  The witness loops of
-    product-vs-metric stay within 2**36.
+    entry of a chunk or tree factor, each binomial term C(k, i) X_i (x)
+    Y_(k-i) and each partial sum of them is at most (L_X + L_Y)**k <=
+    L**depth, and so is the weight C(k, i) <= 2**k.  A Horner step by w
+    after X forms the partial sums U_j + C(k, j) X_j = sum_(i <= j)
+    C(k, i) X_i (x) w^(x)(j-i); for w != 0, |w|_1 >= 1, so each is at most
+    (L_X + L_w)**k <= L**depth too.  A zero step leaves C(k, j) X_j alone,
+    which may exceed it, and then multiplies it by zero: int64 sums and
+    products wrap without a warning but are exact modulo 2**64, so every
+    value that fits comes out right, and this a-priori check is the only
+    guard.  The witness loops of product-vs-metric stay within 2**36.
     """
     depth = _count("depth", depth, 0)
     # dim**13 > 5000 for every dim >= 2, so the power stays small

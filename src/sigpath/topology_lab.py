@@ -30,11 +30,8 @@ from .path_core import (
     _check_dim,
     _distances,
     _reduced_rows,
-    concat,
     constant_path,
     gamma_loop,
-    linear_path,
-    one_variation_distance,
     reduce,
 )
 from .signature_engine import _dyadic, _signature_levels, exact_signature, feature_count, signature
@@ -350,14 +347,21 @@ def experiment_quotient_vs_metric(eps_list=(1e-1, 1e-2, 1e-3)) -> ExperimentRepo
     eps_list = [_real("epsilon", e, "nonnegative") for e in eps_list]
     if not eps_list:
         raise ValueError("eps_list must not be empty")
-    base = concat(linear_path([1.0, 0.0]), linear_path([-1.0, 0.0]))
     indices = list(range(1, len(eps_list) + 1))
-    var, dm = [], []
-    for e in eps_list:
-        rect = _thin_rectangle(e)
-        var.append(one_variation_distance(rect, base))
-        dm.append(metric_d(base, rect))
-    series = {"epsilon": eps_list, "variation_distance": var, "metric_d": dm}
+    # a rectangle of width 0 is gamma_0 itself, at distance 0 in both; the
+    # others are their own reduced representatives (consecutive segments
+    # nonzero and orthogonal), while gamma_0 reduces to the trivial path,
+    # so all distances run as one stack each (_distances), with the bits of
+    # one_variation_distance(rect, gamma_0) and metric_d(gamma_0, rect)
+    eps = np.array(eps_list)
+    wide = eps > 0.0
+    var, dm = np.zeros(len(eps)), np.zeros(len(eps))
+    if wide.any():
+        rects = _thin_rectangles(eps[wide])
+        base = np.tile([[1.0, 0.0], [-1.0, 0.0]], (len(rects), 1, 1))
+        var[wide] = _distances(rects, base)
+        dm[wide] = _distances(np.zeros((len(rects), 0, 2)), rects)
+    series = {"epsilon": eps_list, "variation_distance": var.tolist(), "metric_d": dm.tolist()}
     return _report("quotient-vs-metric", indices, series)
 
 

@@ -14,7 +14,7 @@ from sigpath import LinearVectorField, PiecewiseLinearPath, GroupTensor
 from sigpath import TruncatedTensor, add, mul, scale, shuffle_pairing, signature, sub, unit
 from sigpath.ito_solver import _flow_end_states, word_coefficients
 from sigpath.sig_regression import RegressionDataset
-from sigpath.signature_engine import _signature_levels
+from sigpath.signature_engine import _CHUNK, _signature_levels
 from sigpath.path_core import COLLINEAR_TOL
 
 
@@ -202,14 +202,26 @@ def reference_mul(x, y):
 
 
 def reference_signature(segments, depth):
-    """Loop reference for the batched kernel: per-segment exponentials
-    multiplied pairwise (balanced tree), one product at a time."""
+    """Loop reference for the batched kernel: each chunk of _CHUNK segments
+    starts as its first segment's exponential and takes every later one in
+    by Horner steps, U = v/k, U = (U + S_j) (x) v/(k-j) for j = 1..k-1, new
+    S_k = U + S_k, one np.multiply.outer at a time; the chunk signatures
+    are then multiplied pairwise (balanced tree), one product at a time."""
     d = segments.shape[1]
     factors = []
-    for v in segments:
+    for start in range(0, len(segments), _CHUNK):
+        chunk = segments[start : start + _CHUNK]
         levels = [np.ones(1)]
         for n in range(1, depth + 1):
-            levels.append(np.multiply.outer(levels[-1], v).reshape(-1) / n)
+            levels.append(np.multiply.outer(levels[-1], chunk[0]).reshape(-1) / n)
+        for v in chunk[1:]:
+            stepped = [levels[0]]
+            for k in range(1, depth + 1):
+                u = v / k
+                for j in range(1, k):
+                    u = np.multiply.outer(u + levels[j], v / (k - j)).reshape(-1)
+                stepped.append(u + levels[k])
+            levels = stepped
         factors.append(levels)
     if not factors:
         return [np.ones(1)] + [np.zeros(d**k) for k in range(1, depth + 1)]

@@ -595,10 +595,10 @@ GOLDEN_FIELD = {
     "extra, digest",
     [
         # default affine demo field, noise-free
-        ({}, "bfc0187abd9a4677b1bf9ed90022985015067d427f303142da420ca2da965f9c"),
+        ({}, "85ed382163b31e8097618424167554089eada7b94a4c9e4d5d0a3df8cfb6fb9a"),
         (
             {"field": GOLDEN_FIELD, "y0": [0.5, -0.75], "noise_scale": 0.01, "ridge": 1e-6},
-            "788a963357a46b332629db6cc4825d6cb1f689b4f51ed5f5c5595fb99b7a8c7a",
+            "0fbeb9103b69a3deec5e179eec8b0b816d6f367c4e44a091991e4c1c903fb0ba",
         ),
     ],
 )
@@ -623,7 +623,7 @@ STAIRCASE = np.array([[1, 0], [0, 2], [3, 0], [0, 1], [2, 0], [0, 3]] * 2, dtype
         ("quotient-vs-metric", [], "64de23ad65d7f5d127aae117b19b95f0f17dfae75994fdaf1c030dd57edae783"),
         ("incompleteness", ["--n-max", "80"], "d9f088c926fb4b3dc6a3293db43595ad73b72e881ad5a744e940813146f6eb7b"),
         ("group-discontinuity", ["--n-max", "120"], "931b00bd52135c1d9352c46bd5fb8a1daa78d2ddceacfccd00d9e0a029922ddc"),
-        ("length-bound", ["--n-max", "5", "--seed", "0"], "644c3d53b3dc98beae1fb06b022ccaf6a3dc38e16caddf05b69e2ea49fe5e8c0"),
+        ("length-bound", ["--n-max", "5", "--seed", "0"], "460948e5b4bfbd71337869feeb5d957f8a62c2dcdb18783ddbc14ffebf49099b"),
     ],
 )
 def test_experiment_payload_is_pinned(capsys, tmp_path, name, flags, digest):
@@ -709,10 +709,10 @@ def _dyadic_path_csv(tmp_path, seed, d, m):
     "d, depth, digest",
     [
         # the benchmark's long-path shapes, and one path in one letter
-        (5, 4, "bace57ca82587b3a0078db7493d01778c8c131edb7a69d20f0e372acf859f5db"),
-        (3, 6, "f31a30ff2dbaa4098f2fc77c404723b24f3601cc503f8ed4e1fe9f8f638fcdef"),
-        (2, 8, "b3eb8161f42bd98698b317b6cb6b80bf907e9537f2054dacb5fe73bbcedc70b4"),
-        (1, 12, "e80b64dedd6ad3a8cc376ae5246a4ea9a99ba817a02bf52c746d0a632f639fd9"),
+        (5, 4, "80f14b38449f754f0347225444517e0a8facac6273c982e509df0e99bea7040d"),
+        (3, 6, "fb17cb2163b63688bd13f549070b0dbe797a5f4c6d0d8355055c503e4ea45f7d"),
+        (2, 8, "1faad7f3fb550a1a3a76871169f893ee4f7fa847854676422951978428efc48f"),
+        (1, 12, "cab4648660ef566a1bb38487c892b84b60fc80f852c9a4cf6fd9eab48066dde6"),
     ],
 )
 def test_signature_payload_is_pinned(capsys, tmp_path, d, depth, digest):
@@ -729,7 +729,7 @@ def test_signature_payload_is_pinned(capsys, tmp_path, d, depth, digest):
         (GOLDEN_FIELD["b"], 0, "b1b2e0f2f165404bc6023dd8b0644bc6055a2e14338615e3555ce6ec21467680"),
         (GOLDEN_FIELD["b"], 8, "7fdede40f15bc51fce779b18f95c8e331791508a0b959851c90e6102871aa0b1"),
         ([[0.125, -0.5], [0.25, 0.375]], 0, "10de04e3d59e8f29723aab92e803c88341d0c3c5a0f69cb0080156d47e71ceb7"),
-        ([[0.125, -0.5], [0.25, 0.375]], 8, "d4f122ef040af3a8e3441667d8f4954675509ee17bffe09b380dacb433a4268b"),
+        ([[0.125, -0.5], [0.25, 0.375]], 8, "7391c8d68ac819ca84aec6befce83d2c04b5e4f12af7df199988c88b59fb2c2b"),
     ],
 )
 def test_solve_payload_is_pinned(capsys, tmp_path, offsets, truncation, digest):

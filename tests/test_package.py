@@ -320,7 +320,15 @@ _OWNERS = {
     "_distances": (
         _calls("_distances"),
         {("path_core.py", "one_variation_distance")}
-        | {("topology_lab.py", f) for f in ("metric_d", "experiment_incompleteness", "experiment_group_discontinuity")},
+        | {
+            ("topology_lab.py", f)
+            for f in (
+                "metric_d",
+                "experiment_quotient_vs_metric",
+                "experiment_incompleteness",
+                "experiment_group_discontinuity",
+            )
+        },
     ),
     "_product_metric": (
         _calls("_product_metric"),

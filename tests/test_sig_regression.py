@@ -17,6 +17,7 @@ from sigpath.sig_regression import (
     functional_from_json,
     functional_to_json,
 )
+from sigpath.signature_engine import _CHUNK
 
 from helpers import (
     BAD_INTEGERS,
@@ -123,13 +124,15 @@ def test_generate_dataset_reproducible():
 
 
 def test_generate_dataset_features_are_bitwise_the_pairwise_fold():
+    # segment counts on either side of the kernel's chunk edges
     field, y0 = sp.demo_field()
-    ds = sp.generate_dataset(field, y0, n_paths=9, segment_count=5, r=1.5,
-                             noise_scale=0.0, seed=4, depth=5)
-    for row, p in zip(ds.features, ds.paths):
-        want = np.concatenate(reference_signature(p.segments, 5))
-        assert same_bits([row], [want])
-        assert same_bits([row], [sp.featurize(p, 5)])
+    for m in (5, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1):
+        ds = sp.generate_dataset(field, y0, n_paths=9, segment_count=m, r=1.5,
+                                 noise_scale=0.0, seed=4, depth=5)
+        for row, p in zip(ds.features, ds.paths):
+            want = np.concatenate(reference_signature(p.segments, 5))
+            assert same_bits([row], [want]), m
+            assert same_bits([row], [sp.featurize(p, 5)]), m
 
 
 def test_generate_dataset_size_budget():

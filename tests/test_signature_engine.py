@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -20,6 +21,7 @@ from helpers import (
     traced_peak_bytes,
 )
 from sigpath.signature_engine import (
+    _CHUNK,
     _lie_residual,
     _log_majorant,
     _pair_gaps,
@@ -183,7 +185,7 @@ def test_signature_is_bitwise_the_pairwise_fold():
     rng = np.random.default_rng(9)
     for d in range(1, 5):
         for depth in range(7):
-            for m in (0, 1, 2, 3, 7, 40):
+            for m in (0, 1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 40):
                 p = sp.PiecewiseLinearPath(d, rng.normal(size=(m, d)))
                 want = reference_signature(p.segments, depth)
                 assert same_bits(sp.signature(p, depth).levels, want), (d, depth, m)
@@ -201,15 +203,16 @@ def _kernel_outcome(segments, depth):
 
 def test_batched_kernel_is_bitwise_the_reference_fold():
     # d 1-5 and depth 0-8 put both _outer routes (d**j < d**i and not) in
-    # the fold and in the segment exponentials; the top level is capped at
-    # 5**6 coefficients so the loop reference stays quick
+    # the fold, the first exponentials and the Horner steps; m runs across
+    # the chunk edges, and the top level is capped at 5**6 coefficients so
+    # the loop reference stays quick
     rng = np.random.default_rng(14)
     overflowed = 0
     for d in range(1, 6):
         for depth in range(9):
             if d**depth > 5**6:
                 continue
-            for m in (0, 1, 2, 3, 5, 7, 40):
+            for m in (0, 1, 2, 3, 5, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 40):
                 n = int(rng.integers(1, 4))
                 segments = rng.normal(size=(n, m, d))
                 segments[rng.random(size=segments.shape) < 0.15] = 0.0
@@ -279,6 +282,23 @@ def test_signature_accuracy_on_dyadic_path():
     exact = sp.exact_signature(p, 6)
     for a, b in zip(got.levels, exact.levels):
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_signature_accuracy_sweep_across_chunk_counts():
+    # dyadic steps, so exact_signature is the exact value: one chunk, the
+    # chunk edges and long trees, each d at the deepest depth <= 8 that
+    # exact_signature takes.  Each level is held to 1e-13 of max(1, its
+    # largest coefficient); at d = 1 level k is (sum v)**k / k!, which may
+    # cancel far below the products of size L**k / k! that any fold sums,
+    # so there the scale is max(1, L**k / k!), L the path's length
+    rng = np.random.default_rng(31)
+    for d, depth in ((1, 8), (2, 8), (3, 7), (4, 6), (5, 5)):
+        for m in (1, 7, 8, 9, 48, 128, 400):
+            p = sp.PiecewiseLinearPath(d, rng.integers(-16, 17, size=(m, d)) / 16)
+            got, exact = sp.signature(p, depth), sp.exact_signature(p, depth)
+            for k, (a, b) in enumerate(zip(got.levels, exact.levels)):
+                size = p.length**k / math.factorial(k) if d == 1 else np.max(np.abs(b))
+                assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, size), (d, m, k)
 
 
 def test_size_budget_is_checked_before_allocating():
@@ -418,6 +438,20 @@ def test_exact_signature_in_one_dimension(monkeypatch):
         got = sp.exact_signature(path, depth)
         assert seen[-1] == np.dtype(dtype)
         assert same_bits(got.levels, reference_exact_signature(path, depth))
+
+
+def test_exact_signature_on_int64_survives_a_wrapped_partial_sum(monkeypatch):
+    # steps 1, 1 and 0 (times 1/2) at depth 62 give L = 2, L**62 < 2**63,
+    # so the fold runs on int64.  Where the zero step follows the two unit
+    # steps, its Horner partial sums C(k, j) T_j reach C(62, 31) 2**31 >
+    # 2**63 and wrap; the step then multiplies them by zero, and int64 sums
+    # and products are exact modulo 2**64, so every result keeps its bits
+    seen = _fold_dtypes(monkeypatch)
+    for steps in ([0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]):
+        path = sp.PiecewiseLinearPath(1, np.array(steps)[:, None])
+        got = sp.exact_signature(path, 62)
+        assert seen[-1] == np.dtype(np.int64)
+        assert same_bits(got.levels, reference_exact_signature(path, 62)), steps
 
 
 def test_witness_loops_fold_on_int64(monkeypatch):
@@ -646,13 +680,13 @@ def test_check_group_like_reads_no_coefficient_word_by_word(monkeypatch):
 
 
 def test_check_group_like_scales_the_shuffle_gaps_like_the_residual():
-    # a genuine signature of a longer path: its largest shuffle gap, 1.8e-9,
+    # a genuine signature of a longer path: its largest shuffle gap, 6.1e-9,
     # is rounding of level-6 sums of size mu_6, far inside lie_tolerance
-    path = sp.PiecewiseLinearPath(2, 5 * np.random.default_rng(0).normal(size=(8, 2)))
+    path = sp.PiecewiseLinearPath(2, 5 * np.random.default_rng(3).normal(size=(8, 2)))
     rep = sp.check_group_like(sp.signature(path, 6))
     assert rep.passed
     assert rep.tolerance < rep.max_discrepancy <= rep.lie_tolerance
-    assert rep.worst_pair == ((2, 1, 1), (1, 1, 1))
+    assert rep.worst_pair == ((2, 1, 2), (2, 2, 2))
 
 
 def test_check_group_like_passes_correctly_rounded_signatures():
