@@ -672,10 +672,28 @@ def gamma_loop(k: int) -> PiecewiseLinearPath:
 _HEADER_RE = re.compile(r"#\s*dim\s*=\s*(\d+)\s*$")
 
 
+def _csv_segments(fields: list, linenos: list, dim: int) -> np.ndarray:
+    # every field in one float() pass and one finiteness check; only on a
+    # failure are the rows read again one by one, to name the first bad line
+    try:
+        segs = np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(len(linenos), dim)
+    except ValueError:
+        segs = None
+    if segs is None or not np.isfinite(segs).all():
+        for row, lineno in enumerate(linenos):
+            try:
+                values = [float(p) for p in fields[row * dim : (row + 1) * dim]]
+            except ValueError:
+                raise PathFormatError(f"line {lineno}: non-numeric component") from None
+            if not all(math.isfinite(c) for c in values):
+                raise PathFormatError(f"line {lineno}: non-finite component")
+    return segs
+
+
 def read_csv(source) -> PiecewiseLinearPath:
     """Parse a segment CSV: header '# dim=<d>', then one row per segment.
 
-    Raises PathFormatError with a line number on any malformed content.
+    Raises PathFormatError naming the first malformed line.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -683,7 +701,8 @@ def read_csv(source) -> PiecewiseLinearPath:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     dim = None
-    rows = []
+    fields = []
+    linenos = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -701,20 +720,16 @@ def read_csv(source) -> PiecewiseLinearPath:
             raise PathFormatError(f"line {lineno}: data before '# dim=<d>' header")
         parts = line.split(",")
         if len(parts) != dim:
+            # a bad number on an earlier line is named first
+            _csv_segments(fields, linenos, dim)
             raise PathFormatError(
                 f"line {lineno}: expected {dim} components, got {len(parts)}"
             )
-        try:
-            row = [float(p) for p in parts]
-        except ValueError:
-            raise PathFormatError(f"line {lineno}: non-numeric component") from None
-        if not all(math.isfinite(c) for c in row):
-            raise PathFormatError(f"line {lineno}: non-finite component")
-        rows.append(row)
+        fields += parts
+        linenos.append(lineno)
     if dim is None:
         raise PathFormatError("missing '# dim=<d>' header")
-    segs = np.array(rows, dtype=float).reshape(len(rows), dim)
-    return PiecewiseLinearPath(dim, segs)
+    return PiecewiseLinearPath(dim, _csv_segments(fields, linenos, dim))
 
 
 def write_csv(a: PiecewiseLinearPath, dest) -> None:

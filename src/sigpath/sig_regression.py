@@ -174,10 +174,9 @@ def fit(dataset: RegressionDataset, depth: int, ridge: float = 0.0) -> LinearFun
 
     ridge = 0 uses the minimum-norm solution and flags rank deficiency;
     ridge > 0 solves the augmented system [X; sqrt(ridge) I].  Both go
-    through scipy.linalg.lstsq (gelsd), imported here rather than with the
-    module, so that the other commands start without loading scipy;
-    numpy.linalg.lstsq with the same cutoff calls another LAPACK build and
-    changes the last bits of some fits.
+    through numpy.linalg.lstsq, LAPACK's SVD-based gelsd, with the cutoff
+    rcond = float64 machine epsilon: a singular value below eps times the
+    largest counts as zero.  The library needs no scipy.
     """
     depth = _count("depth", depth, 0, dataset.depth)
     ridge = _real("ridge", ridge, "nonnegative")
@@ -185,16 +184,15 @@ def fit(dataset: RegressionDataset, depth: int, ridge: float = 0.0) -> LinearFun
     F = feature_count(dim, depth)
     X = dataset.features[:, :F]
     Y = dataset.responses
-    import scipy.linalg
-
+    eps = np.finfo(float).eps
     rank_deficient = False
     if ridge == 0.0:
-        sol, _, rank, _ = scipy.linalg.lstsq(X, Y)
-        rank_deficient = rank < F
+        sol, _, rank, _ = np.linalg.lstsq(X, Y, rcond=eps)
+        rank_deficient = bool(rank < F)
     else:
         X_aug = np.vstack([X, np.sqrt(ridge) * np.eye(F)])
         Y_aug = np.vstack([Y, np.zeros((F, Y.shape[1]))])
-        sol, _, _, _ = scipy.linalg.lstsq(X_aug, Y_aug)
+        sol, _, _, _ = np.linalg.lstsq(X_aug, Y_aug, rcond=eps)
     # finite features and responses can still give weights beyond float
     # range, a numerical failure that the functional would call a bad input
     return LinearFunctional(

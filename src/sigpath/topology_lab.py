@@ -331,10 +331,6 @@ def _thin_rectangles(eps) -> np.ndarray:
     return np.stack([zero, eps, one, zero, zero, -eps, -one, zero], axis=1).reshape(-1, 4, 2)
 
 
-def _thin_rectangle(eps: float) -> PiecewiseLinearPath:
-    return PiecewiseLinearPath(2, _thin_rectangles([eps])[0])
-
-
 def experiment_quotient_vs_metric(eps_list=(1e-1, 1e-2, 1e-3)) -> ExperimentReport:
     """Thin rectangles close to a tree-like out-and-back in 1-variation.
 

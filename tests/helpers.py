@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from sigpath import TruncatedTensor, add, mul, scale, shuffle_pairing, signature
 from sigpath.ito_solver import _flow_end_states, word_coefficients
 from sigpath.sig_regression import RegressionDataset
 from sigpath.signature_engine import _CHUNK, _signature_levels
-from sigpath.path_core import COLLINEAR_TOL
+from sigpath.path_core import COLLINEAR_TOL, PathFormatError
 
 
 def random_path(rng, dim=None, max_segments=6, scale=0.5):
@@ -283,6 +284,41 @@ def reference_exact_signature(path, depth):
             paired.append(factors[-1])
         factors = paired
     return [np.array([float(c) for c in lvl]) for lvl in factors[0]]
+
+
+def reference_read_csv(text):
+    """Line-by-line reference for read_csv: (dim, segments), or raises
+    PathFormatError at the first malformed line, each row converted and
+    checked for finiteness as it is read."""
+    dim, rows = None, []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if dim is None:
+                m = re.fullmatch(r"#\s*dim\s*=\s*(\d+)\s*", line)
+                if not m:
+                    raise PathFormatError(f"line {lineno}: expected header '# dim=<d>'")
+                dim = int(m.group(1))
+                if dim < 1:
+                    raise PathFormatError(f"line {lineno}: dim must be at least 1")
+            continue
+        if dim is None:
+            raise PathFormatError(f"line {lineno}: data before '# dim=<d>' header")
+        parts = line.split(",")
+        if len(parts) != dim:
+            raise PathFormatError(f"line {lineno}: expected {dim} components, got {len(parts)}")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise PathFormatError(f"line {lineno}: non-numeric component") from None
+        if not all(math.isfinite(c) for c in row):
+            raise PathFormatError(f"line {lineno}: non-finite component")
+        rows.append(row)
+    if dim is None:
+        raise PathFormatError("missing '# dim=<d>' header")
+    return dim, np.array(rows, dtype=float).reshape(len(rows), dim)
 
 
 def reference_reduce(a, tol=COLLINEAR_TOL):

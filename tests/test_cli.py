@@ -595,10 +595,10 @@ GOLDEN_FIELD = {
     "extra, digest",
     [
         # default affine demo field, noise-free
-        ({}, "85ed382163b31e8097618424167554089eada7b94a4c9e4d5d0a3df8cfb6fb9a"),
+        ({}, "dce2dcc9836d30f42eee8fe49053655483e57d543dd2c9fb7c0904acef046698"),
         (
             {"field": GOLDEN_FIELD, "y0": [0.5, -0.75], "noise_scale": 0.01, "ridge": 1e-6},
-            "0fbeb9103b69a3deec5e179eec8b0b816d6f367c4e44a091991e4c1c903fb0ba",
+            "09bba06236f553708a65792b8ed2354eb949f610b5edec154b4b14c8529b5721",
         ),
     ],
 )

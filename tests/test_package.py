@@ -90,14 +90,11 @@ def _scipy_imports(tree):
     return found
 
 
-def test_scipy_is_imported_only_by_fit():
-    # the library's one scipy call is fit's least-squares solve; the
-    # exact-flow oracle has its own matrix exponential
-    found = {
-        source.name: [function for function, _ in _scipy_imports(ast.parse(source.read_text(encoding="utf-8")))]
-        for source in SOURCES
-    }
-    assert {name: funcs for name, funcs in found.items() if funcs} == {"sig_regression.py": ["fit"]}
+def test_no_module_imports_scipy():
+    # fit solves its least squares with numpy and the exact-flow oracle
+    # has its own matrix exponential: the library runs on numpy alone
+    found = {source.name: _scipy_imports(ast.parse(source.read_text(encoding="utf-8"))) for source in SOURCES}
+    assert {name: imports for name, imports in found.items() if imports} == {}
 
 
 def test_the_scipy_detector_sees_module_and_function_imports():
@@ -105,9 +102,9 @@ def test_the_scipy_detector_sees_module_and_function_imports():
     assert _scipy_imports(tree) == [(None, 1), (None, 2), ("f", 4)]
 
 
-def test_only_regress_loads_scipy(tmp_path):
-    # a fresh interpreter: import, signature, experiment and solve leave
-    # scipy unloaded; regress loads it for its fit
+def test_no_command_loads_scipy(tmp_path):
+    # a fresh interpreter: import, signature, experiment, solve and
+    # regress all leave scipy unloaded
     csv = tmp_path / "path.csv"
     csv.write_text("# dim=1\n0.5\n-0.25\n")
     field = tmp_path / "field.json"
@@ -135,7 +132,7 @@ print(json.dumps(seen))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, False, False, False, True]
+    assert json.loads(proc.stdout) == [False] * 5
 
 
 # the shared decoding policy, and the cli helpers it replaced or retired

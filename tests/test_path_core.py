@@ -30,6 +30,7 @@ from helpers import (
     reference_one_variation_distance,
     reference_p_variation,
     reference_positions_at,
+    reference_read_csv,
     reference_reduce,
     reference_sup_distance,
     resplit,
@@ -393,6 +394,65 @@ def test_csv_malformed():
     assert read_csv(io.StringIO("# dim=2\n# note\n1,2\n")).segments.tolist() == [[1.0, 2.0]]
     # so is a blank line, which still counts toward the line numbers above
     assert read_csv(io.StringIO("# dim=2\n1,2\n\n  \n3,4\n")).segments.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def _csv_outcome(read, text):
+    # the parsed (dim, segment bytes), or the message of the refusal
+    try:
+        dim, segments = read(text)
+    except PathFormatError as err:
+        return str(err)
+    return dim, segments.tobytes()
+
+
+def _random_csv(rng):
+    # a header, rows in several float spellings, blank and comment lines,
+    # and in half the files one or two malformed lines anywhere after the header
+    dim = int(rng.integers(1, 5))
+    spell = [repr, lambda x: f"{x:.3e}", lambda x: f"  {x} ", lambda x: f"+{abs(x)}", lambda x: str(int(x * 10))]
+    lines = [f"# dim={dim}"]
+    for _ in range(int(rng.integers(0, 30))):
+        kind = rng.random()
+        if kind < 0.1:
+            lines.append(" " * int(rng.integers(0, 3)))
+        elif kind < 0.2:
+            lines.append("# note, 1,2")
+        else:
+            lines.append(",".join(spell[int(rng.integers(len(spell)))](x) for x in rng.normal(size=dim).tolist()))
+    if rng.random() < 0.5:
+        bad = ["x", "nan", "-inf", "1e999", "", "1,,2"]
+        for _ in range(int(rng.integers(1, 3))):
+            row = [repr(float(x)) for x in rng.normal(size=dim)]
+            row[int(rng.integers(dim))] = bad[int(rng.integers(len(bad)))]
+            if rng.random() < 0.3:
+                row.append("0.5")  # one component too many
+            lines.insert(int(rng.integers(1, len(lines) + 1)), ",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _read_text(text):
+    path = read_csv(io.StringIO(text))
+    return path.dim, path.segments
+
+
+def test_csv_reader_matches_a_line_by_line_parse():
+    # one float() pass over every field gives the bytes of converting each
+    # row as it is read, and refuses the same first malformed line
+    rng = np.random.default_rng(11)
+    refusals = 0
+    for _ in range(400):
+        text = _random_csv(rng)
+        got = _csv_outcome(_read_text, text)
+        assert got == _csv_outcome(reference_read_csv, text), text
+        refusals += isinstance(got, str)
+    assert 100 < refusals < 300
+    # a bad number is named before a bad count on a later line, and after one on an earlier line
+    for text, message in [
+        ("# dim=2\n1,x\n1,2,3\n", "line 2: non-numeric component"),
+        ("# dim=2\n1,2,3\n1,x\n", "line 2: expected 2 components, got 3"),
+        ("# dim=2\n1,2\n1,inf\n\n1\n", "line 3: non-finite component"),
+    ]:
+        assert _csv_outcome(_read_text, text) == _csv_outcome(reference_read_csv, text) == message
 
 
 def test_path_json_round_trip():

@@ -275,6 +275,21 @@ def test_rank_deficiency_flag_and_ridge():
         sp.RegressionDataset(np.zeros((0, 1, 2)), np.zeros((0, 7)), np.zeros((0, 2)), 2, 0.0)
 
 
+def test_rank_deficient_fit_is_the_minimum_norm_solution():
+    # 5 paths against 15 depth-3 features: of all exact fits, lstsq
+    # returns the one of least norm, pinv(X) @ Y; the condition number of
+    # X is near 130, so 1e-12 of the largest weight leaves a wide margin
+    field, y0 = sp.demo_field()
+    small = sp.generate_dataset(field, y0, n_paths=5, segment_count=3, r=1.0,
+                                noise_scale=0.0, seed=7)
+    f = sp.fit(small, depth=3)
+    assert f.rank_deficient is True
+    expected = np.linalg.pinv(small.features[:, :sp.feature_count(small.dim, 3)]) @ small.responses
+    assert np.max(np.abs(f.weights - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # 5 paths against the 3 depth-1 features: full rank
+    assert sp.fit(small, depth=1).rank_deficient is False
+
+
 def test_weights_beyond_float_range_are_a_numerical_failure():
     # finite, nearly collinear features with responses near float range: the
     # least-squares weights overflow, which is a FloatingPointError (exit 4

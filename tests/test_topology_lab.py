@@ -9,7 +9,7 @@ import sigpath as sp
 from sigpath.signature_engine import _signature_levels
 from sigpath.tensor_algebra import _MAX_COEFFICIENTS
 from sigpath.tensor_algebra import product_metric, unit
-from sigpath.topology_lab import ExperimentReport, _thin_rectangle
+from sigpath.topology_lab import ExperimentReport, _thin_rectangles
 
 from helpers import (
     BAD_INTEGERS,
@@ -504,7 +504,7 @@ def test_incompleteness_signatures_are_bitwise_per_rectangle(monkeypatch, depth,
     # one rectangle per kernel call, a few per call, and all in one call
     monkeypatch.setattr(sp.topology_lab, "_BLOCK_COEFFICIENTS", batch_coefficients)
     n_max = 12
-    rects = [_thin_rectangle(1.0 / n) for n in range(1, n_max + 1)]
+    rects = [sp.PiecewiseLinearPath(2, _thin_rectangles([1.0 / n])[0]) for n in range(1, n_max + 1)]
     levels = _signature_levels(np.stack([r.segments for r in rects]), depth)
     one = unit(2, depth)
     pm, level_max = [], {k: [] for k in range(1, 5)}
@@ -545,14 +545,16 @@ def _family_members(n):
     rho = sp.PiecewiseLinearPath(2, [[0.0, 1.0 / n], [1.0, 0.0]])
     sigma = sp.PiecewiseLinearPath(2, [[0.0, -1.0 / n], [-1.0, 0.0]])
     limits = sp.linear_path([1.0, 0.0]), sp.linear_path([-1.0, 0.0])
-    return rho, sigma, sp.concat(rho, sigma), _thin_rectangle(1.0 / (2 * n)), *limits
+    rect = sp.PiecewiseLinearPath(2, _thin_rectangles([1.0 / (2 * n)])[0])
+    return rho, sigma, sp.concat(rho, sigma), rect, *limits
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, _MAX_COEFFICIENTS // 256, _MAX_COEFFICIENTS // 32])
 def test_family_members_are_their_own_reduced_representatives(n):
     # the experiments measure their families without reduce, which must
     # leave every member as it is, up to each n_max bound
-    assert _thin_rectangle(1.0 / n).segments.tobytes() == _family_members(n)[2].segments.tobytes()
+    rect = sp.PiecewiseLinearPath(2, _thin_rectangles([1.0 / n])[0])
+    assert rect.segments.tobytes() == _family_members(n)[2].segments.tobytes()
     for path in _family_members(n):
         reduced = sp.reduce(path).segments
         assert reduced.shape == path.segments.shape and reduced.tobytes() == path.segments.tobytes()
