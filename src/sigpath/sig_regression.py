@@ -26,6 +26,7 @@ from .path_core import PiecewiseLinearPath, path_from_dict, path_to_dict
 from .signature_engine import (
     LinearFunctional,
     _check_feature_count,
+    _check_kernel_budget,
     _signature_levels,
     feature_count,
 )
@@ -136,9 +137,11 @@ def generate_dataset(
     r = _real("length budget r", r, "positive")
     noise_scale = _real("noise_scale", noise_scale, "nonnegative")
     d = field.input_dim
-    # the kernel's size check, before any path is drawn
-    what = f"{n_paths} x {segment_count} segments of dimension {d}"
-    _check_budget(n_paths * segment_count, d, depth, what)
+    # the kernel's size and the draw's (directions, lengths and segments:
+    # 2d + 1 floats a segment), before any path is drawn
+    _check_kernel_budget(n_paths, segment_count, d, depth)
+    what = f"the draws for {n_paths} x {segment_count} segments of dimension {d}"
+    _check_budget(n_paths * segment_count * (2 * d + 1), 1, 0, what)
     y0 = _check_y0(field, y0)
     rng = np.random.default_rng(seed)
     dirs = np.empty((n_paths, segment_count, d))

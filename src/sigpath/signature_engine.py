@@ -103,7 +103,9 @@ def _segment_levels(v, depth: int) -> list:
     without forming exp(v), by one Horner step per level: U_1 = v/k,
     U_(j+1) = (U_j + S_j) (x) v/(k-j), and the new S_k = U_k + S_k.  The U
     of every level are stacked, so the step makes one sum and one outer
-    product per degree j.
+    product per degree j.  A step divides its segments when it takes them,
+    so every array made here has one row per chunk: the m segments are
+    read from v and never copied whole.
 
     Integer levels (int64, or Python ints in an object array) are
     exact_signature's T_k: a segment's are the powers v^(x)k, and the
@@ -120,19 +122,18 @@ def _segment_levels(v, depth: int) -> list:
         if not exact:
             lvl /= k
         levels.append(lvl)
-    # at degree j, row r of factors multiplies U_j + S_j into level k =
-    # j + 1 + r: v/(r + 1) on floats, v itself on integers, where row r of
-    # weights[j] first weighs S_j by C(k, j)
+    # at degree j, row r of a step's factors w multiplies U_j + S_j into
+    # level k = j + 1 + r: v/(r + 1) on floats, v itself on integers, where
+    # row r of weights[j] first weighs S_j by C(k, j)
+    divisors = np.arange(1.0, depth + 1)[:, None, None, None]
     if exact:
-        factors = v[None]
         weights = [
             np.array([math.comb(k, j) for k in range(j + 1, depth + 1)], dtype=v.dtype) for j in range(depth)
         ]
-    else:
-        factors = v / np.arange(1.0, depth + 1)[:, None, None, None]
     for p in range(1, min(m, _CHUNK)):
-        # the segments at place p of their chunks, in the first c chunks
-        w = factors[:, :, p::_CHUNK]
+        # the segments at place p of their chunks, in the first c chunks,
+        # divided as the step takes them
+        w = v[None, :, p::_CHUNK] if exact else v[:, p::_CHUNK] / divisors
         c = w.shape[2]
         # u[r] is U_j of level j + r; u[0] is complete
         u = np.broadcast_to(w, (depth,) + w.shape[1:])
@@ -161,7 +162,7 @@ def _fold(levels) -> list:
     The factors' level 0 is one, so the unit products x_0 y_k = y_k and
     x_k y_0 = x_k are not formed: level k of x y starts at y_k + 0, adds
     x_i (x) y_(k-i) for i = 1..k-1 in that order, each formed by _outer
-    into one reused scratch array, and then adds x_k.  On floats these are
+    into its own temporary, and then adds x_k.  On floats these are
     the bits of _mul_levels, which sums the same terms from zero: adding 0
     turns -0.0 into +0.0 as 0 + y_k does.  Integer levels (int64 or Python
     ints) are exact_signature's T_k, and their term i is weighted by
@@ -173,8 +174,6 @@ def _fold(levels) -> list:
     """
     n, count = levels[-1].shape[:2]
     depth = len(levels) - 1
-    scratch_size = n * (count // 2) * levels[-1].shape[-1] if depth >= 2 else 0
-    scratch = np.empty(scratch_size, dtype=levels[-1].dtype)
     while count > 1:
         pairs = count // 2
         for k in range(depth, 0, -1):
@@ -183,8 +182,7 @@ def _fold(levels) -> list:
             np.add(levels[k][:, 1:count:2], 0, out=acc)
             for i in range(1, k):
                 x, y = levels[i][:, 0 : count - 1 : 2], levels[k - i][:, 1:count:2]
-                term = scratch[: acc.size].reshape(acc.shape[:2] + (x.shape[-1], y.shape[-1]))
-                _outer(x, y, term)
+                term = _outer(x, y, np.empty(acc.shape[:2] + (x.shape[-1], y.shape[-1]), dtype=acc.dtype))
                 if term.dtype.kind != "f":
                     term *= math.comb(k, i)
                 acc += term.reshape(acc.shape)
@@ -196,6 +194,13 @@ def _fold(levels) -> list:
     return [lvl[:, 0] for lvl in levels]
 
 
+def _check_kernel_budget(n: int, m: int, d: int, depth: int) -> None:
+    # the kernel's size, counted before anything is allocated: the chunk
+    # signatures, n * ceil(m / _CHUNK) * feature_count(d, depth)
+    # coefficients, and one set of temporaries of their size
+    _check_budget(2 * n * -(-max(m, 1) // _CHUNK), d, depth, f"{n} x {m} segments of dimension {d}")
+
+
 def _signature_levels(segments, depth: int) -> list:
     """Signatures of a batch of paths as plain level arrays.
 
@@ -204,11 +209,12 @@ def _signature_levels(segments, depth: int) -> list:
     forms the chunk signatures of all N paths in one pass, and _fold
     multiplies them.  Every row runs the same arithmetic in the same order
     as the one path alone, so the result does not depend on the batch.  A
-    path with no segment has the unit as its signature.  Finiteness is
-    checked once, on the result.
+    path with no segment has the unit as its signature.  The size is
+    checked once, by _check_kernel_budget before anything is allocated,
+    and finiteness once, on the result.
     """
     n, m, d = segments.shape
-    _check_budget(n * max(m, 1), d, depth, f"{n} x {m} segments of dimension {d}")
+    _check_kernel_budget(n, m, d, depth)
     with np.errstate(over="ignore", invalid="ignore"):
         levels = _fold(_segment_levels(segments, depth))
     return [_in_range(f"signature level {k}", lvl) for k, lvl in enumerate(levels)]

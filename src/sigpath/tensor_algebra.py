@@ -85,13 +85,15 @@ def _in_range(what, x):
 
 
 # Limit on the coefficients a call counts (2**25 float64 values, 256 MiB),
-# checked before anything is allocated: N * m * feature_count(d, depth) for
-# the batched kernel, w * feature_count(d, depth) for word_coefficients;
-# the stages of path_core's axis paths and the n_max of topology_lab's
-# experiments are bounded by it too.
-# The count is not the kernel's peak: on the long-path and batched
-# regression shapes its traced peak measured 1.6-1.85 times the counted
-# bytes (the factors, the first round's products and the scratch array).
+# checked before anything is allocated: 2 * N * ceil(m / 8) *
+# feature_count(d, depth) for the batched signature kernel (its chunk
+# signatures and one set of temporaries of their size), w *
+# feature_count(d, depth) for word_coefficients; the stages of path_core's
+# axis paths and the n_max of topology_lab's experiments are bounded by it
+# too.  The count is not the kernel's peak: on the long-path and batched
+# regression shapes its traced peak measured 1.27-1.32 times the counted
+# bytes, and 2.0 times on a long path at d = 1, where the factors of a
+# Horner step are as large as the chunk signatures.
 _MAX_COEFFICIENTS = 2**25
 
 # Coefficients a blocked loop holds per temporary (2**17 float64 values,

@@ -96,10 +96,11 @@ class ExperimentReport:
         _one_value_per_index(self)
 
     def to_dict(self) -> dict:
+        series = {k: np.array([float(v) for v in vals]) for k, vals in _one_value_per_index(self).items()}
         return {
             "name": self.name,
             "indices": list(self.indices),
-            "series": {k: [float(v) for v in vals] for k, vals in _one_value_per_index(self).items()},
+            "series": {k: _in_range(f"report series {k!r}", vals).tolist() for k, vals in series.items()},
             "verdict": self.verdict,
             "seed": self.seed,
         }

@@ -286,7 +286,9 @@ def _mentions(text):
 # share the row-level reduction; every distance and difference of two paths
 # runs on one stacked kernel, and the 1-variation distances, single or of a
 # family, on its one sum; the product metric, of one pair or of a family's
-# rows, has one kernel, and the coefficient budget one check; a computed
+# rows, has one kernel, and the coefficient budget one check, whose count
+# for the signature kernel is written in one function that the kernel and
+# the dataset draw call before they allocate; a computed
 # result beyond float range is refused in one function, beside which only
 # the remainder bound's log-domain test and the JSON payload's check raise
 # a numerical failure
@@ -332,6 +334,10 @@ _OWNERS = {
         {("tensor_algebra.py", "product_metric"), ("topology_lab.py", "experiment_incompleteness")},
     ),
     "coefficient budget": (_mentions("exceeds the limit of"), {("tensor_algebra.py", "_check_budget")}),
+    "kernel budget": (
+        _calls("_check_kernel_budget"),
+        {("signature_engine.py", "_signature_levels"), ("sig_regression.py", "generate_dataset")},
+    ),
     "numerical failure": (
         _calls("FloatingPointError"),
         {("tensor_algebra.py", "_in_range"), ("ito_solver.py", "series_error_bound"), ("cli.py", "_emit")},

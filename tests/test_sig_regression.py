@@ -354,9 +354,10 @@ def test_serialisation_round_trips():
 
 @pytest.mark.parametrize(
     "n_paths, segment_count",
-    # 10**9 paths would take hours to draw; 360801 x 3 segments are two
-    # over the 1082401 that fit 2**25 coefficients at d = 2, depth 4
-    [(10**9, 4), ((2**25 // 31) // 3 + 1, 3)],
+    # 10**9 paths would take hours to draw; 541201 paths of 3 segments (one
+    # chunk, counted twice at 31 coefficients) are one over what fits 2**25
+    # at d = 2, depth 4
+    [(10**9, 4), (2**25 // 62 + 1, 3)],
 )
 def test_generate_dataset_checks_the_budget_before_drawing(monkeypatch, n_paths, segment_count):
     def refuse(*args, **kwargs):
@@ -370,6 +371,19 @@ def test_generate_dataset_checks_the_budget_before_drawing(monkeypatch, n_paths,
         sp.generate_dataset(field, y0, n_paths=n_paths, segment_count=segment_count, r=1.0,
                             noise_scale=0.0, seed=0, depth=4)
     assert time.perf_counter() - start < 1.0
+
+
+def test_generate_dataset_counts_its_draws_before_drawing(monkeypatch):
+    # at depth 0 the kernel counts 2 coefficients per chunk, but the draws
+    # hold 2d + 1 = 5 floats per segment: 4 x 8 segments draw 160 > 100
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator created before the budget check")
+
+    monkeypatch.setattr(sp.tensor_algebra, "_MAX_COEFFICIENTS", 100)
+    monkeypatch.setattr(sp.sig_regression.np.random, "default_rng", refuse)
+    field, y0 = sp.demo_field()
+    with pytest.raises(ValueError, match="the draws for 4 x 8 segments of dimension 2 exceeds the limit of 100"):
+        sp.generate_dataset(field, y0, n_paths=4, segment_count=8, r=1.0, noise_scale=0.0, seed=0, depth=0)
 
 
 def test_generate_dataset_refuses_a_negative_depth_before_drawing(monkeypatch):

@@ -237,11 +237,14 @@ def test_batched_kernel_is_bitwise_the_reference_fold():
 
 
 def test_kernel_peak_memory_is_about_twice_the_budgeted_coefficients():
-    # the long-path benchmark's signature shapes and a batched regression shape
+    # the long-path benchmark's signature shapes, a batched regression shape
+    # and a long path at d = 1, where a step's factors are as large as the
+    # chunk signatures; the budget counts the chunk signatures twice
     rng = np.random.default_rng(15)
-    for n, m, d, depth in ((1, 400, 5, 4), (1, 330, 3, 6), (1, 340, 2, 8), (130, 4, 3, 5)):
+    shapes = ((1, 400, 5, 4), (1, 330, 3, 6), (1, 340, 2, 8), (130, 4, 3, 5), (1, 100000, 1, 8))
+    for n, m, d, depth in shapes:
         segments = rng.normal(size=(n, m, d)) * 0.1
-        budgeted = 8 * n * m * sp.feature_count(d, depth)
+        budgeted = 8 * 2 * n * math.ceil(m / _CHUNK) * sp.feature_count(d, depth)
         assert traced_peak_bytes(_signature_levels, segments, depth) <= 2.1 * budgeted, (m, d)
 
 
@@ -311,6 +314,23 @@ def test_size_budget_is_checked_before_allocating():
     for d in (1, 2):
         with pytest.raises(ValueError, match="limit"):
             sp.signature(sp.PiecewiseLinearPath(d, np.ones((1, d))), 10**9)
+
+
+def test_size_budget_counts_chunk_signatures(monkeypatch):
+    # a planar path at depth 4 counts 2 * ceil(m / 8) * 31 coefficients:
+    # 496 at 64 segments, 558 at 65
+    monkeypatch.setattr(sp.tensor_algebra, "_MAX_COEFFICIENTS", 500)
+    steps = np.random.default_rng(31).normal(size=(65, 2))
+    sp.signature(sp.PiecewiseLinearPath(2, steps[:64]), 4)
+    with pytest.raises(ValueError, match="1 x 65 segments of dimension 2 exceeds the limit of 500"):
+        sp.signature(sp.PiecewiseLinearPath(2, steps), 4)
+
+
+def test_deep_signature_of_a_long_path_fits_the_budget():
+    # 300 planar segments at depth 16 hold 38 chunk signatures of 131071
+    # coefficients; one exponential per segment would not fit 2**25
+    path = sp.PiecewiseLinearPath(2, 0.1 * np.random.default_rng(32).normal(size=(300, 2)))
+    assert same_bits(sp.signature(path, 16).levels[:9], sp.signature(path, 8).levels)
 
 
 def test_exact_signature_depth_cap_is_quick():

@@ -665,6 +665,17 @@ def test_a_series_grown_after_construction_is_refused():
         sp.recheck_verdict(rep)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+def test_a_non_finite_series_value_is_a_numerical_failure(bad):
+    # a report holds computed values, so one beyond float range is refused
+    # by name as a numerical failure, not as a malformed record
+    rep = sp.experiment_group_discontinuity(2)
+    rep.series["d_product_to_origin"][1] = bad
+    for write in (rep.to_dict, rep.to_json):
+        with pytest.raises(FloatingPointError, match="^report series 'd_product_to_origin' is beyond float range$"):
+            write()
+
+
 def test_report_from_json_rejects_invalid_json_with_value_error():
     with pytest.raises(ValueError):
         ExperimentReport.from_json("{not json")
